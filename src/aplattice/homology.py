@@ -6,12 +6,15 @@ Conventions:
 * The chain complex is augmented: dimension -1 is the single empty face, and
   the 0th boundary matrix is the 1 x f0 all-ones map onto it, so every rank
   reported here is a *reduced* homology rank.
-* Matrices are dense with exact integer entries.  Elimination picks a
-  minimal-absolute-value pivot to limit growth.  While every entry provably
-  fits, the work happens in an int64 numpy array (one elimination step on
-  entries below 2**31 cannot leave 2**63); the moment an entry reaches the
-  threshold the state is handed to a pure-Python big-integer path, so results
-  are exact for any input.
+* Matrices are stored as sparse columns of exact integers; a boundary column
+  of a d-face holds d+1 entries of +-1.
+* The Smith normal form is computed in two exact stages.  First, unit-pivot
+  elimination: while some entry is +-1, the one in the shortest row of its
+  column clears that row by column operations, after which the row and the
+  column drop out with one unit divisor.  Second, whatever block has no unit
+  entry left goes densely through minimal-pivot elimination on Python
+  integers.  Every entry is an unbounded integer throughout, so results are
+  exact for any input.
 * The rank reported with the divisors counts the nonzero elementary divisors.
 """
 
@@ -21,36 +24,25 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-import numpy as np
-
 from .complexes import SimplicialComplex, reduced_euler_characteristic
-
-_INT64_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
 class IntegerMatrix:
+    """A rows x cols integer matrix by columns: each column is a tuple of
+    (row, value) pairs with distinct rows in range and nonzero values."""
+
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
+        if len(self.columns) != self.cols or any(
+            len({r for r, _ in col}) != len(col)
+            or any(not 0 <= r < self.rows or not v for r, v in col)
+            for col in self.columns
         ):
-            raise ValueError("entry grid does not match the declared shape")
-
-
-def multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b.entries)) if b.entries else []
-    out = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
-    )
-    if not bt:
-        out = tuple(() for _ in range(a.rows))
-    return IntegerMatrix(a.rows, b.cols, out)
+            raise ValueError("columns do not match the declared shape")
 
 
 def boundary_matrix(complex: SimplicialComplex, d: int) -> IntegerMatrix:
@@ -63,15 +55,15 @@ def boundary_matrix(complex: SimplicialComplex, d: int) -> IntegerMatrix:
         raise ValueError(f"dimension {d} out of range 0..{complex.dim}")
     cols = complex.faces(d)
     if d == 0:
-        return IntegerMatrix(1, len(cols), (tuple(1 for _ in cols),))
+        return IntegerMatrix(1, len(cols), tuple(((0, 1),) for _ in cols))
     rows = complex.faces(d - 1)
     row_index = {f: i for i, f in enumerate(rows)}
-    grid = [[0] * len(cols) for _ in rows]
-    for c, face in enumerate(cols):
-        for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            grid[row_index[sub]][c] = (-1) ** j
-    return IntegerMatrix(len(rows), len(cols), tuple(tuple(r) for r in grid))
+    signs = [(j, (-1) ** j) for j in reversed(range(d + 1))]
+    columns = tuple(
+        tuple((row_index[face[:j] + face[j + 1 :]], s) for j, s in signs)
+        for face in cols
+    )
+    return IntegerMatrix(len(rows), len(cols), columns)
 
 
 class SmithNormalForm(NamedTuple):
@@ -79,9 +71,52 @@ class SmithNormalForm(NamedTuple):
     rank: int
 
 
-def _diagonalize_python(a: list[list[int]], m: int, n: int, start: int) -> None:
-    """Exact in-place diagonalisation from pivot position `start`."""
-    t = start
+def _eliminate_units(cols: list[dict[int, int]]) -> int:
+    """Stage one: pivot on +-1 entries until none is left.  Returns the number
+    of pivots; eliminated and zeroed columns are left empty in `cols`.
+
+    Once the pivot's row is cleared by column operations, row operations
+    would only touch the pivot column, so dropping both is exact.
+    """
+    where: dict[int, set[int]] = {}  # row -> live columns with an entry there
+    for c, col in enumerate(cols):
+        for r in col:
+            where.setdefault(r, set()).add(c)
+    pivots = 0
+    progress = True
+    while progress:
+        progress = False
+        for c, col in enumerate(cols):
+            units = [r for r, v in col.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            r = min(units, key=lambda i: len(where[i]))
+            u = col.pop(r)
+            for k in where.pop(r):
+                if k == c:
+                    continue
+                other = cols[k]
+                f = other.pop(r) * u  # u * u == 1, so this clears row r
+                for i, v in col.items():
+                    w = other.get(i, 0) - f * v
+                    if w:
+                        if i not in other:
+                            where[i].add(k)
+                        other[i] = w
+                    else:
+                        del other[i]
+                        where[i].discard(k)
+            for i in col:
+                where[i].discard(c)
+            col.clear()
+            pivots += 1
+            progress = True
+    return pivots
+
+
+def _diagonalize_python(a: list[list[int]], m: int, n: int) -> None:
+    """Exact in-place diagonalisation by minimal-absolute-value pivots."""
+    t = 0
     while t < min(m, n):
         best = None
         for i in range(t, m):
@@ -133,62 +168,6 @@ def _diagonalize_python(a: list[list[int]], m: int, n: int, start: int) -> None:
         t += 1
 
 
-def _diagonalize_int64(a: np.ndarray, limit: int) -> tuple[int, bool]:
-    """Fast path over int64.  Returns (pivot reached, escalation needed).
-
-    Entries are checked against `limit` after every update; a single update on
-    entries below 2**31 cannot overflow int64, so staying under the limit
-    keeps the arithmetic exact.
-    """
-    m, n = a.shape
-    huge = np.iinfo(np.int64).max
-    t = 0
-    while t < min(m, n):
-        if abs(int(a[t, t])) != 1:
-            # a unit entry is always a globally minimal pivot; look for one
-            # in the current column and row before scanning the whole block
-            i = j = 0
-            units = np.flatnonzero(np.abs(a[t:, t]) == 1)
-            if units.size:
-                i = int(units[0])
-            else:
-                units = np.flatnonzero(np.abs(a[t, t:]) == 1)
-                if units.size:
-                    j = int(units[0])
-                else:
-                    sub = np.abs(a[t:, t:])
-                    masked = np.where(sub > 0, sub, huge)
-                    flat = int(masked.argmin())
-                    i, j = divmod(flat, n - t)
-                    if masked[i, j] == huge:
-                        return t, False
-            if i:
-                a[[t, t + i], :] = a[[t + i, t], :]
-            if j:
-                a[:, [t, t + j]] = a[:, [t + j, t]]
-        p = int(a[t, t])
-        col = a[t + 1 :, t]
-        nz = np.flatnonzero(col)
-        if nz.size:
-            rows = nz + t + 1
-            q = col[nz] // p
-            a[rows, t:] -= q[:, None] * a[t, t:]
-            if int(np.abs(a[rows, t:]).max()) >= limit:
-                return t, True
-            if np.any(a[t + 1 :, t]):
-                continue
-        row = a[t, t + 1 :]
-        nzr = np.flatnonzero(row)
-        if nzr.size:
-            cols = nzr + t + 1
-            q = row[nzr] // p
-            a[t, cols] -= q * p
-            if np.any(a[t, t + 1 :]):
-                continue
-        t += 1
-    return t, False
-
-
 def _divisor_chain(values: list[int]) -> tuple[int, ...]:
     ds = sorted(abs(v) for v in values if v)
     changed = True
@@ -206,34 +185,21 @@ def _divisor_chain(values: list[int]) -> tuple[int, ...]:
     return tuple(ds)
 
 
-def smith_normal_form(
-    mat: IntegerMatrix, *, int64_limit: int = _INT64_LIMIT
-) -> SmithNormalForm:
+def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
     """Elementary divisors (positive, divisibility-chained) and rank.
 
     The transforming unimodular matrices are not kept; only the divisor
-    multiset is needed downstream.  `int64_limit` exists for the tests; the
-    default keeps the int64 window provably overflow-free.
+    multiset is needed downstream.
     """
-    m, n = mat.rows, mat.cols
-    if m == 0 or n == 0:
-        return SmithNormalForm((), 0)
-    work = None
-    start = 0
-    peak = max((abs(v) for row in mat.entries for v in row), default=0)
-    if peak < int64_limit:
-        a = np.array(mat.entries, dtype=np.int64)
-        start, escalate = _diagonalize_int64(a, int64_limit)
-        if escalate:
-            work = [[int(v) for v in row] for row in a]
-        else:
-            diag = [int(a[i, i]) for i in range(min(m, n))]
-    else:
-        work = [list(row) for row in mat.entries]
-    if work is not None:
-        _diagonalize_python(work, m, n, start)
-        diag = [work[i][i] for i in range(min(m, n))]
-    chain = _divisor_chain(diag)
+    cols = [dict(col) for col in mat.columns]
+    units = _eliminate_units(cols)
+    live = [col for col in cols if col]
+    rows = sorted(set().union(*live))
+    block = [[col.get(r, 0) for col in live] for r in rows]
+    _diagonalize_python(block, len(rows), len(live))
+    chain = (1,) * units + _divisor_chain(
+        [block[i][i] for i in range(min(len(rows), len(live)))]
+    )
     return SmithNormalForm(chain, len(chain))
 
 

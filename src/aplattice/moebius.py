@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from itertools import combinations
 
 from .complexes import chain_counts
 from .lattice import (
@@ -28,11 +27,10 @@ from .lattice import (
     build,
     coatom_progressions,
     count_progressions_formula,
-    project_progression,
 )
 from .numtheory import omega
 from .progression import meet
-from .structure import coatom_meet_table
+from .structure import _meet_subset, coatom_meet_table
 
 
 class MoebiusMethod(Enum):
@@ -57,43 +55,11 @@ def _mobius_definition(lattice: Lattice, lo: int, hi: int, memo: dict) -> int:
     return -total
 
 
-def _rep_size_subsets(lattice: Lattice, lo: int, hi: int):
-    """Size of the unique covered-element subset whose meet is lo, or None."""
-    target = lattice.element_set(lo)
-    usable = [
-        c for c in lattice.covers_down[hi] if target <= lattice.element_set(c)
-    ]
-    hits = []
-    for size in range(1, len(usable) + 1):
-        for combo in combinations(usable, size):
-            inter = lattice.element_set(combo[0])
-            for c in combo[1:]:
-                inter = inter & lattice.element_set(c)
-            if inter == target:
-                hits.append(combo)
-    assert len(hits) <= 1, f"covered-meet representation not unique in [{lo}, {hi}]"
-    return len(hits[0]) if hits else None
-
-
-def _rep_size_structural(lattice: Lattice, lo: int, hi: int):
-    """Same question answered through the relabeling onto L(size of hi)."""
-    host = lattice.elements[hi]
-    if host.length < 2:
-        # L(1) below a singleton: the only covered element is the bottom
-        return 1 if lo == lattice.bottom_id else None
-    abstract = project_progression(lattice.elements[lo], host)
-    rep = coatom_meet_table(host.length).get(abstract)
-    return None if rep is None else len(rep)
-
-
 def _mobius_coatom_interval(lattice: Lattice, lo: int, hi: int) -> int:
     if lo == hi:
         return 1
-    if len(lattice.covers_down[hi]) <= 20:
-        k = _rep_size_subsets(lattice, lo, hi)
-    else:  # pragma: no cover - coatom counts stay tiny at this scale
-        k = _rep_size_structural(lattice, lo, hi)
-    return 0 if k is None else (-1) ** k
+    rep = _meet_subset(lattice, lo, lattice.covers_down[hi])
+    return 0 if rep is None else (-1) ** len(rep)
 
 
 def mobius_interval(

@@ -82,8 +82,9 @@ def coatom_meet_table(n: int) -> dict[Progression, tuple[Progression, ...]]:
     return table
 
 
-def _meet_subsets(lattice: Lattice, target: int, candidates: tuple[int, ...]):
-    """All nonempty subsets of candidate ids whose meet is the target id."""
+def _meet_subset(lattice: Lattice, target: int, candidates):
+    """The unique nonempty subset of the candidate ids (in their order) whose
+    meet is the target id, or None when there is none."""
     target_set = lattice.element_set(target)
     usable = [c for c in candidates if target_set <= lattice.element_set(c)]
     hits = []
@@ -94,7 +95,8 @@ def _meet_subsets(lattice: Lattice, target: int, candidates: tuple[int, ...]):
                 inter = inter & lattice.element_set(c)
             if inter == target_set:
                 hits.append(combo)
-    return hits
+    assert len(hits) <= 1, f"meet representation of id {target} not unique"
+    return hits[0] if hits else None
 
 
 def meet_of_coatoms_representation(lattice: Lattice, x: int):
@@ -102,9 +104,8 @@ def meet_of_coatoms_representation(lattice: Lattice, x: int):
     of coatoms.  Defined for n >= 4 and x different from the top (the empty
     meet would represent the top; that degenerate case is excluded).
 
-    The answer is read off the structural table; while the coatom count stays
-    below 20 (it always does at this package's scale, being omega(n-1) + 2)
-    a subset search over the coatoms cross-checks it.
+    The answer is read off the structural table and cross-checked by a subset
+    search over the omega(n-1) + 2 coatoms.
     """
     n = lattice.n
     if n < 4:
@@ -113,12 +114,9 @@ def meet_of_coatoms_representation(lattice: Lattice, x: int):
         raise ValueError("the top element is excluded (empty meet convention)")
     rep = coatom_meet_table(n).get(lattice.elements[x])
     ids = None if rep is None else tuple(sorted(lattice.id_of[c] for c in rep))
-    cs = coatoms(lattice)
-    if len(cs) <= 20:
-        hits = _meet_subsets(lattice, x, cs)
-        assert len(hits) <= 1, f"meet representation not unique for id {x}"
-        brute = tuple(sorted(hits[0])) if hits else None
-        assert brute == ids, f"structural/subset mismatch at n={n}, id {x}"
+    assert _meet_subset(lattice, x, coatoms(lattice)) == ids, (
+        f"structural/subset mismatch at n={n}, id {x}"
+    )
     return ids
 
 

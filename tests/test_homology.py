@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -50,12 +51,49 @@ def rational_det(entries):
     return det
 
 
+def sparse(entries):
+    """The IntegerMatrix of a dense row-major grid."""
+    rows = len(entries)
+    cols = len(entries[0]) if entries else 0
+    columns = tuple(
+        tuple((i, row[j]) for i, row in enumerate(entries) if row[j])
+        for j in range(cols)
+    )
+    return hm.IntegerMatrix(rows, cols, columns)
+
+
+def determinantal_divisors(entries, rank):
+    """d_k = gcd of the k x k minors, for k = 1..rank, via rational_det."""
+    m, n = len(entries), len(entries[0])
+    out = []
+    for k in range(1, rank + 1):
+        g = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                minor = rational_det([[entries[i][j] for j in cs] for i in rs])
+                g = gcd(g, int(minor))
+        out.append(g)
+    return out
+
+
+def assert_snf_matches_oracles(entries):
+    diag, rank = hm.smith_normal_form(sparse(entries))
+    assert rank == rational_rank(entries), entries
+    assert len(diag) == rank and all(d > 0 for d in diag), entries
+    # s_1 * .. * s_k = d_k pins down every elementary divisor
+    prod = 1
+    for s, dk in zip(diag, determinantal_divisors(entries, rank)):
+        prod *= s
+        assert prod == dk, entries
+
+
 def test_snf_worked_examples():
-    assert hm.smith_normal_form(hm.IntegerMatrix(2, 2, ((2, 4), (6, 8)))) == ((2, 4), 2)
-    assert hm.smith_normal_form(hm.IntegerMatrix(2, 3, ((0,) * 3,) * 2)) == ((), 0)
-    eye = hm.IntegerMatrix(3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert hm.smith_normal_form(sparse(((2, 4), (6, 8)))) == ((2, 4), 2)
+    assert hm.smith_normal_form(sparse(((0,) * 3,) * 2)) == ((), 0)
+    eye = sparse(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert hm.smith_normal_form(eye) == ((1, 1, 1), 3)
-    assert hm.smith_normal_form(hm.IntegerMatrix(0, 4, ())) == ((), 0)
+    assert hm.smith_normal_form(hm.IntegerMatrix(0, 4, ((),) * 4)) == ((), 0)
+    assert hm.smith_normal_form(hm.IntegerMatrix(4, 0, ())) == ((), 0)
 
 
 def test_snf_on_random_matrices_against_rational_oracles():
@@ -66,8 +104,7 @@ def test_snf_on_random_matrices_against_rational_oracles():
         entries = tuple(
             tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)
         )
-        mat = hm.IntegerMatrix(m, n, entries)
-        diag, rank = hm.smith_normal_form(mat)
+        diag, rank = hm.smith_normal_form(sparse(entries))
         assert rank == rational_rank(entries), entries
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
         assert all(d > 0 for d in diag)
@@ -84,74 +121,122 @@ def test_snf_on_random_matrices_against_rational_oracles():
             assert prod == abs(rational_det(entries)), entries
 
 
-def test_snf_int64_and_python_paths_agree():
-    rng = random.Random(7)
-    for _ in range(60):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
+def test_snf_exact_beyond_64_bits():
+    # entries from 2**31 and from 2**63 upward, mixed with small ones and units
+    rng = random.Random(31)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
         entries = tuple(
-            tuple(rng.randint(-50, 50) for _ in range(n)) for _ in range(m)
+            tuple(
+                rng.choice((-1, 1))
+                * rng.choice(
+                    (0, 1, rng.randint(2, 9), rng.randint(2**31, 2**33),
+                     rng.randint(2**63, 2**66))
+                )
+                for _ in range(n)
+            )
+            for _ in range(m)
         )
-        mat = hm.IntegerMatrix(m, n, entries)
-        fast = hm.smith_normal_form(mat)
-        exact = hm.smith_normal_form(mat, int64_limit=1)  # pure-Python path
-        assert fast == exact, entries
+        assert_snf_matches_oracles(entries)
+    worked = ((11, 7, 5), (2**35, 3, 2), (9, 2**34, 13))
+    assert_snf_matches_oracles(worked)
+    assert hm.smith_normal_form(sparse(((2**64, 0), (0, 3 * 2**64)))) == (
+        (2**64, 3 * 2**64),
+        2,
+    )
 
 
-def test_snf_escalation_mid_run():
-    mat = hm.IntegerMatrix(3, 3, ((11, 7, 5), (2**35, 3, 2), (9, 2**34, 13)))
-    reference = hm.smith_normal_form(mat, int64_limit=1)
-    forced = hm.smith_normal_form(mat, int64_limit=2**36 + 1)  # escalates mid-run
-    assert forced == reference
+def test_snf_without_unit_entries_skips_unit_stage():
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        entries = tuple(
+            tuple(rng.choice((0, 0, 1, -1)) * rng.randint(2, 30) for _ in range(n))
+            for _ in range(m)
+        )
+        columns = [dict(col) for col in sparse(entries).columns]
+        assert hm._eliminate_units(columns) == 0
+        assert columns == [dict(col) for col in sparse(entries).columns]
+        assert_snf_matches_oracles(entries)
+
+
+def test_snf_mixed_units_hand_a_leftover_to_dense_stage():
+    # the top rows carry units; the rest are even, so the rank mod 2 stays
+    # below the rational rank and units alone cannot finish the job
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        top = rng.randint(1, m - 1)
+        entries = [
+            [rng.randint(-3, 3) for _ in range(n)] for _ in range(top)
+        ] + [[2 * rng.randint(-6, 6) for _ in range(n)] for _ in range(m - top)]
+        entries[0][0] = 1
+        if rational_rank(entries) <= top:
+            continue
+        columns = [dict(col) for col in sparse(entries).columns]
+        assert hm._eliminate_units(columns) >= 1
+        assert any(columns), entries
+        assert all(v not in (1, -1) for col in columns for v in col.values())
+        assert_snf_matches_oracles(entries)
+        checked += 1
+    assert checked >= 20
 
 
 def test_integer_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        hm.IntegerMatrix(2, 2, ((1, 2),))
+    with pytest.raises(ValueError):  # one column declared as two
+        hm.IntegerMatrix(2, 2, (((0, 1),),))
+    with pytest.raises(ValueError):  # row out of range
+        hm.IntegerMatrix(2, 1, (((2, 1),),))
+    with pytest.raises(ValueError):  # explicit zero
+        hm.IntegerMatrix(2, 1, (((0, 0),),))
+    with pytest.raises(ValueError):  # row repeated in a column
+        hm.IntegerMatrix(2, 1, (((0, 1), (0, 2)),))
+    assert sparse(((1, 2), (0, 3))).columns == (((0, 1),), ((0, 2), (1, 3)))
 
 
 def test_boundary_matrix_examples():
     triangle = cx.SimplicialComplex(3, (((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2))))
     b0 = hm.boundary_matrix(triangle, 0)
-    assert b0.entries == ((1, 1, 1),)
+    assert b0.columns == (((0, 1),),) * 3
     b1 = hm.boundary_matrix(triangle, 1)
+    assert b1.columns == (
+        ((0, -1), (1, 1)),
+        ((0, -1), (2, 1)),
+        ((1, -1), (2, 1)),
+    )
     assert hm.smith_normal_form(b1).rank == 2
     with pytest.raises(ValueError):
         hm.boundary_matrix(triangle, 2)
 
     points = cx.SimplicialComplex(3, (((0,), (1,), (2,)),))
-    assert hm.boundary_matrix(points, 0).entries == ((1, 1, 1),)
+    assert hm.boundary_matrix(points, 0).columns == (((0, 1),),) * 3
+
+
+def assert_boundary_squares_to_zero(complex, label):
+    """Compose each pair of consecutive boundary maps column by column."""
+    for d in range(1, complex.dim + 1):
+        lower = hm.boundary_matrix(complex, d - 1)
+        upper = hm.boundary_matrix(complex, d)
+        assert lower.cols == upper.rows
+        for col in upper.columns:
+            image = {}
+            for r, v in col:
+                for i, w in lower.columns[r]:
+                    image[i] = image.get(i, 0) + v * w
+            assert not any(image.values()), (label, d, col)
 
 
 def test_boundary_squares_to_zero(lat):
     for n in range(2, 7):
-        oc = cx.order_complex(lat(n))
-        for d in range(1, oc.dim + 1):
-            prod = hm.multiply(hm.boundary_matrix(oc, d - 1), hm.boundary_matrix(oc, d))
-            assert all(v == 0 for row in prod.entries for v in row), (n, d)
-    cc = cx.crosscut_complex(lat(7))
-    for d in range(1, cc.dim + 1):
-        prod = hm.multiply(hm.boundary_matrix(cc, d - 1), hm.boundary_matrix(cc, d))
-        assert all(v == 0 for row in prod.entries for v in row)
+        assert_boundary_squares_to_zero(cx.order_complex(lat(n)), ("order", n))
+    assert_boundary_squares_to_zero(cx.crosscut_complex(lat(7)), ("crosscut", 7))
 
 
 def test_boundary_squares_to_zero_large(lat):
-    # the n = 7 and 8 order complexes are too big for list multiply; entries
-    # are tiny (sums of at most dim+1 signs), so int64 matmul is exact
-    import numpy as np
-
     for n in (7, 8):
-        oc = cx.order_complex(lat(n))
-        for d in range(1, oc.dim + 1):
-            a = np.array(hm.boundary_matrix(oc, d - 1).entries, dtype=np.int64)
-            b = np.array(hm.boundary_matrix(oc, d).entries, dtype=np.int64)
-            assert not (a @ b).any(), (n, d)
-        cc = cx.crosscut_complex(lat(n))
-        for d in range(1, cc.dim + 1):
-            prod = hm.multiply(
-                hm.boundary_matrix(cc, d - 1), hm.boundary_matrix(cc, d)
-            )
-            assert all(v == 0 for row in prod.entries for v in row), (n, d)
+        assert_boundary_squares_to_zero(cx.order_complex(lat(n)), ("order", n))
+        assert_boundary_squares_to_zero(cx.crosscut_complex(lat(n)), ("crosscut", n))
 
 
 def test_homology_of_small_shapes():
@@ -181,7 +266,7 @@ def test_projective_plane_detects_torsion():
 
 
 def test_order_complex_homology_small(lat):
-    for n in range(4, 8):
+    for n in range(4, 10):
         res = hm.reduced_homology(cx.order_complex(lat(n)))
         if nt.is_squarefree(n - 1):
             assert res.nonzero() == {nt.omega(n - 1): (1, ())}, n

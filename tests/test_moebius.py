@@ -2,9 +2,11 @@ import time
 
 import pytest
 
+from aplattice import lattice as lt
 from aplattice import moebius as mb
 from aplattice import numtheory as nt
 from aplattice import progression as pr
+from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
 
@@ -72,17 +74,28 @@ def test_coatom_criterion_equals_definition_on_l7(lat):
 
 
 def test_structural_representation_matches_subsets(lat):
-    # both interval engines, forced through each path, on every interval of L(7)
+    # the subset search over covered elements against the coatom table of
+    # L(|hi|), relabeled through the ideal below hi, on every interval of L(7)
     l7 = lat(7)
     for hi in range(len(l7)):
-        if l7.size_of(hi) < 1:
+        host = l7.elements[hi]
+        if host.length < 1:
             continue
         for lo in l7.ideal(hi):
             if lo == hi:
                 continue
-            a = mb._rep_size_subsets(l7, lo, hi)
-            b = mb._rep_size_structural(l7, lo, hi)
-            assert a == b, (lo, hi, a, b)
+            found = st._meet_subset(l7, lo, l7.covers_down[hi])
+            if host.length == 1:
+                # L(1) below a singleton: the only covered element is the bottom
+                expected = (l7.bottom_id,) if lo == l7.bottom_id else None
+            else:
+                rep = st.coatom_meet_table(host.length).get(
+                    lt.project_progression(l7.elements[lo], host)
+                )
+                expected = None if rep is None else tuple(
+                    sorted(l7.id_of[lt.embed_progression(c, host)] for c in rep)
+                )
+            assert found == expected, (lo, hi, found, expected)
 
 
 def test_support_sizes_and_values(lat):
