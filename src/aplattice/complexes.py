@@ -104,10 +104,7 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
     vertices = list(range(1, top))  # lattice ids, bottom and top dropped
     translation = tuple(vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    ups = [
-        [index[w] for w in vertices if w > v and lattice.leq_ids(v, w)]
-        for v in vertices
-    ]
+    ups = [[index[w] for w in lattice.filter(v) if v < w < top] for v in vertices]
     faces_by_dim: list[list[tuple[int, ...]]] = []
     stack = [(i,) for i in reversed(range(len(vertices)))]
     while stack:

@@ -18,8 +18,12 @@ from .numtheory import prime_divisors, tau
 from .progression import (
     EMPTY,
     Progression,
-    join_in_ambient,
-    meet,
+    _Fields,
+    _fields,
+    _join_fields,
+    _leq_fields,
+    _meet_fields,
+    _of_fields,
     render,
     sort_key,
 )
@@ -53,18 +57,34 @@ def coatom_progressions(n: int) -> tuple[Progression, ...]:
     return tuple(sorted(out, key=sort_key))
 
 
+def _canonical_fields(n: int):
+    """(base, step, length) of every progression in {1,..,n}, generated in
+    the canonical (size, base, step) order."""
+    yield (0, 0, 0)
+    for a in range(1, n + 1):
+        yield (a, 0, 1)
+    for k in range(2, n + 1):
+        for a in range(1, n):
+            for r in range(1, (n - a) // (k - 1) + 1):
+                yield (a, r, k)
+
+
+def _embed_fields(p: _Fields, host: _Fields) -> _Fields:
+    """embed_progression on (base, step, length) triples.  A host singleton
+    (step 0) only receives EMPTY and {1}, so the step product stays canonical."""
+    base, step, length = p
+    if length == 0:
+        return p
+    return (host[0] + (base - 1) * host[1], step * host[1], length)
+
+
 def embed_progression(p: Progression, host: Progression) -> Progression:
     """Map a progression in {1,..,len(host)} to the corresponding subset of host.
 
     Position j goes to the j-th member of host.  This is the inverse of the
     ideal relabeling.
     """
-    if p.is_empty:
-        return EMPTY
-    base = host.base + (p.base - 1) * host.step
-    if p.length == 1:
-        return Progression(base, 0, 1)
-    return Progression(base, p.step * host.step, p.length)
+    return _of_fields(_embed_fields(_fields(p), _fields(host)))
 
 
 def project_progression(p: Progression, host: Progression) -> Progression:
@@ -97,25 +117,29 @@ class Lattice:
         covers_up[i]: sorted ids of the elements covering element i.
         covers_down[i]: sorted ids of the elements covered by element i.
 
-    Meets and joins are computed per query from progression arithmetic; no
-    quadratic tables are kept.
+    The id queries run the closed forms of ``progression`` on a tuple of
+    (base, step, length) triples and map the result back to an id through
+    one triple -> id index, so a query builds neither a Progression nor a
+    member set, and no quadratic tables are kept.  Ideals, filters and
+    intervals are generated from the arithmetic of their bounds rather than
+    scanned for: the ideal below x is L(|x|) embedded into x.
     """
 
     def __init__(self, n: int, elements: tuple[Progression, ...]):
         self.n = n
         self.elements = elements
         self.id_of = {p: i for i, p in enumerate(elements)}
-        self._sets = tuple(frozenset(p.elements()) for p in elements)
+        self._fields = tuple(_fields(p) for p in elements)
+        self._index = {f: i for i, f in enumerate(self._fields)}
         self.bottom_id = 0
         self.top_id = len(elements) - 1
         down = []
-        for p in elements:
-            if p.is_empty:
+        for f in self._fields:
+            if f[2] == 0:
                 down.append(())
                 continue
-            covered = [embed_progression(c, p) for c in coatom_progressions(p.length)]
-            ids = sorted(self.id_of[c] for c in covered)
-            down.append(tuple(ids))
+            covered = (_embed_fields(_fields(c), f) for c in coatom_progressions(f[2]))
+            down.append(tuple(sorted(self._index[c] for c in covered)))
         self.covers_down = tuple(down)
         up = [[] for _ in elements]
         for hi, lows in enumerate(self.covers_down):
@@ -133,36 +157,62 @@ class Lattice:
         return self.elements[i].length
 
     def element_set(self, i: int) -> frozenset[int]:
-        return self._sets[i]
+        return frozenset(self.elements[i].elements())
 
     def leq_ids(self, i: int, j: int) -> bool:
-        return self._sets[i] <= self._sets[j]
+        return _leq_fields(self._fields[i], self._fields[j])
 
     def covers(self, upper: int, lower: int) -> bool:
         return lower in self.covers_down[upper]
 
     def meet_ids(self, i: int, j: int) -> int:
-        return self.id_of[meet(self.elements[i], self.elements[j])]
+        return self._index[_meet_fields(self._fields[i], self._fields[j])]
 
     def join_ids(self, i: int, j: int) -> int:
-        return self.id_of[join_in_ambient(self.elements[i], self.elements[j])]
+        return self._index[_join_fields(self._fields[i], self._fields[j])]
 
     def ideal(self, x: int) -> tuple[int, ...]:
-        """Ids of all elements <= x, ascending."""
-        sx = self._sets[x]
-        return tuple(i for i, s in enumerate(self._sets) if s <= sx)
+        """Ids of all elements <= x, ascending: L(|x|) embedded into x.
+
+        The embedding keeps the size and is increasing in base and step, so
+        the canonical order of L(|x|) maps onto ascending ids.
+        """
+        host = self._fields[x]
+        index = self._index
+        return tuple(index[_embed_fields(f, host)] for f in _canonical_fields(host[2]))
 
     def filter(self, x: int) -> tuple[int, ...]:
         """Ids of all elements >= x, ascending."""
-        sx = self._sets[x]
-        return tuple(i for i, s in enumerate(self._sets) if sx <= s)
+        return self.interval(x, self.top_id)
 
     def interval(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Ids of all elements between lo and hi inclusive; requires lo <= hi."""
+        """Ids of all elements between lo and hi inclusive; requires lo <= hi.
+
+        Above a nonempty lo = (b, s, k) and inside hi = (c, h, m) lie exactly
+        the progressions with a step t that is a multiple of h and divides s
+        (any multiple of h when lo is a singleton), a base b - j*t >= c and a
+        last element >= lo's last, <= hi's last and congruent to b mod t.
+        Those are generated directly, so the cost follows the interval's size.
+        """
         if not self.leq_ids(lo, hi):
             raise ValueError(f"interval requires lo <= hi, got ids {lo}, {hi}")
-        slo, shi = self._sets[lo], self._sets[hi]
-        return tuple(i for i, s in enumerate(self._sets) if slo <= s <= shi)
+        b, s, k = self._fields[lo]
+        if k == 0:
+            return self.ideal(hi)
+        c, h, m = self._fields[hi]
+        top = c + (m - 1) * h
+        last = b + (k - 1) * s
+        index = self._index
+        ids = [lo] if k == 1 else []
+        if h:  # a singleton hi holds nothing above lo but lo itself
+            for t in range(h, (s or top - c) + 1, h):
+                if s % t:
+                    continue
+                for a in range(b, c - 1, -t):
+                    for end in range(max(last, a + t), top + 1, t):
+                        ids.append(index[(a, t, (end - a) // t + 1)])
+        ids.sort()
+        return tuple(ids)
 
     def maximal_chains(self, lo: int, hi: int) -> list[tuple[int, ...]]:
         """All saturated chains lo = x0 < x1 < .. < xs = hi, as id tuples.
@@ -228,22 +278,15 @@ def build(n: int, *, max_n: int = DEFAULT_MAX_N) -> Lattice:
     """Materialise L(n).
 
     Enumerates the empty progression, the n singletons, and every (base,
-    step, length) with length >= 2, step >= 1 and last element <= n.  Raises
+    step, length) with length >= 2, step >= 1 and last element <= n, already
+    in the canonical (size, base, step) order.  Raises
     LatticeBoundError for n beyond max_n (default 30) to keep memory bounded.
     """
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if n > max_n:
         raise LatticeBoundError(f"n={n} exceeds the construction bound {max_n}")
-    elements = [EMPTY]
-    for a in range(1, n + 1):
-        elements.append(Progression(a, 0, 1))
-    for k in range(2, n + 1):
-        for a in range(1, n):
-            for r in range(1, (n - a) // (k - 1) + 1):
-                elements.append(Progression(a, r, k))
-    elements.sort(key=sort_key)
-    return Lattice(n, tuple(elements))
+    return Lattice(n, tuple(_of_fields(f) for f in _canonical_fields(n)))
 
 
 def size_formula(n: int) -> int:

@@ -1,10 +1,20 @@
-"""Arithmetic progressions inside {1,..,n}, treated as finite sets.
+"""Arithmetic progressions inside {1,..,n}, as (base, step, length) triples.
 
 Canonical form makes set equality coincide with field equality:
 
 * the empty progression is the singleton value ``EMPTY`` = (base 0, step 0, length 0);
 * one-element progressions always carry step 0;
 * progressions of length >= 2 carry step >= 1.
+
+Order, meet and join are closed forms on the fields; no member set is ever
+built.  p <= q is a bounds check plus two divisibility tests; the meet
+intersects two residue classes by the Chinese remainder theorem and clips
+the result to the common range; the join spans the smallest to the largest
+member with step gcd(r, s, |a - b|).  The private kernels ``_leq_fields``,
+``_meet_fields`` and ``_join_fields`` work on bare triples, so the lattice
+layer runs the same arithmetic on its ids without building objects.  They
+compare with ``if``/conditional expressions rather than min() and max(),
+whose calls would cost more than the arithmetic itself.
 
 A ``Progression`` never knows its ambient n; the lattice layer enforces
 that all members fit inside {1,..,n} when a lattice is built.
@@ -15,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
+
+
+_Fields = tuple[int, int, int]  # (base, step, length) of a canonical progression
 
 
 class NotAProgressionError(ValueError):
@@ -28,15 +41,19 @@ class Progression:
     length: int
 
     def __post_init__(self):
-        if self.length < 0:
+        base, step, length = self.base, self.step, self.length
+        # plain ints only: bool and float fields are rejected, not coerced
+        if not type(base) is type(step) is type(length) is int:
+            raise ValueError(f"fields must be integers, got {self!r}")
+        if length < 0:
             raise ValueError("length must be >= 0")
-        if self.length == 0 and (self.base, self.step) != (0, 0):
+        if length == 0 and (base, step) != (0, 0):
             raise ValueError("the empty progression is (0, 0, 0)")
-        if self.length >= 1 and self.base < 1:
+        if length >= 1 and base < 1:
             raise ValueError("base must be >= 1")
-        if self.length == 1 and self.step != 0:
+        if length == 1 and step != 0:
             raise ValueError("singletons carry step 0")
-        if self.length >= 2 and self.step < 1:
+        if length >= 2 and step < 1:
             raise ValueError("length >= 2 needs step >= 1")
 
     @property
@@ -92,27 +109,93 @@ def from_set(elements: Iterable[int]) -> Progression:
     return Progression(xs[0], step, len(xs))
 
 
+def _fields(p: Progression) -> _Fields:
+    return (p.base, p.step, p.length)
+
+
+def _of_fields(fields: _Fields) -> Progression:
+    return EMPTY if fields[2] == 0 else Progression(*fields)
+
+
+def _leq_fields(p: _Fields, q: _Fields) -> bool:
+    """Containment of canonical (base, step, length) triples: p lies in the
+    bounds of q, and both its base offset and its step are multiples of q's
+    step (a singleton q has step 0 and the bounds alone decide)."""
+    a, r, k = p
+    b, s, m = q
+    if k == 0:
+        return True
+    if m == 0 or a < b or a + (k - 1) * r > b + (m - 1) * s:
+        return False
+    return s == 0 or ((a - b) % s == 0 and r % s == 0)
+
+
+def _meet_fields(p: _Fields, q: _Fields) -> _Fields:
+    """Intersection of canonical triples.
+
+    Members of p are a mod r, members of q are b mod s.  Both classes meet
+    iff g = gcd(r, s) divides b - a, and then in one class mod lcm(r, s),
+    found by CRT with the inverse of r/g mod s/g; clipping that class to
+    [max base, min last] gives the answer.  When the range is a single
+    point (always the case for a singleton), membership decides.
+    """
+    a, r, k = p
+    b, s, m = q
+    if k == 0 or m == 0:
+        return (0, 0, 0)
+    lo = a if a > b else b
+    hi = a + (k - 1) * r
+    last = b + (m - 1) * s
+    if last < hi:
+        hi = last
+    if lo > hi:
+        return (0, 0, 0)
+    if lo == hi:
+        if (r and (lo - a) % r) or (s and (lo - b) % s):
+            return (0, 0, 0)
+        return (lo, 0, 1)
+    g = gcd(r, s)
+    if (b - a) % g:
+        return (0, 0, 0)
+    sg = s // g
+    step = r * sg
+    x = a + r * ((b - a) // g * pow(r // g, -1, sg) % sg)
+    first = lo + (x - lo) % step
+    if first > hi:
+        return (0, 0, 0)
+    length = (hi - first) // step + 1
+    return (first, step if length > 1 else 0, length)
+
+
+def _join_fields(p: _Fields, q: _Fields) -> _Fields:
+    """Smallest progression containing both canonical triples: it runs from
+    the smallest to the largest member, and its step is the gcd of all
+    differences in the union, which is gcd(r, s, |a - b|)."""
+    a, r, k = p
+    b, s, m = q
+    if k == 0:
+        return q
+    if m == 0:
+        return p
+    lo = a if a < b else b
+    hi = a + (k - 1) * r
+    last = b + (m - 1) * s
+    if last > hi:
+        hi = last
+    if lo == hi:
+        return (lo, 0, 1)
+    step = gcd(r, s, a - b)
+    return (lo, step, (hi - lo) // step + 1)
+
+
 def leq(p: Progression, q: Progression) -> bool:
     """Set containment p <= q."""
-    if p.is_empty:
-        return True
-    if q.is_empty:
-        return False
-    return all(x in q for x in p.elements())
+    return _leq_fields(_fields(p), _fields(q))
 
 
 def meet(p: Progression, q: Progression) -> Progression:
     """Set intersection, which is again a progression."""
-    if p.is_empty or q.is_empty:
-        return EMPTY
-    small, big = (p, q) if p.length <= q.length else (q, p)
-    common = [x for x in small.elements() if x in big]
-    try:
-        return from_set(common)
-    except NotAProgressionError:  # pragma: no cover - mathematically impossible
-        raise AssertionError(
-            f"intersection of {p} and {q} is not a progression; this is a bug"
-        )
+    return _of_fields(_meet_fields(_fields(p), _fields(q)))
 
 
 def join_in_ambient(p: Progression, q: Progression) -> Progression:
@@ -123,18 +206,7 @@ def join_in_ambient(p: Progression, q: Progression) -> Progression:
     inside {1,..,n} whenever p and q do, so it is the join in any L(n)
     containing both.
     """
-    if p.is_empty:
-        return q
-    if q.is_empty:
-        return p
-    union = sorted(set(p.elements()) | set(q.elements()))
-    if len(union) == 1:
-        return Progression(union[0], 0, 1)
-    lo = union[0]
-    step = 0
-    for x in union[1:]:
-        step = gcd(step, x - lo)
-    return Progression(lo, step, (union[-1] - lo) // step + 1)
+    return _of_fields(_join_fields(_fields(p), _fields(q)))
 
 
 def covers(q: Progression, p: Progression, lattice) -> bool:

@@ -85,15 +85,14 @@ def coatom_meet_table(n: int) -> dict[Progression, tuple[Progression, ...]]:
 def _meet_subset(lattice: Lattice, target: int, candidates):
     """The unique nonempty subset of the candidate ids (in their order) whose
     meet is the target id, or None when there is none."""
-    target_set = lattice.element_set(target)
-    usable = [c for c in candidates if target_set <= lattice.element_set(c)]
+    usable = [c for c in candidates if lattice.leq_ids(target, c)]
     hits = []
     for size in range(1, len(usable) + 1):
         for combo in combinations(usable, size):
-            inter = lattice.element_set(combo[0])
+            inter = combo[0]
             for c in combo[1:]:
-                inter = inter & lattice.element_set(c)
-            if inter == target_set:
+                inter = lattice.meet_ids(inter, c)
+            if inter == target:
                 hits.append(combo)
     assert len(hits) <= 1, f"meet representation of id {target} not unique"
     return hits[0] if hits else None

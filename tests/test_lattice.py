@@ -15,8 +15,9 @@ def test_build_small_sizes(lat):
 
 
 def test_build_rejects_bad_n():
-    with pytest.raises(ValueError):
-        lt.build(-1)
+    for bad in (-1, True, False, 4.0):
+        with pytest.raises(ValueError):
+            lt.build(bad)
     with pytest.raises(lt.LatticeBoundError):
         lt.build(31)
     assert len(lt.build(31, max_n=31)) == lt.size_formula(31)

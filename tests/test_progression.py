@@ -18,6 +18,14 @@ def test_canonical_form_rules():
         Progression(0, 0, 1)  # base below 1
 
 
+@pytest.mark.parametrize(
+    "fields", [(1, 2.0, 3), (1.0, 0, 1), (1, 1, 2.0), (True, 0, 1), (1, True, 2), (1, 0, True)]
+)
+def test_fields_must_be_integers(fields):
+    with pytest.raises(ValueError):
+        Progression(*fields)
+
+
 def test_from_set_examples():
     assert pr.from_set(set()) is EMPTY
     assert pr.from_set({2, 5, 8}) == Progression(2, 3, 3)
