@@ -30,6 +30,7 @@ from .lattice import (
     coatom_progressions,
     count_progressions_enumerated,
     count_progressions_formula,
+    count_rows,
     gf_coefficients,
     size_formula,
 )

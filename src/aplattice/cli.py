@@ -137,12 +137,13 @@ def _expected_mobius(n: int) -> int:
 
 def cmd_mobius(n: int, method_name: str, as_json: bool, force: bool) -> int:
     max_n = n if force else DEFAULT_MAX_N
-    if force and n > DEFAULT_MAX_N:
-        _warn_forced("lattice construction")
     if method_name == "all":
         methods = list(MoebiusMethod)
     else:
         methods = [_METHOD_NAMES[method_name]]
+    # only the definition engine builds the lattice the bound protects
+    if force and n > DEFAULT_MAX_N and MoebiusMethod.DEFINITION in methods:
+        _warn_forced("lattice construction")
     report = RunReport("mobius", {"n": n, "method": method_name})
     values = {}
     for m in methods:

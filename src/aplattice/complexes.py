@@ -4,6 +4,12 @@ A complex stores *all* faces grouped by dimension (not just the maximal
 ones), because the boundary-matrix homology downstream wants every face
 anyway.  Vertices are dense integers with a translation table back to
 lattice ids.  The empty face is always considered present.
+
+Chain counts and the count tables read the progression counts one whole row
+p(m, 0..m) at a time from ``lattice.count_rows``.  The order complex is
+generated level by level, each chain extended by the vertices above its last
+one in ascending order, so every dimension comes out in lexicographic order
+by construction and needs no sort.
 """
 
 from __future__ import annotations
@@ -11,9 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
+from operator import mul
 
-from .lattice import Lattice, count_progressions_formula
+from .lattice import Lattice, count_rows
 from .progression import join_in_ambient, meet
 from .structure import coatoms
 
@@ -73,26 +80,33 @@ class ChainTable:
 def chain_counts(n: int) -> ChainTable:
     """Fill the chain-count table through the recurrence
     b(m, k) = sum over i < m of p(m, i) * b(i, k-1), with b(m, 1) = 1.
+
+    Row m of the progression counts is read once, and b is also kept by
+    column (cols[k] holds b(k, k), b(k+1, k), ..), so each b(m, k) is one
+    dot product of two contiguous runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rows: list[tuple[int, ...]] = [()]
-    for m in range(1, n + 1):
-        row = [1]
-        for k in range(2, m + 1):
-            row.append(
-                sum(
-                    count_progressions_formula(m, i) * rows[i][k - 2]
-                    for i in range(k - 1, m)
-                )
-            )
-        rows.append(tuple(row))
+    cols: list[list[int]] = [[]]
+    for m, p in enumerate(islice(count_rows(n), 1, None), 1):
+        cols.append([])
+        # cols[k-1] holds b(k-1..m-1, k-1), so map stops before p(m, m)
+        row = (1, *(sum(map(mul, p[k - 1 :], cols[k - 1])) for k in range(2, m + 1)))
+        for k, b in enumerate(row, 1):
+            cols[k].append(b)
+        rows.append(row)
     return ChainTable(n, tuple(rows))
 
 
 def order_complex(lattice: Lattice) -> SimplicialComplex:
     """The complex whose vertices are the proper elements of L(n) and whose
     faces are the chains among them.  Needs n >= 2 (a proper part to speak of).
+
+    Faces are generated one dimension at a time: each (d-1)-face is extended
+    by every vertex above its last vertex, in ascending order.  Since the
+    level below is in lexicographic order, so is the new one, and the faces
+    of every dimension come out sorted and distinct without a sort.
 
     The d-face count must equal the (d+2)-chain count of the table; that is
     asserted on every construction.
@@ -101,25 +115,16 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
     if n < 2:
         raise ValueError("the order complex needs n >= 2")
     top = lattice.top_id
-    vertices = list(range(1, top))  # lattice ids, bottom and top dropped
-    translation = tuple(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    ups = [[index[w] for w in lattice.filter(v) if v < w < top] for v in vertices]
-    faces_by_dim: list[list[tuple[int, ...]]] = []
-    stack = [(i,) for i in reversed(range(len(vertices)))]
-    while stack:
-        chain = stack.pop()
-        d = len(chain) - 1
-        if d == len(faces_by_dim):
-            faces_by_dim.append([])
-        faces_by_dim[d].append(chain)
-        for w in ups[chain[-1]]:
-            stack.append(chain + (w,))
-    result = SimplicialComplex(
-        len(vertices),
-        tuple(tuple(sorted(fs)) for fs in faces_by_dim),
-        translation,
-    )
+    vertices = range(1, top)  # lattice ids, bottom and top dropped
+    # vertex i is lattice id i + 1 and filter(v) ascends; the vertices above
+    # are kept as one-tuples so that extending a face is one concatenation
+    ups = [tuple((w - 1,) for w in lattice.filter(v) if v < w < top) for v in vertices]
+    faces_by_dim: list[tuple[tuple[int, ...], ...]] = []
+    level = [(i,) for i in range(len(vertices))]
+    while level:
+        faces_by_dim.append(tuple(level))
+        level = [f + w for f in level for w in ups[f[-1]]]
+    result = SimplicialComplex(len(vertices), tuple(faces_by_dim), tuple(vertices))
     table = chain_counts(n)
     assert result.f_vector() == tuple(
         table.count(n, d + 2) for d in range(result.dim + 1)
@@ -181,10 +186,7 @@ def reduced_euler_characteristic(complex: SimplicialComplex) -> int:
 
 def progression_count_rows(n_max: int) -> list[list[int]]:
     """Row n holds the progression counts p(n, 0) .. p(n, n), for n = 1..n_max."""
-    return [
-        [count_progressions_formula(n, k) for k in range(n + 1)]
-        for n in range(1, n_max + 1)
-    ]
+    return [list(row) for row in islice(count_rows(n_max), 1, None)]
 
 
 def chain_count_rows(n_max: int) -> list[list[int]]:

@@ -14,6 +14,9 @@ the test suite validates the shortcut.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, floordiv
+
 from .numtheory import prime_divisors, tau
 from .progression import (
     EMPTY,
@@ -314,6 +317,32 @@ def count_progressions_formula(n: int, k: int) -> int:
         return 0
     rmax = (n - 1) // (k - 1)
     return n * rmax - (k - 1) * (rmax * rmax + rmax) // 2
+
+
+def count_rows(n_max: int):
+    """The rows (p(m, 0), .., p(m, m)) of progression counts for m = 0..n_max.
+
+    Each row comes from the one before it: for 2 <= k < m,
+    p(m, k) = p(m-1, k) + (m-1)//(k-1), the added term counting the size-k
+    progressions whose last element is m (one for each step r with
+    m - (k-1)r >= 1); p(m, 0) = 1, p(m, 1) = m and p(m, m) = 1.  A row costs
+    O(m) additions instead of m + 1 closed-form evaluations.
+    """
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    return _count_rows(n_max)
+
+
+def _count_rows(n_max: int):
+    row = (1,)
+    yield row
+    if n_max >= 1:
+        row = (1, 1)
+        yield row
+    for m in range(2, n_max + 1):
+        ends = map(floordiv, repeat(m - 1), range(1, m - 1))
+        row = (1, m, *map(add, row[2:m], ends), 1)
+        yield row
 
 
 def count_progressions_enumerated(lattice: Lattice, k: int) -> int:

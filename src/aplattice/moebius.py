@@ -5,7 +5,7 @@
   of the upper element, because the ideal below an element of size m is
   isomorphic to L(m); that one reduction makes the whole-lattice value cheap.
 * PnkRecurrence: M(n) = -sum over k < n of M(k) * p(n, k), needing only the
-  closed-form progression counts.
+  progression counts, one incremental row per n.
 * ChainAlternatingSum: M(n) = sum over k of (-1)^k b(n, k), needing only the
   bottom-to-top chain counts.
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
+from itertools import islice
+from operator import mul
 
 from .complexes import chain_counts
 from .lattice import (
@@ -26,7 +28,7 @@ from .lattice import (
     Lattice,
     build,
     coatom_progressions,
-    count_progressions_formula,
+    count_rows,
 )
 from .numtheory import omega
 from .progression import meet
@@ -85,10 +87,9 @@ def mobius_interval(
 
 def _bottom_top_pnk(n: int) -> int:
     values = [1]
-    for m in range(1, n + 1):
-        values.append(
-            -sum(values[k] * count_progressions_formula(m, k) for k in range(m))
-        )
+    for row in islice(count_rows(n), 1, None):
+        # values holds M(0..m-1), so map stops before p(m, m)
+        values.append(-sum(map(mul, values, row)))
     return values[n]
 
 

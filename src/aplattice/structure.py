@@ -222,21 +222,30 @@ def is_comodernistic(lattice: Lattice, *, max_n: int = 8) -> ComodernismReport:
 # complements
 
 
-def complements_of(lattice: Lattice, x: int) -> tuple[int, ...]:
-    """All y with x v y = top and x ^ y = bottom."""
+def _complement_ids(lattice: Lattice, x: int):
+    """The ids y with x v y = top and x ^ y = bottom, ascending, lazily."""
     top, bottom = lattice.top_id, lattice.bottom_id
-    return tuple(
+    return (
         y
         for y in range(len(lattice.elements))
         if lattice.join_ids(x, y) == top and lattice.meet_ids(x, y) == bottom
     )
 
 
+def complements_of(lattice: Lattice, x: int) -> tuple[int, ...]:
+    """All y with x v y = top and x ^ y = bottom."""
+    return tuple(_complement_ids(lattice, x))
+
+
 def is_complemented(lattice: Lattice) -> bool:
-    """Exhaustive: every element has at least one complement."""
+    """Exhaustive: every element has at least one complement.  The scan of
+    each element stops at its first complement."""
     if lattice.n < 2:
         raise ValueError("complementation is considered for n >= 2")
-    return all(complements_of(lattice, x) for x in range(len(lattice.elements)))
+    return all(
+        next(_complement_ids(lattice, x), None) is not None
+        for x in range(len(lattice.elements))
+    )
 
 
 def semicomplement_witness(lattice: Lattice):

@@ -191,3 +191,12 @@ def test_force_prints_warning(capsys):
     assert code == 0
     assert "--force" in err and "bound" in err
     assert out.strip().splitlines()[-1].startswith("31\t")
+
+
+def test_mobius_force_warns_only_when_the_lattice_is_built(capsys):
+    code, out, err = run(capsys, "mobius", "40", "--method", "pnk", "--force")
+    assert code == 0 and "PASS" in out
+    assert err == ""
+    code, _, err = run(capsys, "mobius", "31", "--method", "definition", "--force")
+    assert code == 0
+    assert "--force lifts the lattice construction bound" in err

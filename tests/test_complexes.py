@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from aplattice import complexes as cx
+from aplattice import lattice as lt
 from aplattice import moebius as mb
 from aplattice import progression as pr
 from aplattice.moebius import MoebiusMethod as MM
@@ -85,6 +86,26 @@ def test_chain_recurrence_against_enumeration(lat):
             assert table.count(n, k) == oracle.get(k, 0), (n, k)
 
 
+def chain_counts_by_formula(n):
+    """Oracle: the chain recurrence with one closed-form count per term."""
+    rows = [()]
+    for m in range(1, n + 1):
+        row = [1]
+        for k in range(2, m + 1):
+            row.append(
+                sum(
+                    lt.count_progressions_formula(m, i) * rows[i][k - 2]
+                    for i in range(k - 1, m)
+                )
+            )
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_chain_counts_match_formula_per_term():
+    assert cx.chain_counts(200).rows == chain_counts_by_formula(200)
+
+
 def test_stirling_variant_of_the_recurrence():
     # replacing the progression counts by binomials must produce k! * S(n, k)
     from math import comb, factorial
@@ -156,10 +177,34 @@ def test_downward_closure(lat):
 
 
 def test_faces_sorted_and_distinct(lat):
-    oc = cx.order_complex(lat(6))
-    for fs in oc.faces_by_dim:
-        assert list(fs) == sorted(set(fs))
-        assert all(tuple(sorted(f)) == f for f in fs)
+    for n in range(2, 11):
+        oc = cx.order_complex(lat(n))
+        for fs in oc.faces_by_dim:
+            assert list(fs) == sorted(set(fs)), n
+            assert all(tuple(sorted(f)) == f for f in fs), n
+
+
+def chains_by_pairwise_order(lattice):
+    """Oracle: every chain of proper elements, found by testing leq_ids on
+    all pairs, as a set of vertex tuples (vertex = lattice id - 1)."""
+    proper = range(1, lattice.top_id)
+    above = {
+        v: [w for w in proper if w != v and lattice.leq_ids(v, w)] for v in proper
+    }
+    chains, frontier = set(), [(v,) for v in proper]
+    while frontier:
+        chain = frontier.pop()
+        chains.add(tuple(v - 1 for v in chain))
+        frontier.extend(chain + (w,) for w in above[chain[-1]])
+    return chains
+
+
+def test_faces_equal_chains_by_pairwise_order(lat):
+    for n in range(2, 9):
+        oc = cx.order_complex(lat(n))
+        faces = {f for fs in oc.faces_by_dim for f in fs}
+        assert faces == chains_by_pairwise_order(lat(n)), n
+        assert len(faces) == sum(oc.f_vector())
 
 
 def test_crosscut_shapes(lat):

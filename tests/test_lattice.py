@@ -76,6 +76,22 @@ def test_three_way_count_agreement(lat):
             assert formula == gf[n][k]
 
 
+def test_count_rows_match_formula_and_generating_function():
+    gf = lt.gf_coefficients(200, 200)
+    rows = list(lt.count_rows(200))
+    assert len(rows) == 201
+    for m, row in enumerate(rows):
+        assert list(row) == [lt.count_progressions_formula(m, k) for k in range(m + 1)]
+        assert list(row) == gf[m][: m + 1], m
+
+
+def test_count_rows_rejects_bad_bounds():
+    assert list(lt.count_rows(0)) == [(1,)]
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError):
+            lt.count_rows(bad)
+
+
 def test_gf_spot_values():
     gf = lt.gf_coefficients(9, 5)
     assert gf[5][3] == 4

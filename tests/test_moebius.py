@@ -31,6 +31,23 @@ def test_lattice_free_methods_to_30():
             assert mb.mobius_bottom_top(n, m) == expected_m(n), (n, m)
 
 
+def pnk_by_formula(n):
+    """Oracle: the p(n, k) recurrence with one closed-form count per term."""
+    values = [1]
+    for m in range(1, n + 1):
+        values.append(
+            -sum(values[k] * lt.count_progressions_formula(m, k) for k in range(m))
+        )
+    return values
+
+
+def test_pnk_engine_matches_formula_per_term():
+    oracle = pnk_by_formula(200)
+    for n in range(201):
+        assert mb.mobius_bottom_top(n, MM.PNK_RECURRENCE) == oracle[n], n
+    assert mb.mobius_bottom_top(2000, MM.PNK_RECURRENCE) == pnk_by_formula(2000)[2000]
+
+
 def test_spot_values():
     assert mb.mobius_bottom_top(5, MM.PNK_RECURRENCE) == 0
     assert mb.mobius_bottom_top(7, MM.COATOM_MEET) == 1

@@ -211,6 +211,12 @@ def test_complemented_iff_squarefree(lat):
         assert st.is_complemented(lat(n)) == nt.is_squarefree(n - 1), n
 
 
+def test_complement_scan_matches_listing(lat):
+    for n in range(2, 15):
+        listed = all(st.complements_of(lat(n), x) for x in range(len(lat(n))))
+        assert st.is_complemented(lat(n)) == listed, n
+
+
 def test_complements_examples(lat):
     l2 = lat(2)
     one = l2.id_of[pr.from_set({1})]
