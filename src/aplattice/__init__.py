@@ -4,7 +4,8 @@ The package materialises the lattice, counts its elements and chains,
 computes its Moebius function by four independent routes, builds order and
 cross-cut complexes with their integral homology, and verifies structural
 properties (coatoms, left-modularity, comodernism, complements, ER/EL
-labelings) at small scale.
+labelings) at small scale.  Work past one budget (``cost``) is refused
+before it starts.
 """
 
 from .complexes import (
@@ -15,6 +16,7 @@ from .complexes import (
     order_complex,
     reduced_euler_characteristic,
 )
+from .cost import BudgetError
 from .homology import (
     HomologyResult,
     IntegerMatrix,
@@ -23,9 +25,7 @@ from .homology import (
     smith_normal_form,
 )
 from .lattice import (
-    DEFAULT_MAX_N,
     Lattice,
-    LatticeBoundError,
     build,
     coatom_progressions,
     count_progressions_enumerated,
@@ -64,7 +64,6 @@ from .structure import (
     ComodernismReport,
     EdgeLabeling,
     LabelingVerdict,
-    LatticeScaleError,
     coatoms,
     complements_of,
     is_comodernistic,

@@ -1,7 +1,9 @@
 """Command-line surface: published tables, structural checks, and exports.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage or bounds error.
-All output is deterministic for fixed arguments.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 a usage error or a
+request over the work budget.  Each request is estimated once, through
+``cost``, before any work; ``--force`` runs an over-budget request after one
+warning.  All output is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -11,27 +13,16 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from . import complexes, homology, moebius, structure
-from .lattice import (
-    DEFAULT_MAX_N,
-    LatticeBoundError,
-    build,
-    size_formula,
-)
+from . import complexes, cost, homology, moebius, structure
+from .lattice import build, size_formula
 from .moebius import MoebiusMethod
 from .numtheory import classical_mobius, is_squarefree, omega
-from .structure import LatticeScaleError
-
-TABLE_MAX_N = 30
-COMPLEX_EXPORT_MAX_N = 10
-HOMOLOGY_EXPORT_MAX_N = 8
-COMODERNISM_MAX_N = 8
 
 _METHOD_NAMES = {m.value: m for m in MoebiusMethod}
 
 
 class UsageError(ValueError):
-    """Bad arguments or out-of-bounds request; maps to exit code 2."""
+    """Malformed arguments; maps to exit code 2."""
 
 
 @dataclass
@@ -39,7 +30,6 @@ class RunReport:
     command: str
     parameters: dict
     verdicts: list = field(default_factory=list)  # (name, passed, detail)
-    tables: dict = field(default_factory=dict)
 
     def record(self, name: str, passed: bool, detail: str = "") -> None:
         self.verdicts.append((name, bool(passed), detail))
@@ -53,9 +43,6 @@ class RunReport:
         for name, ok, detail in self.verdicts:
             tag = "PASS" if ok else "FAIL"
             lines.append(f"{tag} {name}" + (f": {detail}" if detail else ""))
-        for name, payload in sorted(self.tables.items()):
-            lines.append(f"[{name}]")
-            lines.append(payload.rstrip("\n"))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -66,8 +53,6 @@ class RunReport:
                 {"name": n, "passed": ok, "detail": d} for n, ok, d in self.verdicts
             ],
         }
-        if self.tables:
-            blob["tables"] = self.tables
         return json.dumps(blob, indent=2, sort_keys=True) + "\n"
 
 
@@ -98,25 +83,40 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _warn_forced(what: str) -> None:
-    print(
-        f"warning: --force lifts the {what} bound; "
-        "expect long runtimes and heavy memory use",
-        file=sys.stderr,
-    )
+def _admit(what: str, units: int) -> None:
+    """Refuse a request over the budget; under --force, warn once instead."""
+    if cost.require(what, units):
+        print(
+            f"warning: {what} needs at least {units:,} work units, over the "
+            f"budget of {cost.BUDGET:,}; --force runs it anyway",
+            file=sys.stderr,
+        )
+
+
+def _lattice_units(n: int) -> int:
+    return cost.ELEMENT * cost.elements(n)
+
+
+def _complex_units(n: int) -> int:
+    """Build L(n), list its order complex and reduce (or write) every face."""
+    return _lattice_units(n) + cost.faces(n) + cost.nonzeros(n)
+
+
+def _engines(n: int, names) -> int:
+    return sum(cost.engine(n, name) for name in names)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_table(kind: str, n_max: int, out: str | None, force: bool) -> int:
+def cmd_table(kind: str, n_max: int, out: str | None) -> int:
     if n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    if n_max > TABLE_MAX_N:
-        if not force:
-            raise UsageError(f"--n-max {n_max} exceeds bound {TABLE_MAX_N} (use --force)")
-        _warn_forced("table size")
+    # b is the chains engine's table; p reads the pnk engine's count rows, and
+    # the divisor sums of size add up to as many terms
+    engine = "chains" if kind == "b" else "pnk"
+    _admit(f"table {kind} --n-max {n_max}", cost.engine(n_max, engine))
     if kind == "p":
         rows = complexes.progression_count_rows(n_max)
     elif kind == "b":
@@ -135,23 +135,14 @@ def _expected_mobius(n: int) -> int:
     return classical_mobius(n - 1)
 
 
-def cmd_mobius(n: int, method_name: str, as_json: bool, force: bool) -> int:
-    max_n = n if force else DEFAULT_MAX_N
+def cmd_mobius(n: int, method_name: str, as_json: bool) -> int:
     if method_name == "all":
         methods = list(MoebiusMethod)
     else:
         methods = [_METHOD_NAMES[method_name]]
-    # only the definition engine builds the lattice the bound protects
-    if force and n > DEFAULT_MAX_N and MoebiusMethod.DEFINITION in methods:
-        _warn_forced("lattice construction")
+    _admit(f"mobius {n} --method {method_name}", _engines(n, [m.value for m in methods]))
     report = RunReport("mobius", {"n": n, "method": method_name})
-    values = {}
-    for m in methods:
-        if m is MoebiusMethod.DEFINITION and n > max_n:
-            raise UsageError(
-                f"the definition method builds L({n}); bound is {max_n} (use --force)"
-            )
-        values[m.value] = moebius.mobius_bottom_top(n, m, max_n=max(max_n, n))
+    values = {m.value: moebius.mobius_bottom_top(n, m) for m in methods}
     expected = _expected_mobius(n)
     agreed = len(set(values.values())) == 1
     value = next(iter(values.values()))
@@ -170,14 +161,10 @@ def cmd_mobius(n: int, method_name: str, as_json: bool, force: bool) -> int:
     return 0 if report.passed else 1
 
 
-def _check_theorem1(report: RunReport, lo: int, hi: int, force: bool) -> None:
+def _check_theorem1(report: RunReport, lo: int, hi: int) -> None:
     for n in range(lo, hi + 1):
         expected = _expected_mobius(n)
-        values = {}
-        for m in MoebiusMethod:
-            if m is MoebiusMethod.DEFINITION and n > DEFAULT_MAX_N and not force:
-                continue
-            values[m.value] = moebius.mobius_bottom_top(n, m, max_n=max(n, DEFAULT_MAX_N))
+        values = {m.value: moebius.mobius_bottom_top(n, m) for m in MoebiusMethod}
         ok = len(set(values.values())) == 1 and values["pnk"] == expected
         report.record(
             f"theorem1 n={n}",
@@ -205,14 +192,9 @@ def _check_coatoms(report: RunReport, lo: int, hi: int) -> None:
         report.record(f"coatoms n={n}", ok, detail)
 
 
-def _check_comodernistic(report: RunReport, lo: int, hi: int, force: bool) -> None:
-    bound = hi if force else COMODERNISM_MAX_N
-    if hi > COMODERNISM_MAX_N and not force:
-        raise UsageError(
-            f"comodernism is exhaustive; bound is {COMODERNISM_MAX_N} (use --force)"
-        )
+def _check_comodernistic(report: RunReport, lo: int, hi: int) -> None:
     for n in range(lo, hi + 1):
-        result = structure.is_comodernistic(build(n), max_n=bound)
+        result = structure.is_comodernistic(build(n))
         report.record(
             f"comodernistic n={n}",
             result.holds,
@@ -263,44 +245,49 @@ def _check_euler(report: RunReport, lo: int, hi: int) -> None:
         )
 
 
+# name -> (runner, default range, work units of one n).  The coatom brute
+# force lists the interval up to the top of every element; the complement
+# scan meets a complement within about 2n candidates per element (counted up
+# to n = 150), a join and a meet each.
 _CHECKS = {
-    "theorem1": (_check_theorem1, (0, 12), True),
-    "coatoms": (_check_coatoms, (1, 12), False),
-    "comodernistic": (_check_comodernistic, (0, 8), True),
-    "complemented": (_check_complemented, (2, 12), False),
-    "folkman": (_check_folkman, (4, 8), False),
-    "euler": (_check_euler, (2, 10), False),
+    "theorem1": (_check_theorem1, (0, 12), lambda n: _engines(n, _METHOD_NAMES)),
+    "coatoms": (_check_coatoms, (1, 12), lambda n: _lattice_units(n) + cost.pairs(n)),
+    "comodernistic": (
+        _check_comodernistic, (0, 8), lambda n: _lattice_units(n) + cost.triples(n)
+    ),
+    "complemented": (
+        _check_complemented, (2, 12), lambda n: (cost.ELEMENT + 4 * n) * cost.elements(n)
+    ),
+    "folkman": (_check_folkman, (4, 8), _complex_units),
+    "euler": (
+        _check_euler,
+        (2, 10),
+        lambda n: _lattice_units(n) + cost.faces(n) + _engines(n, ("pnk", "chains")),
+    ),
 }
 
 
-def cmd_check(name: str, range_text: str | None, as_json: bool, force: bool) -> int:
-    runner, default, takes_force = _CHECKS[name]
+def cmd_check(name: str, range_text: str | None, as_json: bool) -> int:
+    runner, default, units_of = _CHECKS[name]
     lo, hi = _parse_range(range_text, default)
-    if hi > DEFAULT_MAX_N and not force:
-        raise UsageError(f"n range exceeds the bound {DEFAULT_MAX_N} (use --force)")
+    units = 0
+    for n in range(lo, hi + 1):  # stop once the budget is passed
+        units += units_of(n)
+        if units > cost.BUDGET:
+            break
+    _admit(f"check {name} {lo}..{hi}", units)
     report = RunReport("check", {"name": name, "range": [lo, hi]})
-    if takes_force:
-        runner(report, lo, hi, force)
-    else:
-        runner(report, lo, hi)
+    runner(report, lo, hi)
     if not report.verdicts:
         raise UsageError(f"range {lo}..{hi} leaves nothing to check for {name!r}")
     sys.stdout.write(report.to_json() if as_json else report.to_text())
     return 0 if report.passed else 1
 
 
-def cmd_export(kind: str, n: int, out: str | None, force: bool) -> int:
-    if kind in ("hasse-dot", "lattice-json"):
-        bound = DEFAULT_MAX_N
-    elif kind == "complex-json":
-        bound = COMPLEX_EXPORT_MAX_N
-    else:
-        bound = HOMOLOGY_EXPORT_MAX_N
-    if n > bound:
-        if not force:
-            raise UsageError(f"n={n} exceeds the {kind} bound {bound} (use --force)")
-        _warn_forced(kind)
-    lat = build(n, max_n=max(n, DEFAULT_MAX_N))
+def cmd_export(kind: str, n: int, out: str | None) -> int:
+    units = _lattice_units if kind in ("hasse-dot", "lattice-json") else _complex_units
+    _admit(f"export {kind} --n {n}", units(n))
+    lat = build(n)
     if kind == "hasse-dot":
         _emit(lat.to_dot(), out)
     elif kind == "lattice-json":
@@ -328,36 +315,34 @@ def _build_parser() -> _Parser:
         description="Explore the lattice of arithmetic progressions in {1,..,n}.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--force", action="store_true", help="run over the work budget")
 
-    t = sub.add_parser("table", help="emit a counting table as TSV")
+    t = sub.add_parser("table", help="emit a counting table as TSV", parents=[force])
     t.add_argument("kind", choices=["p", "b", "size"])
     t.add_argument("--n-max", type=int, default=11)
     t.add_argument("--out")
-    t.add_argument("--force", action="store_true")
 
-    m = sub.add_parser("mobius", help="Moebius value of the whole lattice")
+    m = sub.add_parser("mobius", help="Moebius value of the whole lattice", parents=[force])
     m.add_argument("n", type=int, nargs="?")
     m.add_argument("--n", type=int, dest="n_flag")
-    m.add_argument(
-        "--method",
-        choices=sorted(_METHOD_NAMES) + ["all"],
-        default="all",
-    )
+    m.add_argument("--method", choices=sorted(_METHOD_NAMES) + ["all"], default="all")
     m.add_argument("--json", action="store_true")
-    m.add_argument("--force", action="store_true")
 
-    c = sub.add_parser("check", help="verify a structural statement over a range of n")
+    c = sub.add_parser(
+        "check", help="verify a structural statement over a range of n", parents=[force]
+    )
     c.add_argument("name", choices=sorted(_CHECKS))
     c.add_argument("range", nargs="?", help="N or A..B (default depends on the check)")
     c.add_argument("--n", dest="n_flag", help="alternative spelling of the range")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--force", action="store_true")
 
-    e = sub.add_parser("export", help="write a lattice, complex, or homology artifact")
+    e = sub.add_parser(
+        "export", help="write a lattice, complex, or homology artifact", parents=[force]
+    )
     e.add_argument("kind", choices=["hasse-dot", "lattice-json", "complex-json", "homology-json"])
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--out")
-    e.add_argument("--force", action="store_true")
 
     return parser
 
@@ -366,27 +351,27 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "table":
-            return cmd_table(args.kind, args.n_max, args.out, args.force)
-        if args.subcommand == "mobius":
-            n = args.n if args.n is not None else args.n_flag
-            if n is None or n < 0:
-                raise UsageError("mobius needs a nonnegative n")
-            return cmd_mobius(n, args.method, args.json, args.force)
-        if args.subcommand == "check":
-            range_text = args.range if args.range is not None else args.n_flag
-            return cmd_check(args.name, range_text, args.json, args.force)
-        if args.subcommand == "export":
-            if args.n < 0:
-                raise UsageError("export needs a nonnegative n")
-            return cmd_export(args.kind, args.n, args.out, args.force)
-        raise UsageError(f"unknown subcommand {args.subcommand!r}")
-    except UsageError as exc:
+        with cost.unbounded(args.force):
+            return _dispatch(args)
+    except (UsageError, cost.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LatticeBoundError, LatticeScaleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+
+def _dispatch(args) -> int:
+    if args.subcommand == "table":
+        return cmd_table(args.kind, args.n_max, args.out)
+    if args.subcommand == "mobius":
+        n = args.n if args.n is not None else args.n_flag
+        if n is None or n < 0:
+            raise UsageError("mobius needs a nonnegative n")
+        return cmd_mobius(n, args.method, args.json)
+    if args.subcommand == "check":
+        range_text = args.range if args.range is not None else args.n_flag
+        return cmd_check(args.name, range_text, args.json)
+    if args.n < 0:  # export, the last subcommand
+        raise UsageError("export needs a nonnegative n")
+    return cmd_export(args.kind, args.n, args.out)
 
 
 def entry() -> None:

@@ -20,7 +20,9 @@ from functools import reduce
 from itertools import combinations, islice
 from operator import mul
 
+from . import cost
 from .lattice import Lattice, count_rows
+from .numtheory import valid_n
 from .progression import join_in_ambient, meet
 from .structure import coatoms
 
@@ -32,7 +34,6 @@ class SimplicialComplex:
     vertex_count: int
     faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
     translation: tuple[int, ...] | None = None  # vertex -> lattice id
-    includes_empty_face: bool = True
 
     @property
     def dim(self) -> int:
@@ -85,8 +86,7 @@ def chain_counts(n: int) -> ChainTable:
     column (cols[k] holds b(k, k), b(k+1, k), ..), so each b(m, k) is one
     dot product of two contiguous runs.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    valid_n(n, 1)
     rows: list[tuple[int, ...]] = [()]
     cols: list[list[int]] = [[]]
     for m, p in enumerate(islice(count_rows(n), 1, None), 1):
@@ -109,11 +109,13 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
     of every dimension come out sorted and distinct without a sort.
 
     The d-face count must equal the (d+2)-chain count of the table; that is
-    asserted on every construction.
+    asserted on every construction.  Past the work budget (one unit per face,
+    counted from the same table) it raises cost.BudgetError first.
     """
     n = lattice.n
     if n < 2:
         raise ValueError("the order complex needs n >= 2")
+    cost.require(f"the order complex of L({n})", cost.faces(n))
     top = lattice.top_id
     vertices = range(1, top)  # lattice ids, bottom and top dropped
     # vertex i is lattice id i + 1 and filter(v) ascends; the vertices above

@@ -1,0 +1,148 @@
+"""One work budget for every request that can run long.
+
+Entry points estimate their work before they start, from closed forms the
+package already has, and call ``require``: past ``BUDGET`` units it raises
+``BudgetError``, unless inside ``unbounded()`` (the command line's --force).
+A unit is one item counted below; a lattice element weighs ``ELEMENT``,
+since build(248) took 16-21 us per element against 0.42-0.55 us per face of
+L(13).  The largest admitted request of each kind took (one run, 2-vCPU
+x86-64 VM, Python 3.11, peak RSS of the process):
+
+* elements(n), from the size identity: build(200), 99k, 1.7 s, 79 MB
+* faces(n), from chain_counts: order_complex(build(13)), 3.70M, 2.0 s, 410 MB
+* nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 19.6 s, 380 MB
+* pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
+* triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
+  5.6 s, 29 MB
+* chain_steps(n), the steps of all saturated chains of all intervals, from
+  count_rows and the coatom sizes: labeling of L(14), 2.50M, 1.8 s, 24 MB
+* engine(n, name), terms: n^2/2 for pnk (2828: 0.7 s), n^3/6 for chains
+  (288: 0.6 s), the build and sum |L(m)| over m <= n for definition
+  (142: 3.0 s, 45 MB), isqrt(n) trial divisions for coatom
+
+Every count grows with n, so an estimate stops at the first one past the
+budget (the elements at their n(n+1)/2 + 1 runs): refusing needs no more.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from math import isqrt
+from operator import mul
+
+from . import complexes, lattice
+from .numtheory import valid_n
+
+BUDGET = 4_000_000
+ELEMENT = 40  # units per lattice element
+
+_unbounded = ContextVar("unbounded", default=False)
+
+
+class BudgetError(ValueError):
+    """A request's estimated work is over the budget; maps to exit code 2."""
+
+
+@contextmanager
+def unbounded(on: bool = True):
+    """Admit every request inside the block (when `on`)."""
+    token = _unbounded.set(on)
+    try:
+        yield
+    finally:
+        _unbounded.reset(token)
+
+
+def require(what: str, units: int) -> bool:
+    """Refuse `units` of work past the budget, unless inside unbounded().
+    Returns whether the admitted work is over the budget."""
+    if units > BUDGET and not _unbounded.get():
+        raise BudgetError(
+            f"{what} needs at least {units:,} work units; "
+            f"the budget is {BUDGET:,} (use --force)"
+        )
+    return units > BUDGET
+
+
+def _first_past(counts) -> int:
+    for count in counts:
+        if count > BUDGET:
+            break
+    return count
+
+
+def elements(n: int) -> int:
+    """|L(n)| by the size identity."""
+    runs = valid_n(n) * (n + 1) // 2 + 1
+    return runs if runs > BUDGET else lattice.size_formula(n)
+
+
+def _chains(n: int):
+    """b(m, k) for k >= 2 and m = 0..n: a chain of length d + 2 from the
+    bottom to the top is a d-face of the order complex."""
+    for m in range(valid_n(n) + 1):
+        yield complexes.chain_counts(m).rows[m][1:] if m else ()
+
+
+def faces(n: int) -> int:
+    """Faces of the order complex of L(n)."""
+    return _first_past(map(sum, _chains(n)))
+
+
+def nonzeros(n: int) -> int:
+    """Non-zeros of its boundary maps, d + 1 per d-face."""
+    return _first_past(sum(map(mul, row, range(1, n + 1))) for row in _chains(n))
+
+
+def _pairs(n: int):
+    """Count row m and P(0..m) for m = 0..n, where P(m) counts lo <= hi in
+    L(m): the ideal below an element of size k is L(k), so P(m) is the sum
+    of p(m, k) |L(k)|."""
+    sizes, by_m = [], []
+    for row in lattice.count_rows(valid_n(n)):
+        sizes.append(sum(row))
+        by_m.append(sum(map(mul, row, sizes)))
+        yield row, by_m
+
+
+def pairs(n: int) -> int:
+    return _first_past(by_m[-1] for _, by_m in _pairs(n))
+
+
+def triples(n: int) -> int:
+    """lo <= y <= hi in L(n): the sum of p(n, m) P(m)."""
+    return _first_past(sum(map(mul, row, by_m)) for row, by_m in _pairs(n))
+
+
+def _chain_steps(n: int):
+    """Chains ending at an element of size m live in its ideal L(m): Q(m) of
+    them end at its top, with R(m) steps, where Q(m) = 1 + sum Q(c) and
+    R(m) = sum R(c) + Q(c) over the sizes c of L(m)'s coatoms.  L(m) holds
+    the sum of p(m, k) R(k) steps."""
+    q, r = [1], [0]
+    for m, row in enumerate(lattice.count_rows(valid_n(n))):
+        if m:
+            sizes = [c.length for c in lattice.coatom_progressions(m)]
+            q.append(1 + sum(q[c] for c in sizes))
+            r.append(sum(r[c] + q[c] for c in sizes))
+        yield sum(map(mul, row, r))
+
+
+def chain_steps(n: int) -> int:
+    return _first_past(_chain_steps(n))
+
+
+def engine(n: int, name: str) -> int:
+    """Terms of the Moebius engine `name` (a method value) on M(n)."""
+    valid_n(n)
+    if name == "pnk":
+        return n * n // 2
+    if name == "chains":
+        return n**3 // 6
+    if name == "coatom":
+        return isqrt(n)
+    if name != "definition":
+        raise ValueError(f"unknown engine {name!r}")
+    built = ELEMENT * elements(n)
+    return built if built > BUDGET else built + sum(map(elements, range(n + 1)))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
+from . import cost
 from .complexes import SimplicialComplex, reduced_euler_characteristic
 
 
@@ -257,15 +258,18 @@ class HomologyResult:
 
 def reduced_homology(complex: SimplicialComplex) -> HomologyResult:
     """Free ranks and torsion of the reduced homology of a downward-closed
-    complex, one boundary-matrix Smith form per dimension."""
+    complex, one boundary-matrix Smith form per dimension.  Past the work
+    budget (one unit per boundary non-zero) it raises cost.BudgetError first."""
     if complex.dim < 0:
         return HomologyResult((), (), rank_minus1=1)
+    fvec = complex.f_vector()
+    nonzeros = sum(d * f for d, f in enumerate(fvec, 1))
+    cost.require(f"the homology of a {complex.dim}-dimensional complex", nonzeros)
     forms = [
         smith_normal_form(boundary_matrix(complex, d))
         for d in range(complex.dim + 1)
     ]
     ranks = [f.rank for f in forms] + [0]
-    fvec = complex.f_vector()
     free = tuple(
         fvec[d] - ranks[d] - ranks[d + 1] for d in range(complex.dim + 1)
     )

@@ -17,7 +17,8 @@ from __future__ import annotations
 from itertools import repeat
 from operator import add, floordiv
 
-from .numtheory import prime_divisors, tau
+from . import cost
+from .numtheory import prime_divisors, tau, valid_n
 from .progression import (
     EMPTY,
     Progression,
@@ -31,13 +32,6 @@ from .progression import (
     sort_key,
 )
 
-DEFAULT_MAX_N = 30
-
-
-class LatticeBoundError(ValueError):
-    """Requested n exceeds the configured construction bound."""
-
-
 def coatom_progressions(n: int) -> tuple[Progression, ...]:
     """The elements covered by the top of L(n), in canonical order.
 
@@ -46,9 +40,7 @@ def coatom_progressions(n: int) -> tuple[Progression, ...]:
     itself prime that single progression is {1, n}).  The small cases n <= 3
     are listed explicitly; they agree with the same recipe.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
+    if valid_n(n, 1) == 1:
         return (EMPTY,)
     if n == 2:
         return (Progression(1, 0, 1), Progression(2, 0, 1))
@@ -247,7 +239,7 @@ class Lattice:
         host = self.elements[x]
         if host.is_empty:
             raise ValueError("the empty progression has a one-point ideal; no relabeling")
-        target = build(host.length, max_n=max(host.length, DEFAULT_MAX_N))
+        target = build(host.length)
         return {
             i: target.id_of[project_progression(self.elements[i], host)]
             for i in self.ideal(x)
@@ -277,28 +269,25 @@ class Lattice:
         }
 
 
-def build(n: int, *, max_n: int = DEFAULT_MAX_N) -> Lattice:
+def build(n: int) -> Lattice:
     """Materialise L(n).
 
     Enumerates the empty progression, the n singletons, and every (base,
     step, length) with length >= 2, step >= 1 and last element <= n, already
-    in the canonical (size, base, step) order.  Raises
-    LatticeBoundError for n beyond max_n (default 30) to keep memory bounded.
+    in the canonical (size, base, step) order.  Past the work budget it
+    raises cost.BudgetError before building anything.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if n > max_n:
-        raise LatticeBoundError(f"n={n} exceeds the construction bound {max_n}")
+    cost.require(f"building L({n})", cost.ELEMENT * cost.elements(n))
     return Lattice(n, tuple(_of_fields(f) for f in _canonical_fields(n)))
 
 
 def size_formula(n: int) -> int:
-    """Element count of L(n) from the divisor-sum identity, no construction."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
+    """Element count of L(n) from the divisor-sum identity, no construction:
+    1 + n + the sum over a < n of tau(1) + .. + tau(a), in which tau(r)
+    occurs n - r times."""
+    if valid_n(n) == 0:
         return 1
-    return 1 + n + sum(tau(r) for a in range(1, n) for r in range(1, a + 1))
+    return 1 + n + sum((n - r) * tau(r) for r in range(1, n))
 
 
 def count_progressions_formula(n: int, k: int) -> int:
@@ -307,9 +296,8 @@ def count_progressions_formula(n: int, k: int) -> int:
     1 for k = 0 (the empty progression), n for k = 1, and for 2 <= k <= n the
     sum of n - (k-1)r over steps r up to (n-1)//(k-1).  Zero when k > n.
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be >= 0")
-    if k == 0:
+    valid_n(n)
+    if valid_n(k, name="k") == 0:
         return 1
     if k == 1:
         return n
@@ -328,9 +316,7 @@ def count_rows(n_max: int):
     m - (k-1)r >= 1); p(m, 0) = 1, p(m, 1) = m and p(m, m) = 1.  A row costs
     O(m) additions instead of m + 1 closed-form evaluations.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    return _count_rows(n_max)
+    return _count_rows(valid_n(n_max, name="n_max"))
 
 
 def _count_rows(n_max: int):
@@ -357,8 +343,8 @@ def gf_coefficients(max_n: int, max_k: int) -> list[list[int]]:
     as an exact truncated power series; entry [n][k] is the number of
     progressions of size k in {1,..,n}.
     """
-    if max_n < 0 or max_k < 0:
-        raise ValueError("bounds must be >= 0")
+    valid_n(max_n, name="max_n")
+    valid_n(max_k, name="max_k")
     # inner factor: 1 - z + zq + sum_{k>=2} z^{k + j(k-1)} q^k over j >= 0
     inner = [[0] * (max_k + 1) for _ in range(max_n + 1)]
     inner[0][0] += 1

@@ -22,9 +22,9 @@ from functools import reduce
 from itertools import islice
 from operator import mul
 
+from . import cost
 from .complexes import chain_counts
 from .lattice import (
-    DEFAULT_MAX_N,
     Lattice,
     build,
     coatom_progressions,
@@ -108,26 +108,24 @@ def _bottom_top_coatoms(n: int) -> int:
     return (-1) ** len(cs) if bottom.is_empty else 0
 
 
-def mobius_bottom_top(
-    n: int, method: MoebiusMethod, *, max_n: int = DEFAULT_MAX_N
-) -> int:
+def mobius_bottom_top(n: int, method: MoebiusMethod) -> int:
     """M(n), the Moebius value of the whole of L(n), by the chosen engine.
 
-    Only DEFINITION needs a built lattice (and therefore respects max_n); the
-    other three run on counts or coatom arithmetic alone.
+    Only DEFINITION needs a built lattice; the other three run on counts or
+    coatom arithmetic alone.  Past the work budget (``cost.engine``) it
+    raises cost.BudgetError first.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not isinstance(method, MoebiusMethod):
+        raise ValueError(f"unknown method {method!r}")
+    cost.require(f"M({n}) by the {method.value} engine", cost.engine(n, method.value))
     if method is MoebiusMethod.DEFINITION:
-        lattice = build(n, max_n=max_n)
+        lattice = build(n)
         return _mobius_definition(lattice, lattice.bottom_id, lattice.top_id, {})
     if method is MoebiusMethod.PNK_RECURRENCE:
         return _bottom_top_pnk(n)
     if method is MoebiusMethod.CHAIN_ALTERNATING_SUM:
         return _bottom_top_chains(n)
-    if method is MoebiusMethod.COATOM_MEET:
-        return _bottom_top_coatoms(n)
-    raise ValueError(f"unknown method {method!r}")
+    return _bottom_top_coatoms(n)
 
 
 def mobius_support(lattice: Lattice) -> tuple[tuple[int, int], ...]:

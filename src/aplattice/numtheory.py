@@ -1,7 +1,9 @@
 """Exact classical number theory: factorisation, mu, tau, omega, divisors.
 
-All functions take positive integers and raise ValueError on anything else.
-Trial division is plenty at the input sizes this package works with.
+All functions take positive integers and raise ValueError on anything else,
+through ``valid_n``, the one size check every public entry point of the
+package shares.  Trial division is plenty at the input sizes this package
+works with.
 """
 
 from __future__ import annotations
@@ -18,15 +20,18 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
 
-def _require_positive(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"expected a positive integer, got {n!r}")
+def valid_n(n, least: int = 0, name: str = "n") -> int:
+    """n itself if it is a plain int (not a bool) of at least `least`;
+    ValueError otherwise."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
 
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division. factorize(1) carries no factors."""
-    _require_positive(n)
+    valid_n(n, 1)
     m = n
     factors = []
     p = 2

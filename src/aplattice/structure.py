@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
+from . import cost
 from .lattice import Lattice, coatom_progressions
 from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import EMPTY, Progression, sort_key
-
-
-class LatticeScaleError(ValueError):
-    """An exhaustive check was asked for above its configured bound."""
 
 
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
@@ -179,18 +176,15 @@ class ComodernismReport:
     counterexample: tuple | None = None
 
 
-def is_comodernistic(lattice: Lattice, *, max_n: int = 8) -> ComodernismReport:
+def is_comodernistic(lattice: Lattice) -> ComodernismReport:
     """Exhaustive check that every interval with at least two elements has a
-    left-modular coatom.  Guarded by max_n (default 8); the interval count
-    grows too quickly beyond that.
+    left-modular coatom.  Past the work budget (one unit per triple
+    lo <= y <= hi) it raises cost.BudgetError first.
 
     Witness search prefers the coatoms of size |hi|-1 (the two runs), then
     the remaining ones by ascending step, which keeps witnesses deterministic.
     """
-    if lattice.n > max_n:
-        raise LatticeScaleError(
-            f"comodernism check is exhaustive; n={lattice.n} exceeds bound {max_n}"
-        )
+    cost.require(f"the comodernism scan of L({lattice.n})", cost.triples(lattice.n))
     report = ComodernismReport(True)
     size = len(lattice.elements)
     for hi in range(size):
@@ -340,12 +334,13 @@ def _is_rising(word: tuple[int, ...]) -> bool:
     return all(a < b for a, b in zip(word, word[1:]))
 
 
-def _scan_labeling(labeling: EdgeLabeling, check_lex: bool, max_n: int):
+def _scan_labeling(labeling: EdgeLabeling, check_lex: bool):
+    """Lists the maximal chains of every interval: past the work budget (one
+    unit per chain step and per interval member) it raises cost.BudgetError
+    first."""
     lattice = labeling.lattice
-    if lattice.n > max_n:
-        raise LatticeScaleError(
-            f"labeling verification is exhaustive; n={lattice.n} exceeds bound {max_n}"
-        )
+    n = lattice.n
+    cost.require(f"the labeling scan of L({n})", cost.chain_steps(n) + cost.triples(n))
     rising_failures = []
     lex_failures = []
     ties = []
@@ -378,16 +373,16 @@ def _scan_labeling(labeling: EdgeLabeling, check_lex: bool, max_n: int):
     )
 
 
-def verify_er_labeling(labeling: EdgeLabeling, *, max_n: int = 7) -> LabelingVerdict:
+def verify_er_labeling(labeling: EdgeLabeling) -> LabelingVerdict:
     """Every interval must have exactly one maximal chain with strictly
     increasing labels."""
-    return _scan_labeling(labeling, check_lex=False, max_n=max_n)
+    return _scan_labeling(labeling, check_lex=False)
 
 
-def verify_el_labeling(labeling: EdgeLabeling, *, max_n: int = 7) -> LabelingVerdict:
+def verify_el_labeling(labeling: EdgeLabeling) -> LabelingVerdict:
     """ER, plus the rising chain's label word must lexicographically precede
     the word of every other maximal chain of its interval.
 
     Duplicate label words are reported in ``ties`` and never resolved here.
     """
-    return _scan_labeling(labeling, check_lex=True, max_n=max_n)
+    return _scan_labeling(labeling, check_lex=True)

@@ -1,14 +1,24 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from aplattice import cli
+from aplattice import cli, complexes, cost, structure
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def check_units(name, lo, hi):
+    """The estimate `check NAME lo..hi` is admitted on, summed in full."""
+    return sum(map(cli._CHECKS[name][2], range(lo, hi + 1)))
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started on a refused request")
 
 
 def test_table_p_golden_row(capsys):
@@ -36,9 +46,12 @@ def test_table_size(capsys):
     assert rows[4] == ["4", "14"]
 
 
-def test_table_bound_is_exit_2(capsys):
-    code, _, err = run(capsys, "table", "p", "--n-max", "31")
-    assert code == 2 and "bound" in err
+def test_table_bound_is_exit_2(capsys, monkeypatch):
+    # table p reads n_max**2 / 2 count-row terms: 2828 is the last in budget
+    assert cost.engine(2828, "pnk") <= cost.BUDGET < cost.engine(2829, "pnk")
+    monkeypatch.setattr(complexes, "progression_count_rows", _never)
+    code, _, err = run(capsys, "table", "p", "--n-max", "2829")
+    assert code == 2 and "budget" in err
 
 
 def test_mobius_coatom_example(capsys):
@@ -97,9 +110,11 @@ def test_check_comodernistic(capsys):
     assert out.count("PASS") == 6
 
 
-def test_check_comodernistic_bound(capsys):
-    code, _, err = run(capsys, "check", "comodernistic", "0..9")
-    assert code == 2 and "bound" in err
+def test_check_comodernistic_bound(capsys, monkeypatch):
+    assert check_units("comodernistic", 0, 22) <= cost.BUDGET
+    monkeypatch.setattr(structure, "is_comodernistic", _never)
+    code, _, err = run(capsys, "check", "comodernistic", "0..23")
+    assert code == 2 and "budget" in err
 
 
 def test_check_euler_json(capsys):
@@ -118,7 +133,8 @@ def test_check_folkman_small(capsys):
 def test_check_bad_range(capsys):
     assert run(capsys, "check", "euler", "6..2")[0] == 2
     assert run(capsys, "check", "euler", "x..2")[0] == 2
-    assert run(capsys, "check", "theorem1", "28..31")[0] == 2
+    assert check_units("theorem1", 0, 49) <= cost.BUDGET
+    assert run(capsys, "check", "theorem1", "0..50")[0] == 2
 
 
 def test_check_empty_range(capsys):
@@ -166,10 +182,14 @@ def test_export_homology_json(capsys):
     )
 
 
-def test_export_bounds(capsys):
-    assert run(capsys, "export", "homology-json", "--n", "9")[0] == 2
-    assert run(capsys, "export", "complex-json", "--n", "11")[0] == 2
-    assert run(capsys, "export", "hasse-dot", "--n", "31")[0] == 2
+def test_export_bounds(capsys, monkeypatch):
+    # homology and complex exports are admitted up to n = 11, lattices to 200
+    assert check_units("folkman", 11, 11) <= cost.BUDGET
+    assert cost.ELEMENT * cost.elements(200) <= cost.BUDGET
+    monkeypatch.setattr(cli, "build", _never)
+    assert run(capsys, "export", "homology-json", "--n", "12")[0] == 2
+    assert run(capsys, "export", "complex-json", "--n", "12")[0] == 2
+    assert run(capsys, "export", "hasse-dot", "--n", "201")[0] == 2
 
 
 def test_export_out_file(tmp_path, capsys):
@@ -186,17 +206,41 @@ def test_out_file_failure_is_exit_2(capsys, tmp_path):
     assert code == 2 and "cannot write" in err
 
 
-def test_force_prints_warning(capsys):
+def test_force_prints_warning(capsys, monkeypatch):
+    # table size --n-max 31 sums 31**2 // 2 = 480 divisor counts
+    monkeypatch.setattr(cost, "BUDGET", 479)
+    assert run(capsys, "table", "size", "--n-max", "31")[0] == 2
     code, out, err = run(capsys, "table", "size", "--n-max", "31", "--force")
     assert code == 0
-    assert "--force" in err and "bound" in err
+    assert err.count("\n") == 1
+    assert "--force" in err and "budget" in err and "480" in err
     assert out.strip().splitlines()[-1].startswith("31\t")
+    code, _, err = run(capsys, "table", "size", "--n-max", "30", "--force")
+    assert code == 0 and err == ""
 
 
-def test_mobius_force_warns_only_when_the_lattice_is_built(capsys):
+def test_mobius_force_warns_only_when_the_lattice_is_built(capsys, monkeypatch):
+    # pnk on 40 costs 800 units; building L(31) alone costs 40 * 1524
+    monkeypatch.setattr(cost, "BUDGET", 1000)
     code, out, err = run(capsys, "mobius", "40", "--method", "pnk", "--force")
     assert code == 0 and "PASS" in out
     assert err == ""
     code, _, err = run(capsys, "mobius", "31", "--method", "definition", "--force")
     assert code == 0
-    assert "--force lifts the lattice construction bound" in err
+    assert "mobius 31 --method definition needs at least" in err
+
+
+def test_readme_examples(capsys, monkeypatch, tmp_path):
+    """Every command of README's command-line block runs within the budget."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```")[0]
+    commands = [
+        line.split("#", 1)[0].split()
+        for line in block.splitlines()
+        if line.startswith("aplattice ")
+    ]
+    assert len(commands) == 15
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aplattice import cost
 from aplattice import lattice as lt
 from aplattice import numtheory as nt
 from aplattice import progression as pr
@@ -18,9 +19,12 @@ def test_build_rejects_bad_n():
     for bad in (-1, True, False, 4.0):
         with pytest.raises(ValueError):
             lt.build(bad)
-    with pytest.raises(lt.LatticeBoundError):
-        lt.build(31)
-    assert len(lt.build(31, max_n=31)) == lt.size_formula(31)
+    # building costs ELEMENT units per element: L(200) is the last in budget
+    assert cost.ELEMENT * cost.elements(200) <= cost.BUDGET
+    with pytest.raises(cost.BudgetError):
+        lt.build(201)
+    with cost.unbounded():
+        assert len(lt.build(31)) == lt.size_formula(31)
 
 
 def test_element_order_and_ids(lat):

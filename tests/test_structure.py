@@ -3,9 +3,15 @@ from itertools import combinations
 
 import pytest
 
+from aplattice import cost
+from aplattice import lattice as lt
 from aplattice import numtheory as nt
 from aplattice import progression as pr
 from aplattice import structure as st
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started on a refused request")
 
 
 def brute_force_coatoms(lattice):
@@ -170,9 +176,13 @@ def test_comodernistic_witnesses_are_valid(lat):
         assert st.is_left_modular_in_interval(l6, lo, hi, m), (lo, hi, m)
 
 
-def test_comodernistic_bound(lat):
-    with pytest.raises(st.LatticeScaleError):
-        st.is_comodernistic(lat(9))
+def test_comodernistic_bound(lat, monkeypatch):
+    # one unit per triple lo <= y <= hi: L(29) is the last in budget
+    assert cost.triples(29) <= cost.BUDGET
+    l30 = lat(30)
+    monkeypatch.setattr(st, "interval_coatoms", _never)
+    with pytest.raises(cost.BudgetError):
+        st.is_comodernistic(l30)
 
 
 def test_witnesses_in_endpoint_pinning_intervals_have_prime_step(lat):
@@ -330,9 +340,13 @@ def test_labeling_loader_and_validation(lat):
         st.EdgeLabeling.from_text(l3, text + "\n" + lines[0] + "\n")  # duplicate
 
 
-def test_labeling_bound(lat):
-    with pytest.raises(st.LatticeScaleError):
-        st.verify_er_labeling(constant_labeling(lat(8)))
+def test_labeling_bound(lat, monkeypatch):
+    # one unit per chain step and per triple: L(14) is the last in budget
+    assert cost.chain_steps(14) + cost.triples(14) <= cost.BUDGET
+    labeling = constant_labeling(lat(15))
+    monkeypatch.setattr(lt.Lattice, "maximal_chains", _never)
+    with pytest.raises(cost.BudgetError):
+        st.verify_er_labeling(labeling)
 
 
 def test_lex_order():
