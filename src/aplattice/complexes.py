@@ -1,22 +1,27 @@
 """Chain counting, the order complex of L(n), and coatom cross-cut complexes.
 
-A complex stores *all* faces grouped by dimension (not just the maximal
-ones), because the boundary-matrix homology downstream wants every face
-anyway.  Vertices are dense integers with a translation table back to
-lattice ids.  The empty face is always considered present.
+A complex knows its face count in every dimension and yields all of its
+faces (not just the maximal ones) grouped by dimension, for the
+boundary-matrix homology downstream.  Vertices are dense integers with a
+translation table back to lattice ids.  The empty face is always considered
+present.
 
 Chain counts and the count tables read the progression counts one whole row
 p(m, 0..m) at a time from ``lattice.count_rows``.  The order complex is
-generated level by level, each chain extended by the vertices above its last
-one in ascending order, so every dimension comes out in lexicographic order
-by construction and needs no sort.
+walked level by level as one flat list of last vertices, the breadth-first
+layout of a simplex tree (Boissonnat and Maria, "The Simplex Tree",
+Algorithmica 2014): the children of a chain ending at v are the vertices
+above v, so a level's length is its face count, and the f-vector and the
+Euler characteristic need no face tuple.  The tuples are decoded once, on
+first use, already in lexicographic order.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, islice
 from operator import mul
 
@@ -26,24 +31,64 @@ from .numtheory import valid_n
 from .progression import join_in_ambient, meet
 from .structure import coatoms
 
+_Faces = tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
 
-@dataclass(frozen=True)
+
 class SimplicialComplex:
-    """Faces by dimension over dense integer vertices; downward closed."""
+    """Faces by dimension over dense integer vertices; downward closed.
 
-    vertex_count: int
-    faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
-    translation: tuple[int, ...] | None = None  # vertex -> lattice id
+    Built from its faces, or by ``order_complex`` from its face counts and a
+    decoder that generates the faces on first use.  Either way the counts
+    are known up front, so ``f_vector`` and ``dim`` never build a face.
+    """
+
+    def __init__(
+        self,
+        vertex_count: int,
+        faces_by_dim: _Faces,
+        translation: tuple[int, ...] | None = None,  # vertex -> lattice id
+    ):
+        self.vertex_count = vertex_count
+        self.translation = translation
+        self._faces = faces_by_dim
+        self._counts = tuple(map(len, faces_by_dim))
+
+    @classmethod
+    def _decoded_on_demand(
+        cls,
+        vertex_count: int,
+        counts: tuple[int, ...],
+        decode: Callable[[], _Faces],
+        translation: tuple[int, ...] | None,
+    ) -> SimplicialComplex:
+        """A complex with `counts` faces by dimension, which `decode()`
+        generates when they are first asked for."""
+        complex = cls.__new__(cls)
+        complex.vertex_count, complex.translation = vertex_count, translation
+        complex._faces, complex._counts, complex._decode = None, counts, decode
+        return complex
+
+    @property
+    def faces_by_dim(self) -> _Faces:
+        """Decoded once and kept; every decoded level's length is asserted
+        against the count the complex was built with."""
+        if self._faces is None:
+            faces = self._decode()
+            assert tuple(map(len, faces)) == self._counts, (
+                "decoded faces disagree with the walked counts"
+            )
+            self._faces = faces
+        return self._faces
 
     @property
     def dim(self) -> int:
-        return len(self.faces_by_dim) - 1
+        return len(self._counts) - 1
 
     def faces(self, d: int) -> tuple[tuple[int, ...], ...]:
         return self.faces_by_dim[d]
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(fs) for fs in self.faces_by_dim)
+        return self._counts
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,12 +148,9 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
     """The complex whose vertices are the proper elements of L(n) and whose
     faces are the chains among them.  Needs n >= 2 (a proper part to speak of).
 
-    Faces are generated one dimension at a time: each (d-1)-face is extended
-    by every vertex above its last vertex, in ascending order.  Since the
-    level below is in lexicographic order, so is the new one, and the faces
-    of every dimension come out sorted and distinct without a sort.
-
-    The d-face count must equal the (d+2)-chain count of the table; that is
+    Each level of the walk lists the last vertex of every face of one
+    dimension, and the next level lays the vertices above each of them end to
+    end.  The level lengths must equal the chain counts of the table; that is
     asserted on every construction.  Past the work budget (one unit per face,
     counted from the same table) it raises cost.BudgetError first.
     """
@@ -118,20 +160,36 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
     cost.require(f"the order complex of L({n})", cost.faces(n))
     top = lattice.top_id
     vertices = range(1, top)  # lattice ids, bottom and top dropped
-    # vertex i is lattice id i + 1 and filter(v) ascends; the vertices above
-    # are kept as one-tuples so that extending a face is one concatenation
-    ups = [tuple((w - 1,) for w in lattice.filter(v) if v < w < top) for v in vertices]
-    faces_by_dim: list[tuple[tuple[int, ...], ...]] = []
-    level = [(i,) for i in range(len(vertices))]
+    # vertex i is lattice id i + 1 and filter(v) ascends
+    ups = tuple(tuple(w - 1 for w in lattice.filter(v) if v < w < top) for v in vertices)
+    counts = []
+    last = list(range(len(ups)))
+    while last:
+        counts.append(len(last))
+        below, last = last, []
+        for v in below:
+            last.extend(ups[v])
+    assert tuple(counts) == chain_counts(n).rows[n][1:], (
+        "face counts disagree with the chain recurrence"
+    )
+    return SimplicialComplex._decoded_on_demand(
+        len(ups), tuple(counts), partial(_chains, ups), tuple(vertices)
+    )
+
+
+def _chains(ups: tuple[tuple[int, ...], ...]) -> _Faces:
+    """The faces, by dimension, of the order complex in which vertex v lies
+    below the vertices ups[v] (ascending).  Extending each face of a level in
+    lexicographic order by the vertices above its last one keeps the next
+    level in that order, so every level comes out sorted and distinct."""
+    # one-tuples, so that extending a face is one concatenation
+    above = [tuple((w,) for w in ws) for ws in ups]
+    levels = []
+    level = [(v,) for v in range(len(ups))]
     while level:
-        faces_by_dim.append(tuple(level))
-        level = [f + w for f in level for w in ups[f[-1]]]
-    result = SimplicialComplex(len(vertices), tuple(faces_by_dim), tuple(vertices))
-    table = chain_counts(n)
-    assert result.f_vector() == tuple(
-        table.count(n, d + 2) for d in range(result.dim + 1)
-    ), "face counts disagree with the chain recurrence"
-    return result
+        levels.append(tuple(level))
+        level = [f + w for f in level for w in above[f[-1]]]
+    return tuple(levels)
 
 
 def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
@@ -179,7 +237,7 @@ def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
 
 def reduced_euler_characteristic(complex: SimplicialComplex) -> int:
     """Alternating face-count sum minus one (the empty face's contribution)."""
-    return sum((-1) ** d * len(fs) for d, fs in enumerate(complex.faces_by_dim)) - 1
+    return sum((-1) ** d * c for d, c in enumerate(complex.f_vector())) - 1
 
 
 # ---------------------------------------------------------------------------

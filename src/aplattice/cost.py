@@ -4,12 +4,13 @@ Entry points estimate their work before they start, from closed forms the
 package already has, and call ``require``: past ``BUDGET`` units it raises
 ``BudgetError``, unless inside ``unbounded()`` (the command line's --force).
 A unit is one item counted below; a lattice element weighs ``ELEMENT``,
-since build(248) took 16-21 us per element against 0.42-0.55 us per face of
-L(13).  The largest admitted request of each kind took (one run, 2-vCPU
+since build(248) took 16-21 us per element against 0.30-0.41 us per decoded
+face of L(13).  The largest admitted request of each kind took (one run, 2-vCPU
 x86-64 VM, Python 3.11, peak RSS of the process):
 
 * elements(n), from the size identity: build(200), 99k, 1.7 s, 79 MB
-* faces(n), from chain_counts: order_complex(build(13)), 3.70M, 2.0 s, 410 MB
+* faces(n), from chain_counts: order_complex(build(13)), 3.70M, 0.13-0.22 s,
+  30 MB; decoding its face tuples (homology, export) 1.1-1.5 s more, 416 MB
 * nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 19.6 s, 380 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,

@@ -82,26 +82,6 @@ def embed_progression(p: Progression, host: Progression) -> Progression:
     return _of_fields(_embed_fields(_fields(p), _fields(host)))
 
 
-def project_progression(p: Progression, host: Progression) -> Progression:
-    """Map a progression contained in host to {1,..,len(host)} coordinates."""
-    if p.is_empty:
-        return EMPTY
-    if host.step == 0:
-        # host is a singleton; the only nonempty subset is host itself
-        if p != host:
-            raise ValueError(f"{p} is not contained in {host}")
-        return Progression(1, 0, 1)
-    offset = p.base - host.base
-    if offset % host.step:
-        raise ValueError(f"{p} is not contained in {host}")
-    base = offset // host.step + 1
-    if p.length == 1:
-        return Progression(base, 0, 1)
-    if p.step % host.step:
-        raise ValueError(f"{p} is not contained in {host}")
-    return Progression(base, p.step // host.step, p.length)
-
-
 class Lattice:
     """An immutable, fully materialised L(n).
 
@@ -150,9 +130,6 @@ class Lattice:
 
     def size_of(self, i: int) -> int:
         return self.elements[i].length
-
-    def element_set(self, i: int) -> frozenset[int]:
-        return frozenset(self.elements[i].elements())
 
     def leq_ids(self, i: int, j: int) -> bool:
         return _leq_fields(self._fields[i], self._fields[j])
@@ -229,21 +206,6 @@ class Lattice:
                     stack.append(chain + (nxt,))
         out.sort()
         return out
-
-    def ideal_isomorphism(self, x: int) -> dict[int, int]:
-        """Relabeling bijection from the ideal below x onto L(size of x).
-
-        Keys are ids in this lattice, values are ids in build(size_of(x)).
-        Rejects the empty progression.
-        """
-        host = self.elements[x]
-        if host.is_empty:
-            raise ValueError("the empty progression has a one-point ideal; no relabeling")
-        target = build(host.length)
-        return {
-            i: target.id_of[project_progression(self.elements[i], host)]
-            for i in self.ideal(x)
-        }
 
     def to_dot(self) -> str:
         """Hasse diagram in DOT form: one node per element, one edge per cover."""

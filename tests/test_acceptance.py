@@ -16,6 +16,8 @@ from aplattice import progression as pr
 from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
+from helpers import element_set
+
 # The two published count tables, frozen.
 GOLDEN_P = [
     [1, 1],
@@ -150,9 +152,9 @@ def test_criterion_05_coatoms_and_unique_meets(lat):
             meets = set()
             for size in range(1, len(cs) + 1):
                 for combo in combinations(cs, size):
-                    m = ln.element_set(combo[0])
+                    m = element_set(ln, combo[0])
                     for c in combo[1:]:
-                        m = m & ln.element_set(c)
+                        m = m & element_set(ln, c)
                     assert frozenset(m) not in meets, (n, combo)
                     meets.add(frozenset(m))
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as hs
 from aplattice import progression as pr
 from aplattice.progression import EMPTY, Progression
 
+from helpers import element_set
+
 N_RANGE = range(13)
 
 
@@ -61,7 +63,7 @@ def test_ideal_filter_interval_match_scans(lat):
     for n in N_RANGE:
         ln = lat(n)
         ids = range(len(ln))
-        sets = [ln.element_set(i) for i in ids]
+        sets = [element_set(ln, i) for i in ids]
         below = [tuple(j for j in ids if sets[j] <= sets[i]) for i in ids]
         above = [tuple(j for j in ids if sets[i] <= sets[j]) for i in ids]
         for i in ids:

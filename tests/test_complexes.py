@@ -179,9 +179,10 @@ def test_downward_closure(lat):
 def test_faces_sorted_and_distinct(lat):
     for n in range(2, 11):
         oc = cx.order_complex(lat(n))
-        for fs in oc.faces_by_dim:
+        for d, fs in enumerate(oc.faces_by_dim):
             assert list(fs) == sorted(set(fs)), n
             assert all(tuple(sorted(f)) == f for f in fs), n
+            assert len(fs) == oc.f_vector()[d], (n, d)
 
 
 def chains_by_pairwise_order(lattice):
@@ -205,6 +206,52 @@ def test_faces_equal_chains_by_pairwise_order(lat):
         faces = {f for fs in oc.faces_by_dim for f in fs}
         assert faces == chains_by_pairwise_order(lat(n)), n
         assert len(faces) == sum(oc.f_vector())
+
+
+def f_vector_by_pairwise_order(lattice):
+    """Oracle: chains of proper elements counted by dimension and last
+    vertex, over the comparable pairs found by testing leq_ids on all pairs;
+    no chain is enumerated."""
+    proper = range(1, lattice.top_id)
+    below = {w: [v for v in proper if v != w and lattice.leq_ids(v, w)] for w in proper}
+    ending = dict.fromkeys(proper, 1)  # d-faces ending at each vertex, d = 0
+    counts = []
+    while any(ending.values()):
+        counts.append(sum(ending.values()))
+        ending = {w: sum(ending[v] for v in below[w]) for w in proper}
+    return tuple(counts)
+
+
+def test_f_vector_against_pairwise_order(lat):
+    # the whole admitted range of the benchmark and of check euler
+    for n in range(2, 13):
+        assert cx.order_complex(lat(n)).f_vector() == f_vector_by_pairwise_order(lat(n)), n
+
+
+def test_counts_build_no_face(lat, monkeypatch):
+    def no_decoding(ups):
+        raise AssertionError("a face tuple was decoded")
+
+    monkeypatch.setattr(cx, "_chains", no_decoding)
+    oc = cx.order_complex(lat(9))
+    assert oc.f_vector() == tuple(cx.chain_counts(9).rows[9][1:])
+    assert oc.dim == 7
+    assert cx.reduced_euler_characteristic(oc) == mb.mobius_bottom_top(9, MM.PNK_RECURRENCE)
+    with pytest.raises(AssertionError, match="decoded"):
+        oc.faces(0)
+
+
+def test_chain_table_assertion_guards_the_walk(lat, monkeypatch):
+    # dropping one comparable pair from the walk must trip the assertion
+    filter_ = lt.Lattice.filter
+
+    def lossy(self, x):
+        ids = filter_(self, x)
+        return ids[:1] + ids[2:] if x == 1 else ids  # ids[1] is below the top
+
+    monkeypatch.setattr(lt.Lattice, "filter", lossy)
+    with pytest.raises(AssertionError, match="chain recurrence"):
+        cx.order_complex(lat(6))
 
 
 def test_crosscut_shapes(lat):

@@ -9,6 +9,8 @@ from aplattice import progression as pr
 from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
+from helpers import project_progression
+
 
 def expected_m(n):
     if n == 0:
@@ -107,7 +109,7 @@ def test_structural_representation_matches_subsets(lat):
                 expected = (l7.bottom_id,) if lo == l7.bottom_id else None
             else:
                 rep = st.coatom_meet_table(host.length).get(
-                    lt.project_progression(l7.elements[lo], host)
+                    project_progression(l7.elements[lo], host)
                 )
                 expected = None if rep is None else tuple(
                     sorted(l7.id_of[lt.embed_progression(c, host)] for c in rep)

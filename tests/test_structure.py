@@ -9,6 +9,8 @@ from aplattice import numtheory as nt
 from aplattice import progression as pr
 from aplattice import structure as st
 
+from helpers import element_set
+
 
 def _never(*args, **kwargs):
     raise AssertionError("work started on a refused request")
@@ -69,9 +71,9 @@ def test_unique_meet_over_all_coatom_subsets(lat):
         seen = {}
         for size in range(1, len(cs) + 1):
             for combo in combinations(cs, size):
-                m = ln.element_set(combo[0])
+                m = element_set(ln, combo[0])
                 for c in combo[1:]:
-                    m = m & ln.element_set(c)
+                    m = m & element_set(ln, c)
                 key = frozenset(m)
                 assert key not in seen, (n, combo, seen[key])
                 seen[key] = combo
@@ -98,10 +100,10 @@ def test_meet_representation_round_trip(lat):
             rep = st.meet_of_coatoms_representation(ln, x)
             if rep is None:
                 continue
-            m = ln.element_set(rep[0])
+            m = element_set(ln, rep[0])
             for c in rep[1:]:
-                m = m & ln.element_set(c)
-            assert m == ln.element_set(x), (n, x)
+                m = m & element_set(ln, c)
+            assert m == element_set(ln, x), (n, x)
 
 
 def independent_left_modular(lattice, lo, hi, m):
