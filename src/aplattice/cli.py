@@ -181,7 +181,7 @@ def _check_coatoms(report: RunReport, lo: int, hi: int) -> None:
         top = lat.top_id
         brute = tuple(
             i
-            for i in range(len(lat.elements))
+            for i in range(len(lat))
             if i != top and lat.leq_ids(i, top) and len(lat.interval(i, top)) == 2
         )
         ok = built == brute

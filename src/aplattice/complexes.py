@@ -28,7 +28,6 @@ from operator import mul
 from . import cost
 from .lattice import Lattice, count_rows
 from .numtheory import valid_n
-from .progression import join_in_ambient, meet
 from .structure import coatoms
 
 _Faces = tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
@@ -212,16 +211,14 @@ def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
     assert tuple(sorted(lattice.covers_down[lattice.top_id])) == cs, (
         "every maximal chain must meet the coatom set"
     )
-    progs = [lattice.elements[c] for c in cs]
-    full = lattice.elements[lattice.top_id]
     faces_by_dim: list[list[tuple[int, ...]]] = []
     for size in range(1, len(cs) + 1):
         layer = []
         for combo in combinations(range(len(cs)), size):
-            chosen = [progs[i] for i in combo]
+            chosen = [cs[i] for i in combo]
             spanning = (
-                reduce(meet, chosen).is_empty
-                and reduce(join_in_ambient, chosen) == full
+                reduce(lattice.meet_ids, chosen) == lattice.bottom_id
+                and reduce(lattice.join_ids, chosen) == lattice.top_id
             )
             if not spanning:
                 layer.append(combo)

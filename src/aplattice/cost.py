@@ -4,11 +4,11 @@ Entry points estimate their work before they start, from closed forms the
 package already has, and call ``require``: past ``BUDGET`` units it raises
 ``BudgetError``, unless inside ``unbounded()`` (the command line's --force).
 A unit is one item counted below; a lattice element weighs ``ELEMENT``,
-since build(248) took 16-21 us per element against 0.30-0.41 us per decoded
-face of L(13).  The largest admitted request of each kind took (one run, 2-vCPU
-x86-64 VM, Python 3.11, peak RSS of the process):
+though build(248) took 7-9 us per element against 0.30-0.41 us per decoded
+face of L(13).  The largest admitted request of each kind took (one run
+unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 
-* elements(n), from the size identity: build(200), 99k, 1.7 s, 79 MB
+* elements(n), from the size identity: build(200), 99k, 0.64-0.85 s, 66 MB
 * faces(n), from chain_counts: order_complex(build(13)), 3.70M, 0.13-0.22 s,
   30 MB; decoding its face tuples (homology, export) 1.1-1.5 s more, 416 MB
 * nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 19.6 s, 380 MB
@@ -36,7 +36,7 @@ from . import complexes, lattice
 from .numtheory import valid_n
 
 BUDGET = 4_000_000
-ELEMENT = 40  # units per lattice element
+ELEMENT = 40  # units per element; lower admits export lattice-json past n = 200
 
 _unbounded = ContextVar("unbounded", default=False)
 

@@ -2,7 +2,9 @@
 
 Elements are stored in the canonical order (size, base, step) ascending, so the
 empty progression always has id 0 and, for n >= 1, the full interval {1,..,n}
-is the last id.  L(0) consists of the empty progression alone.
+is the last id.  L(0) consists of the empty progression alone.  One index,
+``id_of``, maps a (base, step, length) triple, or the equal Progression, to
+its id; the queries read ``_fields``, the triples as exact plain tuples.
 
 Cover relations are built per element through the ideal relabeling: the ideal
 below an element y of size m is isomorphic to L(m) by sending the i-th member
@@ -23,7 +25,6 @@ from .progression import (
     EMPTY,
     Progression,
     _Fields,
-    _fields,
     _join_fields,
     _leq_fields,
     _meet_fields,
@@ -35,17 +36,15 @@ from .progression import (
 def coatom_progressions(n: int) -> tuple[Progression, ...]:
     """The elements covered by the top of L(n), in canonical order.
 
-    For n >= 4 these are the two runs {1,..,n-1} and {2,..,n} together with
+    For n >= 3 these are the two runs {1,..,n-1} and {2,..,n} together with
     the progressions {1, 1+p, .., n} for primes p dividing n-1 (when n-1 is
-    itself prime that single progression is {1, n}).  The small cases n <= 3
-    are listed explicitly; they agree with the same recipe.
+    itself prime that single progression is {1, n}).  At n <= 2 the runs
+    are singletons, so those cases are listed explicitly.
     """
     if valid_n(n, 1) == 1:
         return (EMPTY,)
     if n == 2:
         return (Progression(1, 0, 1), Progression(2, 0, 1))
-    if n == 3:
-        return (Progression(1, 1, 2), Progression(1, 2, 2), Progression(2, 1, 2))
     out = [Progression(1, 1, n - 1), Progression(2, 1, n - 1)]
     for p in prime_divisors(n - 1):
         out.append(Progression(1, p, (n - 1) // p + 1))
@@ -65,21 +64,13 @@ def _canonical_fields(n: int):
 
 
 def _embed_fields(p: _Fields, host: _Fields) -> _Fields:
-    """embed_progression on (base, step, length) triples.  A host singleton
-    (step 0) only receives EMPTY and {1}, so the step product stays canonical."""
+    """Send position j of a triple in {1,..,|host|} to the j-th member of
+    host: the inverse of the ideal relabeling.  A host singleton (step 0)
+    only receives EMPTY and {1}, so the step product stays canonical."""
     base, step, length = p
     if length == 0:
         return p
     return (host[0] + (base - 1) * host[1], step * host[1], length)
-
-
-def embed_progression(p: Progression, host: Progression) -> Progression:
-    """Map a progression in {1,..,len(host)} to the corresponding subset of host.
-
-    Position j goes to the j-th member of host.  This is the inverse of the
-    ideal relabeling.
-    """
-    return _of_fields(_embed_fields(_fields(p), _fields(host)))
 
 
 class Lattice:
@@ -88,48 +79,46 @@ class Lattice:
     Attributes:
         n: ambient interval size.
         elements: tuple of Progression, canonical (size, base, step) order.
-        id_of: Progression -> dense id.
+        id_of: (base, step, length) triple, or the equal Progression -> id.
         covers_up[i]: sorted ids of the elements covering element i.
         covers_down[i]: sorted ids of the elements covered by element i.
 
-    The id queries run the closed forms of ``progression`` on a tuple of
-    (base, step, length) triples and map the result back to an id through
-    one triple -> id index, so a query builds neither a Progression nor a
-    member set, and no quadratic tables are kept.  Ideals, filters and
-    intervals are generated from the arithmetic of their bounds rather than
-    scanned for: the ideal below x is L(|x|) embedded into x.
+    The id queries run the closed forms of ``progression`` on ``_fields``,
+    plain tuples because CPython unpacks a named tuple more slowly, and map
+    the result back through ``id_of``, so a query builds neither a
+    Progression nor a member set, and no quadratic tables are kept.  Ideals,
+    filters and intervals are generated from the arithmetic of their bounds
+    rather than scanned for: the ideal below x is L(|x|) embedded into x.
     """
 
-    def __init__(self, n: int, elements: tuple[Progression, ...]):
+    def __init__(self, n: int, fields: tuple[_Fields, ...]):
         self.n = n
-        self.elements = elements
-        self.id_of = {p: i for i, p in enumerate(elements)}
-        self._fields = tuple(_fields(p) for p in elements)
-        self._index = {f: i for i, f in enumerate(self._fields)}
+        # exact tuples: CPython unpacks ``a, r, k = p`` fast only for those
+        self._fields = fields
+        # eager: a cached_property made the comodernism scan 15 % slower
+        self.elements = tuple(map(_of_fields, fields))
+        self.id_of = index = {f: i for i, f in enumerate(fields)}
         self.bottom_id = 0
-        self.top_id = len(elements) - 1
-        down = []
-        for f in self._fields:
-            if f[2] == 0:
-                down.append(())
-                continue
-            covered = (_embed_fields(_fields(c), f) for c in coatom_progressions(f[2]))
-            down.append(tuple(sorted(self._index[c] for c in covered)))
-        self.covers_down = tuple(down)
-        up = [[] for _ in elements]
+        self.top_id = len(fields) - 1
+        coatoms = [()] + [coatom_progressions(m) for m in range(1, n + 1)]
+        self.covers_down = tuple(
+            tuple(sorted(index[_embed_fields(c, f)] for c in coatoms[f[2]]))
+            for f in fields
+        )
+        up = [[] for _ in fields]
         for hi, lows in enumerate(self.covers_down):
             for lo in lows:
                 up[lo].append(hi)
         self.covers_up = tuple(tuple(sorted(v)) for v in up)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._fields)
 
     def __repr__(self):
-        return f"Lattice(n={self.n}, size={len(self.elements)})"
+        return f"Lattice(n={self.n}, size={len(self)})"
 
     def size_of(self, i: int) -> int:
-        return self.elements[i].length
+        return self._fields[i][2]
 
     def leq_ids(self, i: int, j: int) -> bool:
         return _leq_fields(self._fields[i], self._fields[j])
@@ -138,10 +127,10 @@ class Lattice:
         return lower in self.covers_down[upper]
 
     def meet_ids(self, i: int, j: int) -> int:
-        return self._index[_meet_fields(self._fields[i], self._fields[j])]
+        return self.id_of[_meet_fields(self._fields[i], self._fields[j])]
 
     def join_ids(self, i: int, j: int) -> int:
-        return self._index[_join_fields(self._fields[i], self._fields[j])]
+        return self.id_of[_join_fields(self._fields[i], self._fields[j])]
 
     def ideal(self, x: int) -> tuple[int, ...]:
         """Ids of all elements <= x, ascending: L(|x|) embedded into x.
@@ -150,7 +139,7 @@ class Lattice:
         the canonical order of L(|x|) maps onto ascending ids.
         """
         host = self._fields[x]
-        index = self._index
+        index = self.id_of
         return tuple(index[_embed_fields(f, host)] for f in _canonical_fields(host[2]))
 
     def filter(self, x: int) -> tuple[int, ...]:
@@ -174,7 +163,7 @@ class Lattice:
         c, h, m = self._fields[hi]
         top = c + (m - 1) * h
         last = b + (k - 1) * s
-        index = self._index
+        index = self.id_of
         ids = [lo] if k == 1 else []
         if h:  # a singleton hi holds nothing above lo but lo itself
             for t in range(h, (s or top - c) + 1, h):
@@ -240,7 +229,7 @@ def build(n: int) -> Lattice:
     raises cost.BudgetError before building anything.
     """
     cost.require(f"building L({n})", cost.ELEMENT * cost.elements(n))
-    return Lattice(n, tuple(_of_fields(f) for f in _canonical_fields(n)))
+    return Lattice(n, tuple(_canonical_fields(n)))
 
 
 def size_formula(n: int) -> int:
@@ -295,7 +284,8 @@ def _count_rows(n_max: int):
 
 def count_progressions_enumerated(lattice: Lattice, k: int) -> int:
     """The number of size-k elements, by direct scan of a built lattice."""
-    return sum(1 for p in lattice.elements if p.length == k)
+    valid_n(k, name="k")
+    return sum(1 for f in lattice._fields if f[2] == k)
 
 
 def gf_coefficients(max_n: int, max_k: int) -> list[list[int]]:

@@ -1,6 +1,8 @@
 """Arithmetic progressions inside {1,..,n}, as (base, step, length) triples.
 
-Canonical form makes set equality coincide with field equality:
+A ``Progression`` is its triple, a validating named tuple equal and hash-equal
+to the plain tuple; iterating it yields the fields, ``elements()`` and ``in``
+give the members.  Canonical form makes set equality match field equality:
 
 * the empty progression is the singleton value ``EMPTY`` = (base 0, step 0, length 0);
 * one-element progressions always carry step 0;
@@ -11,8 +13,8 @@ built.  p <= q is a bounds check plus two divisibility tests; the meet
 intersects two residue classes by the Chinese remainder theorem and clips
 the result to the common range; the join spans the smallest to the largest
 member with step gcd(r, s, |a - b|).  The private kernels ``_leq_fields``,
-``_meet_fields`` and ``_join_fields`` work on bare triples, so the lattice
-layer runs the same arithmetic on its ids without building objects.  They
+``_meet_fields`` and ``_join_fields`` take any triples, so the lattice layer
+runs the same arithmetic on its ids without building objects.  They
 compare with ``if``/conditional expressions rather than min() and max(),
 whose calls would cost more than the arithmetic itself.
 
@@ -22,7 +24,7 @@ that all members fit inside {1,..,n} when a lattice is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import Iterable
 
@@ -34,14 +36,11 @@ class NotAProgressionError(ValueError):
     """Raised by from_set when a set is not an arithmetic progression."""
 
 
-@dataclass(frozen=True)
-class Progression:
-    base: int
-    step: int
-    length: int
+class Progression(namedtuple("Progression", "base step length")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        base, step, length = self.base, self.step, self.length
+    def __new__(cls, base: int, step: int, length: int):
+        self = tuple.__new__(cls, (base, step, length))
         # plain ints only: bool and float fields are rejected, not coerced
         if not type(base) is type(step) is type(length) is int:
             raise ValueError(f"fields must be integers, got {self!r}")
@@ -55,6 +54,11 @@ class Progression:
             raise ValueError("singletons carry step 0")
         if length >= 2 and step < 1:
             raise ValueError("length >= 2 needs step >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
+        return cls(*iterable)
 
     @property
     def is_empty(self) -> bool:
@@ -71,11 +75,7 @@ class Progression:
         return tuple(self.base + i * self.step for i in range(self.length))
 
     def __contains__(self, x: int) -> bool:
-        if self.is_empty or x < self.base or x > self.last:
-            return False
-        if self.step == 0:
-            return x == self.base
-        return (x - self.base) % self.step == 0
+        return _leq_fields((x, 0, 1), self)  # {x} <= self
 
     def __str__(self):
         return "{" + ",".join(str(x) for x in self.elements()) + "}"
@@ -107,10 +107,6 @@ def from_set(elements: Iterable[int]) -> Progression:
         if b - a != step:
             raise NotAProgressionError(f"not an arithmetic progression: {set(xs)}")
     return Progression(xs[0], step, len(xs))
-
-
-def _fields(p: Progression) -> _Fields:
-    return (p.base, p.step, p.length)
 
 
 def _of_fields(fields: _Fields) -> Progression:
@@ -190,12 +186,12 @@ def _join_fields(p: _Fields, q: _Fields) -> _Fields:
 
 def leq(p: Progression, q: Progression) -> bool:
     """Set containment p <= q."""
-    return _leq_fields(_fields(p), _fields(q))
+    return _leq_fields(p, q)
 
 
 def meet(p: Progression, q: Progression) -> Progression:
     """Set intersection, which is again a progression."""
-    return _of_fields(_meet_fields(_fields(p), _fields(q)))
+    return _of_fields(_meet_fields(p, q))
 
 
 def join_in_ambient(p: Progression, q: Progression) -> Progression:
@@ -206,7 +202,7 @@ def join_in_ambient(p: Progression, q: Progression) -> Progression:
     inside {1,..,n} whenever p and q do, so it is the join in any L(n)
     containing both.
     """
-    return _of_fields(_join_fields(_fields(p), _fields(q)))
+    return _of_fields(_join_fields(p, q))
 
 
 def covers(q: Progression, p: Progression, lattice) -> bool:

@@ -1,16 +1,22 @@
 """Relabeling and member-set helpers that only the tests use."""
 
-from aplattice.lattice import Lattice, build
-from aplattice.progression import EMPTY, Progression
+from aplattice.lattice import Lattice, _embed_fields, build
+from aplattice.progression import EMPTY, Progression, _of_fields
 
 
 def element_set(lattice: Lattice, i: int) -> frozenset[int]:
     return frozenset(lattice.elements[i].elements())
 
 
+def embed_progression(p: Progression, host: Progression) -> Progression:
+    """Map a progression in {1,..,host.length} to the corresponding subset of
+    host: position j goes to the j-th member of host."""
+    return _of_fields(_embed_fields(p, host))
+
+
 def project_progression(p: Progression, host: Progression) -> Progression:
-    """Map a progression contained in host to {1,..,len(host)} coordinates;
-    the inverse of lattice.embed_progression."""
+    """Map a progression contained in host to {1,..,host.length} coordinates;
+    the inverse of embed_progression."""
     if p.is_empty:
         return EMPTY
     if host.step == 0:

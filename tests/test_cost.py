@@ -11,6 +11,7 @@ from aplattice import (
     coatom_progressions,
     complexes,
     cost,
+    count_progressions_enumerated,
     count_progressions_formula,
     count_rows,
     gf_coefficients,
@@ -208,6 +209,7 @@ SIZED = [
     cost.triples,
     cost.chain_steps,
     lambda n: cost.engine(n, "definition"),
+    lambda k: count_progressions_enumerated(lattice.build(4), k),
 ]
 
 

@@ -7,7 +7,7 @@ from aplattice import lattice as lt
 from aplattice import numtheory as nt
 from aplattice import progression as pr
 
-from helpers import ideal_isomorphism, project_progression
+from helpers import embed_progression, ideal_isomorphism, project_progression
 
 
 def test_build_small_sizes(lat):
@@ -27,6 +27,20 @@ def test_build_rejects_bad_n():
         lt.build(201)
     with cost.unbounded():
         assert len(lt.build(31)) == lt.size_formula(31)
+
+
+def test_build_derives_coatoms_once_per_length(monkeypatch):
+    calls, original = [], lt.coatom_progressions
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(lt, "coatom_progressions", counted)
+    for n in (0, 1, 9):
+        calls.clear()
+        lt.build(n)
+        assert sorted(calls) == sorted(set(calls)) and len(calls) <= n
 
 
 def test_element_order_and_ids(lat):
@@ -221,5 +235,5 @@ def test_embed_project_round_trip(lat):
             continue
         sub = lat(host.length)
         for p in sub.elements:
-            emb = lt.embed_progression(p, host)
+            emb = embed_progression(p, host)
             assert project_progression(emb, host) == p

@@ -9,7 +9,7 @@ from aplattice import progression as pr
 from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
-from helpers import project_progression
+from helpers import embed_progression, project_progression
 
 
 def expected_m(n):
@@ -112,7 +112,7 @@ def test_structural_representation_matches_subsets(lat):
                     project_progression(l7.elements[lo], host)
                 )
                 expected = None if rep is None else tuple(
-                    sorted(l7.id_of[lt.embed_progression(c, host)] for c in rep)
+                    sorted(l7.id_of[embed_progression(c, host)] for c in rep)
                 )
             assert found == expected, (lo, hi, found, expected)
 

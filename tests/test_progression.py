@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,24 @@ def test_canonical_form_rules():
 def test_fields_must_be_integers(fields):
     with pytest.raises(ValueError):
         Progression(*fields)
+
+
+def test_a_progression_is_its_triple(lat):
+    p = Progression(2, 3, 3)
+    assert p == (2, 3, 3) and hash(p) == hash((2, 3, 3))
+    assert lat(8).id_of[(2, 3, 3)] == lat(8).id_of[p]
+    assert tuple(p) == (p.base, p.step, p.length)
+    assert 5 in p and 3 not in p and 3 not in EMPTY  # `in` is membership
+    assert repr(p) == "Progression(base=2, step=3, length=3)"
+    with pytest.raises(AttributeError):
+        p.step = 4
+    with pytest.raises(ValueError):
+        p._replace(step=0)
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert type(pickle.loads(pickle.dumps(EMPTY))) is Progression
+    forged = tuple.__new__(Progression, (2, 3, 1))  # skips validation
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_from_set_examples():
