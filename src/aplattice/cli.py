@@ -3,7 +3,9 @@
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 a usage error or a
 request over the work budget.  Each request is estimated once, through
 ``cost``, before any work; ``--force`` runs an over-budget request after one
-warning.  All output is deterministic for fixed arguments.
+warning.  A check is a verdict of one n; ``cmd_check`` runs it over the
+requested range, clamped up to the least n where the default range starts.
+All output is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -161,106 +163,84 @@ def cmd_mobius(n: int, method_name: str, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
-def _check_theorem1(report: RunReport, lo: int, hi: int) -> None:
-    for n in range(lo, hi + 1):
-        expected = _expected_mobius(n)
-        values = {m.value: moebius.mobius_bottom_top(n, m) for m in MoebiusMethod}
-        ok = len(set(values.values())) == 1 and values["pnk"] == expected
-        report.record(
-            f"theorem1 n={n}",
-            ok,
-            ", ".join(f"{k}={v}" for k, v in sorted(values.items()))
-            + f"; expected {expected}",
-        )
+def _theorem1(n: int) -> tuple[bool, str]:
+    expected = _expected_mobius(n)
+    values = {m.value: moebius.mobius_bottom_top(n, m) for m in MoebiusMethod}
+    ok = len(set(values.values())) == 1 and values["pnk"] == expected
+    detail = ", ".join(f"{k}={v}" for k, v in sorted(values.items()))
+    return ok, f"{detail}; expected {expected}"
 
 
-def _check_coatoms(report: RunReport, lo: int, hi: int) -> None:
-    for n in range(max(lo, 1), hi + 1):
-        lat = build(n)
-        built = structure.coatoms(lat)
-        top = lat.top_id
-        brute = tuple(
-            i
-            for i in range(len(lat))
-            if i != top and lat.leq_ids(i, top) and len(lat.interval(i, top)) == 2
-        )
-        ok = built == brute
-        detail = f"{len(built)} coatoms"
-        if n >= 4:
-            ok = ok and len(built) == omega(n - 1) + 2
-            detail += f", omega(n-1)+2 = {omega(n - 1) + 2}"
-        report.record(f"coatoms n={n}", ok, detail)
+def _coatoms(n: int) -> tuple[bool, str]:
+    lat = build(n)
+    built = structure.coatoms(lat)
+    top = lat.top_id
+    brute = tuple(
+        i
+        for i in range(len(lat))
+        if i != top and lat.leq_ids(i, top) and len(lat.interval(i, top)) == 2
+    )
+    ok = built == brute
+    detail = f"{len(built)} coatoms"
+    if n >= 4:
+        ok = ok and len(built) == omega(n - 1) + 2
+        detail += f", omega(n-1)+2 = {omega(n - 1) + 2}"
+    return ok, detail
 
 
-def _check_comodernistic(report: RunReport, lo: int, hi: int) -> None:
-    for n in range(lo, hi + 1):
-        result = structure.is_comodernistic(build(n))
-        report.record(
-            f"comodernistic n={n}",
-            result.holds,
-            f"{len(result.witnesses)} intervals witnessed"
-            if result.holds
-            else f"counterexample interval {result.counterexample}",
-        )
+def _comodernistic(n: int) -> tuple[bool, str]:
+    result = structure.is_comodernistic(build(n))
+    if result.holds:
+        return True, f"{len(result.witnesses)} intervals witnessed"
+    return False, f"counterexample interval {result.counterexample}"
 
 
-def _check_complemented(report: RunReport, lo: int, hi: int) -> None:
-    for n in range(max(lo, 2), hi + 1):
-        lat = build(n)
-        have = structure.is_complemented(lat)
-        want = is_squarefree(n - 1)
-        ok = have == want
-        detail = f"complemented={have}, squarefree(n-1)={want}"
-        if not want:
-            witness = structure.semicomplement_witness(lat)
-            ok = ok and witness is not None
-            detail += f", semicomplement witness {witness}"
-        report.record(f"complemented n={n}", ok, detail)
+def _complemented(n: int) -> tuple[bool, str]:
+    lat = build(n)
+    have = structure.is_complemented(lat)
+    want = is_squarefree(n - 1)
+    ok = have == want
+    detail = f"complemented={have}, squarefree(n-1)={want}"
+    if not want:
+        witness = structure.semicomplement_witness(lat)
+        ok = ok and witness is not None
+        detail += f", semicomplement witness {witness}"
+    return ok, detail
 
 
-def _check_folkman(report: RunReport, lo: int, hi: int) -> None:
-    for n in range(max(lo, 4), hi + 1):
-        lat = build(n)
-        order = homology.reduced_homology(complexes.order_complex(lat))
-        cross = homology.reduced_homology(complexes.crosscut_complex(lat))
-        ok = order.nonzero() == cross.nonzero()
-        report.record(
-            f"folkman n={n}",
-            ok,
-            f"order complex: {order}; cross-cut: {cross}",
-        )
+def _folkman(n: int) -> tuple[bool, str]:
+    lat = build(n)
+    order = homology.reduced_homology(complexes.order_complex(lat))
+    cross = homology.reduced_homology(complexes.crosscut_complex(lat))
+    detail = f"order complex: {order}; cross-cut: {cross}"
+    return order.nonzero() == cross.nonzero(), detail
 
 
-def _check_euler(report: RunReport, lo: int, hi: int) -> None:
-    for n in range(max(lo, 2), hi + 1):
-        chi = complexes.reduced_euler_characteristic(
-            complexes.order_complex(build(n))
-        )
-        alt = moebius.mobius_bottom_top(n, MoebiusMethod.CHAIN_ALTERNATING_SUM)
-        mu = moebius.mobius_bottom_top(n, MoebiusMethod.PNK_RECURRENCE)
-        report.record(
-            f"euler n={n}",
-            chi == alt == mu,
-            f"face-count chi~ {chi}, alternating chain sum {alt}, M(n) {mu}",
-        )
+def _euler(n: int) -> tuple[bool, str]:
+    chi = complexes.reduced_euler_characteristic(complexes.order_complex(build(n)))
+    alt = moebius.mobius_bottom_top(n, MoebiusMethod.CHAIN_ALTERNATING_SUM)
+    mu = moebius.mobius_bottom_top(n, MoebiusMethod.PNK_RECURRENCE)
+    detail = f"face-count chi~ {chi}, alternating chain sum {alt}, M(n) {mu}"
+    return chi == alt == mu, detail
 
 
-# name -> (runner, default range, work units of one n).  The coatom brute
-# force lists the interval up to the top of every element; the complement
-# scan meets a complement within about 2n candidates per element (counted up
-# to n = 150), a join and a meet each.
+# name -> (verdict of one n, default range, work units of one n); a default
+# range starts at the check's least n.  The coatom brute force lists the
+# interval up to the top of every element; the complement scan meets a
+# complement within about 2n candidates per element (counted up to n = 150),
+# a join and a meet each.
 _CHECKS = {
-    "theorem1": (_check_theorem1, (0, 12), lambda n: _engines(n, _METHOD_NAMES)),
-    "coatoms": (_check_coatoms, (1, 12), lambda n: _lattice_units(n) + cost.pairs(n)),
+    "theorem1": (_theorem1, (0, 12), lambda n: _engines(n, _METHOD_NAMES)),
+    "coatoms": (_coatoms, (1, 12), lambda n: _lattice_units(n) + cost.pairs(n)),
     "comodernistic": (
-        _check_comodernistic, (0, 8), lambda n: _lattice_units(n) + cost.triples(n)
+        _comodernistic, (0, 8), lambda n: _lattice_units(n) + cost.triples(n)
     ),
     "complemented": (
-        _check_complemented, (2, 12), lambda n: (cost.ELEMENT + 4 * n) * cost.elements(n)
+        _complemented, (2, 12), lambda n: (cost.ELEMENT + 4 * n) * cost.elements(n)
     ),
-    "folkman": (_check_folkman, (4, 8), _complex_units),
+    "folkman": (_folkman, (4, 8), _complex_units),
     "euler": (
-        _check_euler,
+        _euler,
         (2, 10),
         lambda n: _lattice_units(n) + cost.faces(n) + _engines(n, ("pnk", "chains")),
     ),
@@ -268,18 +248,20 @@ _CHECKS = {
 
 
 def cmd_check(name: str, range_text: str | None, as_json: bool) -> int:
-    runner, default, units_of = _CHECKS[name]
+    verdict, default, units_of = _CHECKS[name]
     lo, hi = _parse_range(range_text, default)
+    ns = range(max(lo, default[0]), hi + 1)
+    if not ns:
+        raise UsageError(f"range {lo}..{hi} leaves nothing to check for {name!r}")
     units = 0
-    for n in range(lo, hi + 1):  # stop once the budget is passed
+    for n in ns:  # stop once the budget is passed
         units += units_of(n)
         if units > cost.BUDGET:
             break
     _admit(f"check {name} {lo}..{hi}", units)
     report = RunReport("check", {"name": name, "range": [lo, hi]})
-    runner(report, lo, hi)
-    if not report.verdicts:
-        raise UsageError(f"range {lo}..{hi} leaves nothing to check for {name!r}")
+    for n in ns:
+        report.record(f"{name} n={n}", *verdict(n))
     sys.stdout.write(report.to_json() if as_json else report.to_text())
     return 0 if report.passed else 1
 

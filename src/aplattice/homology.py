@@ -170,17 +170,14 @@ def _diagonalize_python(a: list[list[int]], m: int, n: int) -> None:
 
 
 def _divisor_chain(values: list[int]) -> tuple[int, ...]:
-    ds = sorted(abs(v) for v in values if v)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-    ds.sort()
+    # the sweep of i leaves ds[i] = gcd(ds[i:]), and (gcd, lcm) of two
+    # multiples of it are multiples again, so one pass ends divisibility-chained
+    ds = [abs(v) for v in values if v]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            if ds[j] % ds[i]:
+                g = gcd(ds[i], ds[j])
+                ds[i], ds[j] = g, ds[i] * ds[j] // g
     for a, b in zip(ds, ds[1:]):
         assert b % a == 0
     return tuple(ds)
@@ -207,17 +204,13 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
 @dataclass(frozen=True)
 class HomologyResult:
     """Reduced integral homology: one free rank and one torsion tuple per
-    dimension 0..dim.  The rank in dimension -1 is nonzero only for the
-    complex with no vertices at all.
+    dimension of the complex from 0 up.  The rank in dimension -1 is nonzero
+    only for the complex with no vertices at all.
     """
 
     free_ranks: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
     rank_minus1: int = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.free_ranks) - 1
 
     def is_trivial(self) -> bool:
         return (

@@ -60,6 +60,9 @@ class Progression(namedtuple("Progression", "base step length")):
     def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
         return cls(*iterable)
 
+    def __reduce__(self):  # pickle protocols 0 and 1 would also skip __new__
+        return (Progression, tuple(self))
+
     @property
     def is_empty(self) -> bool:
         return self.length == 0

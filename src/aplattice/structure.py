@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import cost
-from .lattice import Lattice, coatom_progressions
+from .lattice import Lattice
 from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import EMPTY, Progression, sort_key
 
@@ -26,13 +26,13 @@ from .progression import EMPTY, Progression, sort_key
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
     """Ids of the elements covered by the top, ascending.
 
-    Uses the explicit construction (two size n-1 runs plus prime-step
-    progressions through both endpoints); the test suite checks it against a
-    brute-force scan of the order.
+    The lattice stores them from the explicit construction (two size n-1 runs
+    plus prime-step progressions through both endpoints); the test suite
+    checks them against a brute-force scan of the order.
     """
     if lattice.n < 1:
         raise ValueError("L(0) has no coatoms")
-    return tuple(sorted(lattice.id_of[c] for c in coatom_progressions(lattice.n)))
+    return lattice.covers_down[lattice.top_id]
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +123,8 @@ def meet_of_coatoms_representation(lattice: Lattice, x: int):
 def _pairs_below(lattice: Lattice, members: tuple[int, ...]):
     for i, x in enumerate(members):
         for y in members[i + 1 :]:
-            if lattice.leq_ids(x, y):
+            if lattice.leq_ids(x, y):  # ids ascend, so y is never below x
                 yield x, y
-            elif lattice.leq_ids(y, x):
-                yield y, x
 
 
 def is_left_modular_in_interval(lattice: Lattice, lo: int, hi: int, m: int) -> bool:

@@ -142,6 +142,19 @@ def test_check_empty_range(capsys):
     assert code == 2 and "nothing to check" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "p", "--n-max", "0"),
+        ("check", "nosuch"),  # refused by the argument parser
+        ("export", "hasse-dot", "--n", "-1"),
+    ],
+)
+def test_usage_errors_exit_2_with_no_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_failed_verdict_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_expected_mobius", lambda n: 99)
     code, out, _ = run(capsys, "check", "theorem1", "2..4")

@@ -94,6 +94,13 @@ def test_snf_worked_examples():
     assert hm.smith_normal_form(eye) == ((1, 1, 1), 3)
     assert hm.smith_normal_form(hm.IntegerMatrix(0, 4, ((),) * 4)) == ((), 0)
     assert hm.smith_normal_form(hm.IntegerMatrix(4, 0, ())) == ((), 0)
+    # the gcd/lcm sweep chains divisors left unchained by elimination
+    def diag(*ds):
+        columns = tuple(((i, d),) for i, d in enumerate(ds))
+        return hm.IntegerMatrix(len(ds), len(ds), columns)
+
+    assert hm.smith_normal_form(diag(6, 10, 15)) == ((1, 30, 30), 3)
+    assert hm.smith_normal_form(diag(4, 6, 9, 2)) == ((1, 2, 6, 36), 4)
 
 
 def test_snf_on_random_matrices_against_rational_oracles():
@@ -248,6 +255,7 @@ def test_homology_of_small_shapes():
     empty = cx.SimplicialComplex(0, ())
     res = hm.reduced_homology(empty)
     assert res.rank_minus1 == 1 and res.free_ranks == ()
+    assert res.nonzero() == {-1: (1, ())} and str(res) == "H~_-1 = Z"
     two_points = cx.SimplicialComplex(2, (((0,), (1,)),))
     assert hm.reduced_homology(two_points).nonzero() == {0: (1, ())}
 

@@ -38,11 +38,13 @@ def test_a_progression_is_its_triple(lat):
         p.step = 4
     with pytest.raises(ValueError):
         p._replace(step=0)
-    assert pickle.loads(pickle.dumps(p)) == p
-    assert type(pickle.loads(pickle.dumps(EMPTY))) is Progression
     forged = tuple.__new__(Progression, (2, 3, 1))  # skips validation
-    with pytest.raises(ValueError):
-        pickle.loads(pickle.dumps(forged))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for q in (p, EMPTY):
+            back = pickle.loads(pickle.dumps(q, protocol))
+            assert type(back) is Progression and back == q, protocol
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 def test_from_set_examples():
