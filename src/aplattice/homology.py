@@ -8,13 +8,24 @@ Conventions:
   reported here is a *reduced* homology rank.
 * Matrices are stored as sparse columns of exact integers; a boundary column
   of a d-face holds d+1 entries of +-1.
-* The Smith normal form is computed in two exact stages.  First, unit-pivot
-  elimination: while some entry is +-1, the one in the shortest row of its
-  column clears that row by column operations, after which the row and the
-  column drop out with one unit divisor.  Second, whatever block has no unit
-  entry left goes densely through minimal-pivot elimination on Python
-  integers.  Every entry is an unbounded integer throughout, so results are
-  exact for any input.
+* Homology reduces one boundary map per dimension, from the top down, in
+  three exact stages.  Clearing (Chen and Kerber, "Persistent homology
+  computation with a twist", 2011; over Z the elementary reductions of
+  Kaczynski, Mrozek and Slusarek, 1998): the d-faces that were unit pivot
+  rows of the (d+1)-st map get no column in the d-th.  Units: while some
+  entry is +-1, the one in the shortest row of its column clears that row by
+  column operations, after which the row and the column drop out with one
+  unit divisor.  Dense: whatever block has no unit entry left goes through
+  minimal-pivot elimination on unbounded Python integers, so results are
+  exact for any input.  smith_normal_form runs the last two stages.
+* Clearing is exact.  Take the unit pivots (r_i, c_i) of the (d+1)-st map in
+  elimination order: when picked, column c_i is the boundary b_i of some
+  (d+1)-chain, with +-1 on row r_i and 0 on the rows r_j of earlier pivots.
+  So the b_i and the d-faces other than the r_i are a basis of the d-chains,
+  a triangular change from the faces with +-1 on the diagonal.  The d-th map
+  sends each b_i to zero, so dropping the columns r_i changes neither its
+  rank nor its nonzero elementary divisors.  Dense pivots need not be units
+  and come with row operations, so they clear nothing.
 * The rank reported with the divisors counts the nonzero elementary divisors.
 """
 
@@ -46,15 +57,18 @@ class IntegerMatrix:
             raise ValueError("columns do not match the declared shape")
 
 
-def boundary_matrix(complex: SimplicialComplex, d: int) -> IntegerMatrix:
+def boundary_matrix(
+    complex: SimplicialComplex, d: int, cleared: frozenset[int] = frozenset()
+) -> IntegerMatrix:
     """The d-th boundary map: columns are d-faces, rows are (d-1)-faces, and
-    removing the j-th vertex of a face contributes sign (-1)**j.
+    removing the j-th vertex of a face contributes sign (-1)**j.  The d-faces
+    whose indices are in `cleared` have no column.
 
     d = 0 maps every vertex to the empty face (the augmentation row).
     """
     if d < 0 or d > complex.dim:
         raise ValueError(f"dimension {d} out of range 0..{complex.dim}")
-    cols = complex.faces(d)
+    cols = [f for i, f in enumerate(complex.faces(d)) if i not in cleared]
     if d == 0:
         return IntegerMatrix(1, len(cols), tuple(((0, 1),) for _ in cols))
     rows = complex.faces(d - 1)
@@ -72,9 +86,10 @@ class SmithNormalForm(NamedTuple):
     rank: int
 
 
-def _eliminate_units(cols: list[dict[int, int]]) -> int:
-    """Stage one: pivot on +-1 entries until none is left.  Returns the number
-    of pivots; eliminated and zeroed columns are left empty in `cols`.
+def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
+    """Stage one: pivot on +-1 entries until none is left.  Returns the pivot
+    rows in elimination order, one per unit divisor; eliminated and zeroed
+    columns are left empty in `cols`.
 
     Once the pivot's row is cleared by column operations, row operations
     would only touch the pivot column, so dropping both is exact.
@@ -83,7 +98,7 @@ def _eliminate_units(cols: list[dict[int, int]]) -> int:
     for c, col in enumerate(cols):
         for r in col:
             where.setdefault(r, set()).add(c)
-    pivots = 0
+    pivots = []
     progress = True
     while progress:
         progress = False
@@ -110,7 +125,7 @@ def _eliminate_units(cols: list[dict[int, int]]) -> int:
             for i in col:
                 where[i].discard(c)
             col.clear()
-            pivots += 1
+            pivots.append(r)
             progress = True
     return pivots
 
@@ -183,19 +198,24 @@ def _divisor_chain(values: list[int]) -> tuple[int, ...]:
     return tuple(ds)
 
 
-def smith_normal_form(mat: IntegerMatrix) -> SmithNormalForm:
-    """Elementary divisors (positive, divisibility-chained) and rank.
+def smith_normal_form(
+    mat: IntegerMatrix, unit_rows: list[int] | None = None
+) -> SmithNormalForm:
+    """Elementary divisors (positive, divisibility-chained) and rank.  The
+    rows of the unit-stage pivots are appended to `unit_rows` if given.
 
     The transforming unimodular matrices are not kept; only the divisor
     multiset is needed downstream.
     """
     cols = [dict(col) for col in mat.columns]
-    units = _eliminate_units(cols)
+    pivots = _eliminate_units(cols)
+    if unit_rows is not None:
+        unit_rows.extend(pivots)
     live = [col for col in cols if col]
     rows = sorted(set().union(*live))
     block = [[col.get(r, 0) for col in live] for r in rows]
     _diagonalize_python(block, len(rows), len(live))
-    chain = (1,) * units + _divisor_chain(
+    chain = (1,) * len(pivots) + _divisor_chain(
         [block[i][i] for i in range(min(len(rows), len(live)))]
     )
     return SmithNormalForm(chain, len(chain))
@@ -251,17 +271,19 @@ class HomologyResult:
 
 def reduced_homology(complex: SimplicialComplex) -> HomologyResult:
     """Free ranks and torsion of the reduced homology of a downward-closed
-    complex, one boundary-matrix Smith form per dimension.  Past the work
-    budget (one unit per boundary non-zero) it raises cost.BudgetError first."""
+    complex, one boundary-matrix Smith form per dimension, from the top down
+    with the faces paired by the map above cleared.  Past the work budget
+    (one unit per boundary non-zero) it raises cost.BudgetError first."""
     if complex.dim < 0:
         return HomologyResult((), (), rank_minus1=1)
     fvec = complex.f_vector()
     nonzeros = sum(d * f for d, f in enumerate(fvec, 1))
     cost.require(f"the homology of a {complex.dim}-dimensional complex", nonzeros)
-    forms = [
-        smith_normal_form(boundary_matrix(complex, d))
-        for d in range(complex.dim + 1)
-    ]
+    forms = [None] * (complex.dim + 1)
+    paired: list[int] = []  # the unit pivot rows of the map above
+    for d in reversed(range(complex.dim + 1)):
+        cleared, paired = frozenset(paired), []
+        forms[d] = smith_normal_form(boundary_matrix(complex, d, cleared), paired)
     ranks = [f.rank for f in forms] + [0]
     free = tuple(
         fvec[d] - ranks[d] - ranks[d + 1] for d in range(complex.dim + 1)
