@@ -353,6 +353,8 @@ def _dispatch(args) -> int:
         return cmd_check(args.name, range_text, args.json)
     if args.n < 0:  # export, the last subcommand
         raise UsageError("export needs a nonnegative n")
+    if args.n < 2 and args.kind in ("complex-json", "homology-json"):
+        raise UsageError(f"export {args.kind} needs n >= 2")
     return cmd_export(args.kind, args.n, args.out)
 
 

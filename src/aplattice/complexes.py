@@ -47,6 +47,7 @@ class SimplicialComplex:
         faces_by_dim: _Faces,
         translation: tuple[int, ...] | None = None,  # vertex -> lattice id
     ):
+        _check_faces(vertex_count, faces_by_dim)
         self.vertex_count = vertex_count
         self.translation = translation
         self._faces = faces_by_dim
@@ -101,6 +102,31 @@ class SimplicialComplex:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
+    """Raise ValueError unless level d holds distinct, strictly increasing
+    (d+1)-tuples of vertices in range(vertex_count), each of whose facets is
+    in level d-1.  The faces of a level may come in any order."""
+    below = set()
+    for d, level in enumerate(faces_by_dim):
+        here = set(level)
+        if len(here) != len(level):
+            raise ValueError(f"dimension {d} lists a face twice")
+        for f in level:
+            if not (
+                len(f) == d + 1
+                and 0 <= f[0]
+                and f[-1] < vertex_count
+                and all(a < b for a, b in zip(f, f[1:]))
+            ):
+                raise ValueError(
+                    f"face {f!r} in dimension {d} is not an increasing "
+                    f"{d + 1}-tuple of vertices in range({vertex_count})"
+                )
+            if d and not all(f[:i] + f[i + 1 :] in below for i in range(d + 1)):
+                raise ValueError(f"a facet of {f!r} is missing from dimension {d - 1}")
+        below = here
 
 
 @dataclass(frozen=True)
@@ -224,7 +250,7 @@ def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
         faces_by_dim.append(layer)
     return SimplicialComplex(
         len(cs),
-        tuple(tuple(sorted(fs)) for fs in faces_by_dim),
+        tuple(tuple(fs) for fs in faces_by_dim),
         cs,
     )
 

@@ -8,7 +8,7 @@ though build(248) took 7-9 us per element against 0.30-0.41 us per decoded
 face of L(13).  The largest admitted request of each kind took (one run
 unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 
-* elements(n), from the size identity: build(200), 99k, 0.64-0.85 s, 66 MB
+* elements(n), from the size identity: build(200), 99k, 0.57-0.62 s, 46 MB
 * faces(n), from chain_counts: order_complex(build(13)), 3.70M, 0.13-0.22 s,
   30 MB; decoding its face tuples (homology, export) 1.1-1.5 s more, 416 MB
 * nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 2.6-3.3 s, 130 MB

@@ -80,8 +80,8 @@ class Lattice:
         n: ambient interval size.
         elements: tuple of Progression, canonical (size, base, step) order.
         id_of: (base, step, length) triple, or the equal Progression -> id.
-        covers_up[i]: sorted ids of the elements covering element i.
-        covers_down[i]: sorted ids of the elements covered by element i.
+        covers_down[i]: ids of the elements covered by element i, ascending
+            by construction: the coatoms of L(|i|) embedded into i (see ``ideal``).
 
     The id queries run the closed forms of ``progression`` on ``_fields``,
     plain tuples because CPython unpacks a named tuple more slowly, and map
@@ -102,14 +102,8 @@ class Lattice:
         self.top_id = len(fields) - 1
         coatoms = [()] + [coatom_progressions(m) for m in range(1, n + 1)]
         self.covers_down = tuple(
-            tuple(sorted(index[_embed_fields(c, f)] for c in coatoms[f[2]]))
-            for f in fields
+            tuple(index[_embed_fields(c, f)] for c in coatoms[f[2]]) for f in fields
         )
-        up = [[] for _ in fields]
-        for hi, lows in enumerate(self.covers_down):
-            for lo in lows:
-                up[lo].append(hi)
-        self.covers_up = tuple(tuple(sorted(v)) for v in up)
 
     def __len__(self):
         return len(self._fields)
@@ -179,20 +173,21 @@ class Lattice:
         """All saturated chains lo = x0 < x1 < .. < xs = hi, as id tuples.
 
         Cover steps inside an interval coincide with cover steps of the whole
-        lattice, so the walk follows covers_up restricted to the interval.
+        lattice, so the walk starts at hi and follows covers_down restricted
+        to the interval, prepending each step, until it reaches lo.
         """
         members = set(self.interval(lo, hi))
         out = []
-        stack = [(lo,)]
+        stack = [(hi,)]
         while stack:
             chain = stack.pop()
-            last = chain[-1]
-            if last == hi:
+            first = chain[0]
+            if first == lo:
                 out.append(chain)
                 continue
-            for nxt in self.covers_up[last]:
-                if nxt in members:
-                    stack.append(chain + (nxt,))
+            for prev in self.covers_down[first]:
+                if prev in members:
+                    stack.append((prev,) + chain)
         out.sort()
         return out
 

@@ -313,10 +313,7 @@ class EdgeLabeling:
 def lex_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """a precedes b when a is a prefix of b or a is smaller at the first
     differing position."""
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return len(a) <= len(b)
+    return a <= b
 
 
 @dataclass

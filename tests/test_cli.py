@@ -148,6 +148,8 @@ def test_check_empty_range(capsys):
         ("table", "p", "--n-max", "0"),
         ("check", "nosuch"),  # refused by the argument parser
         ("export", "hasse-dot", "--n", "-1"),
+        ("export", "complex-json", "--n", "1"),
+        ("export", "homology-json", "--n", "0"),
     ],
 )
 def test_usage_errors_exit_2_with_no_output(capsys, argv):

@@ -260,6 +260,22 @@ def test_homology_of_small_shapes():
     assert hm.reduced_homology(two_points).nonzero() == {0: (1, ())}
 
 
+@pytest.mark.parametrize(
+    "vertex_count, faces",
+    [
+        (2, (((0,), (0,), (1,)),)),  # a repeated vertex once read as H~_0 = Z^2
+        (2, (((0,),), ((0, 1),))),  # the edge's vertex (1,) is missing
+        (1, (((0,), (5,)),)),  # a vertex outside range(vertex_count)
+        (1, (((-1,), (0,)),)),  # a negative vertex
+        (2, (((0,), (1,)), ((1, 0),))),  # not increasing
+        (2, (((0, 1),),)),  # a 2-tuple in dimension 0
+    ],
+)
+def test_malformed_faces_are_rejected(vertex_count, faces):
+    with pytest.raises(ValueError):
+        cx.SimplicialComplex(vertex_count, faces)
+
+
 def two_complex(vertex_count, triangles, extra_edges=(), rng=None):
     """The 2-complex of `triangles`, their edges, `extra_edges` and every
     vertex; `rng` shuffles the faces of each dimension."""

@@ -7,7 +7,12 @@ from aplattice import lattice as lt
 from aplattice import numtheory as nt
 from aplattice import progression as pr
 
-from helpers import embed_progression, ideal_isomorphism, project_progression
+from helpers import (
+    element_set,
+    embed_progression,
+    ideal_isomorphism,
+    project_progression,
+)
 
 
 def test_build_small_sizes(lat):
@@ -143,16 +148,62 @@ def test_covers_match_two_element_intervals(lat):
                 assert ln.covers(hi, lo) == (len(ln.interval(lo, hi)) == 2), (n, lo, hi)
 
 
-def test_covers_tables_are_transposed(lat):
-    l8 = lat(8)
-    for hi, lows in enumerate(l8.covers_down):
-        assert list(lows) == sorted(lows)
-        for lo in lows:
-            assert hi in l8.covers_up[lo]
-            assert l8.size_of(lo) < l8.size_of(hi)  # acyclic
-    for lo, his in enumerate(l8.covers_up):
-        for hi in his:
-            assert lo in l8.covers_down[hi]
+def test_covers_down_ascend_and_grow(lat):
+    # ascending by construction, with no sort; sizes grow along a cover
+    for n in range(13):
+        ln = lat(n)
+        for hi, lows in enumerate(ln.covers_down):
+            assert list(lows) == sorted(lows), (n, hi)
+            for lo in lows:
+                assert ln.size_of(lo) < ln.size_of(hi)  # acyclic
+
+
+def brute_maximal_chains(ln, lo, hi):
+    """Oracle: the saturated chains from lo to hi, built from member sets;
+    a step a -> b is a cover when no element lies strictly between them."""
+    sets = [element_set(ln, i) for i in range(len(ln))]
+    inside = [x for x in range(len(ln)) if sets[lo] <= sets[x] <= sets[hi]]
+
+    def covers(a, b):
+        return sets[a] < sets[b] and not any(
+            sets[a] < sets[c] < sets[b] for c in inside
+        )
+
+    out = []
+
+    def walk(chain):
+        if chain[-1] == hi:
+            out.append(tuple(chain))
+            return
+        for b in inside:
+            if covers(chain[-1], b):
+                walk(chain + [b])
+
+    walk([lo])
+    return sorted(out)
+
+
+class _ReadLog(tuple):
+    """A tuple that records the indices read from it."""
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return tuple.__getitem__(self, i)
+
+
+def test_maximal_chains_match_brute_force(lat, monkeypatch):
+    # the same chains as the oracle, and the walk never leaves the interval,
+    # so its cost follows the interval rather than the ideal below hi
+    for n in range(8):
+        ln = lat(n)
+        log = _ReadLog(ln.covers_down)
+        monkeypatch.setattr(ln, "covers_down", log)
+        for hi in range(len(ln)):
+            for lo in ln.ideal(hi):
+                log.read = set()
+                expected = brute_maximal_chains(ln, lo, hi)
+                assert ln.maximal_chains(lo, hi) == expected, (n, lo, hi)
+                assert log.read <= set(ln.interval(lo, hi)), (n, lo, hi)
 
 
 def test_meet_join_closed(lat):
