@@ -232,13 +232,6 @@ class HomologyResult:
     torsion: tuple[tuple[int, ...], ...]
     rank_minus1: int = 0
 
-    def is_trivial(self) -> bool:
-        return (
-            self.rank_minus1 == 0
-            and all(r == 0 for r in self.free_ranks)
-            and all(not t for t in self.torsion)
-        )
-
     def nonzero(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         """dimension -> (free rank, torsion) restricted to nontrivial groups."""
         out = {}

@@ -73,6 +73,18 @@ def _embed_fields(p: _Fields, host: _Fields) -> _Fields:
     return (host[0] + (base - 1) * host[1], step * host[1], length)
 
 
+def _project_fields(p: _Fields, host: _Fields) -> _Fields:
+    """Send a triple contained in host to {1,..,|host|} coordinates: the
+    ideal relabeling, inverse to ``_embed_fields``.  A host singleton (step
+    0) holds only EMPTY and itself, so a nonempty p goes to {1}."""
+    base, step, length = p
+    if length == 0:
+        return p
+    if host[1] == 0:
+        return (1, 0, 1)
+    return ((base - host[0]) // host[1] + 1, step // host[1], length)
+
+
 class Lattice:
     """An immutable, fully materialised L(n).
 

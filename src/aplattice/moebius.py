@@ -9,7 +9,9 @@
 * ChainAlternatingSum: M(n) = sum over k of (-1)^k b(n, k), needing only the
   bottom-to-top chain counts.
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
-  exactly k elements covered by y, and 0 when x is no such meet.
+  exactly k elements covered by y, and 0 when x is no such meet.  The ideal
+  below y is L(|y|) relabeled, so the value is read off
+  ``coatom_meet_table(|y|)`` at x in y's coordinates.
 
 All four agree, and agree with the classical mu(n-1) for n >= 2; the test
 suite enforces this.
@@ -26,13 +28,14 @@ from . import cost
 from .complexes import chain_counts
 from .lattice import (
     Lattice,
+    _project_fields,
     build,
     coatom_progressions,
     count_rows,
 )
 from .numtheory import omega
 from .progression import meet
-from .structure import _meet_subset, coatom_meet_table
+from .structure import coatom_meet_table
 
 
 class MoebiusMethod(Enum):
@@ -60,7 +63,11 @@ def _mobius_definition(lattice: Lattice, lo: int, hi: int, memo: dict) -> int:
 def _mobius_coatom_interval(lattice: Lattice, lo: int, hi: int) -> int:
     if lo == hi:
         return 1
-    rep = _meet_subset(lattice, lo, lattice.covers_down[hi])
+    host = lattice.elements[hi]
+    if host.length == 1:
+        return -1  # [EMPTY, {a}] is a two-element chain; the table starts at 2
+    lo_in_host = _project_fields(lattice.elements[lo], host)
+    rep = coatom_meet_table(host.length).get(lo_in_host)
     return 0 if rep is None else (-1) ** len(rep)
 
 
@@ -72,9 +79,10 @@ def mobius_interval(
 ) -> int:
     """Moebius value of the interval [lo, hi]; requires lo <= hi.
 
-    DEFINITION runs the memoised recursion; COATOM_MEET uses the
-    covered-elements criterion.  The other two methods only make sense for
-    the whole lattice, use mobius_bottom_top for those.
+    DEFINITION runs the memoised recursion; COATOM_MEET reads the
+    covered-elements criterion off ``coatom_meet_table(|hi|)``, through the
+    relabeling of the ideal below hi onto L(|hi|).  The other two methods
+    only make sense for the whole lattice, use mobius_bottom_top for those.
     """
     if not lattice.leq_ids(lo, hi):
         raise ValueError(f"mobius_interval requires lo <= hi, got ids {lo}, {hi}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 from . import cost
 from .lattice import Lattice
@@ -79,29 +78,13 @@ def coatom_meet_table(n: int) -> dict[Progression, tuple[Progression, ...]]:
     return table
 
 
-def _meet_subset(lattice: Lattice, target: int, candidates):
-    """The unique nonempty subset of the candidate ids (in their order) whose
-    meet is the target id, or None when there is none."""
-    usable = [c for c in candidates if lattice.leq_ids(target, c)]
-    hits = []
-    for size in range(1, len(usable) + 1):
-        for combo in combinations(usable, size):
-            inter = combo[0]
-            for c in combo[1:]:
-                inter = lattice.meet_ids(inter, c)
-            if inter == target:
-                hits.append(combo)
-    assert len(hits) <= 1, f"meet representation of id {target} not unique"
-    return hits[0] if hits else None
-
-
 def meet_of_coatoms_representation(lattice: Lattice, x: int):
     """The unique coatom subset whose meet is x, or None when x is not a meet
     of coatoms.  Defined for n >= 4 and x different from the top (the empty
     meet would represent the top; that degenerate case is excluded).
 
-    The answer is read off the structural table and cross-checked by a subset
-    search over the omega(n-1) + 2 coatoms.
+    The answer is read off ``coatom_meet_table(n)``; the test suite checks it
+    against a search over every subset of the omega(n-1) + 2 coatoms.
     """
     n = lattice.n
     if n < 4:
@@ -109,11 +92,7 @@ def meet_of_coatoms_representation(lattice: Lattice, x: int):
     if x == lattice.top_id:
         raise ValueError("the top element is excluded (empty meet convention)")
     rep = coatom_meet_table(n).get(lattice.elements[x])
-    ids = None if rep is None else tuple(sorted(lattice.id_of[c] for c in rep))
-    assert _meet_subset(lattice, x, coatoms(lattice)) == ids, (
-        f"structural/subset mismatch at n={n}, id {x}"
-    )
-    return ids
+    return None if rep is None else tuple(sorted(lattice.id_of[c] for c in rep))
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +267,6 @@ class EdgeLabeling:
             )
         self.lattice = lattice
         self.labels = dict(labels)
-
-    @classmethod
-    def from_text(cls, lattice: Lattice, text: str) -> "EdgeLabeling":
-        """Parse the line format 'lowerId upperId label'."""
-        labels = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'lowerId upperId label'")
-            lo, hi, lab = (int(v) for v in parts)
-            if (lo, hi) in labels:
-                raise ValueError(f"line {lineno}: duplicate edge ({lo}, {hi})")
-            labels[(lo, hi)] = lab
-        return cls(lattice, labels)
 
     def word(self, chain: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.labels[(a, b)] for a, b in zip(chain, chain[1:]))

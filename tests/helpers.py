@@ -1,7 +1,11 @@
-"""Relabeling and member-set helpers that only the tests use."""
+"""Relabeling, member-set, subset-meet and labeling-file helpers that only
+the tests use."""
 
-from aplattice.lattice import Lattice, _embed_fields, build
-from aplattice.progression import EMPTY, Progression, _of_fields
+from itertools import combinations
+
+from aplattice.lattice import Lattice, _embed_fields, _project_fields, build
+from aplattice.progression import Progression, _of_fields, leq
+from aplattice.structure import EdgeLabeling
 
 
 def element_set(lattice: Lattice, i: int) -> frozenset[int]:
@@ -17,22 +21,44 @@ def embed_progression(p: Progression, host: Progression) -> Progression:
 def project_progression(p: Progression, host: Progression) -> Progression:
     """Map a progression contained in host to {1,..,host.length} coordinates;
     the inverse of embed_progression."""
-    if p.is_empty:
-        return EMPTY
-    if host.step == 0:
-        # host is a singleton; the only nonempty subset is host itself
-        if p != host:
-            raise ValueError(f"{p} is not contained in {host}")
-        return Progression(1, 0, 1)
-    offset = p.base - host.base
-    if offset % host.step:
+    if not leq(p, host):
         raise ValueError(f"{p} is not contained in {host}")
-    base = offset // host.step + 1
-    if p.length == 1:
-        return Progression(base, 0, 1)
-    if p.step % host.step:
-        raise ValueError(f"{p} is not contained in {host}")
-    return Progression(base, p.step // host.step, p.length)
+    return _of_fields(_project_fields(p, host))
+
+
+def meet_subset(lattice: Lattice, target: int, candidates):
+    """The unique nonempty subset of the candidate ids (in their order) whose
+    meet is the target id, or None when there is none: a search over every
+    subset, the oracle for the coatom meet table."""
+    usable = [c for c in candidates if lattice.leq_ids(target, c)]
+    hits = []
+    for size in range(1, len(usable) + 1):
+        for combo in combinations(usable, size):
+            inter = combo[0]
+            for c in combo[1:]:
+                inter = lattice.meet_ids(inter, c)
+            if inter == target:
+                hits.append(combo)
+    assert len(hits) <= 1, f"meet representation of id {target} not unique"
+    return hits[0] if hits else None
+
+
+def edge_labeling_from_text(lattice: Lattice, text: str) -> EdgeLabeling:
+    """Parse the line format 'lowerId upperId label'; '#' starts a comment
+    line."""
+    labels = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'lowerId upperId label'")
+        lo, hi, lab = (int(v) for v in parts)
+        if (lo, hi) in labels:
+            raise ValueError(f"line {lineno}: duplicate edge ({lo}, {hi})")
+        labels[(lo, hi)] = lab
+    return EdgeLabeling(lattice, labels)
 
 
 def ideal_isomorphism(lattice: Lattice, x: int) -> dict[int, int]:

@@ -251,7 +251,7 @@ def test_homology_of_small_shapes():
     res = hm.reduced_homology(hollow)
     assert res.nonzero() == {1: (1, ())}
     point = cx.SimplicialComplex(1, (((0,),),))
-    assert hm.reduced_homology(point).is_trivial()
+    assert not hm.reduced_homology(point).nonzero()
     empty = cx.SimplicialComplex(0, ())
     res = hm.reduced_homology(empty)
     assert res.rank_minus1 == 1 and res.free_ranks == ()
@@ -389,7 +389,7 @@ def test_order_complex_homology_small(lat):
         if nt.is_squarefree(n - 1):
             assert res.nonzero() == {nt.omega(n - 1): (1, ())}, n
         else:
-            assert res.is_trivial(), n
+            assert not res.nonzero(), n
 
 
 def test_crosscut_homology_matches_and_covers_large_n(lat):
@@ -399,8 +399,8 @@ def test_crosscut_homology_matches_and_covers_large_n(lat):
         if nt.is_squarefree(n - 1):
             assert res.nonzero() == {nt.omega(n - 1): (1, ())}, n
         else:
-            assert res.is_trivial(), n
-    assert hm.reduced_homology(cx.crosscut_complex(lat(10))).is_trivial()
+            assert not res.nonzero(), n
+    assert not hm.reduced_homology(cx.crosscut_complex(lat(10))).nonzero()
     # worked by hand: 3 coatoms for n = 8, hollow triangle
     assert hm.reduced_homology(cx.crosscut_complex(lat(8))).nonzero() == {1: (1, ())}
 

@@ -288,3 +288,7 @@ def test_embed_project_round_trip(lat):
         for p in sub.elements:
             emb = embed_progression(p, host)
             assert project_progression(emb, host) == p
+        for q in l8.elements:
+            if not pr.leq(q, host):
+                with pytest.raises(ValueError):
+                    project_progression(q, host)

@@ -9,7 +9,7 @@ from aplattice import progression as pr
 from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
-from helpers import embed_progression, project_progression
+from helpers import embed_progression, meet_subset, project_progression
 
 
 def expected_m(n):
@@ -83,38 +83,44 @@ def test_defining_recursion_sums_to_zero(lat):
                 assert total == 0, (n, lo, hi)
 
 
-def test_coatom_criterion_equals_definition_on_l7(lat):
-    l7 = lat(7)
-    for hi in range(len(l7)):
-        for lo in l7.ideal(hi):
-            assert mb.mobius_interval(l7, lo, hi) == mb.mobius_interval(
-                l7, lo, hi, MM.COATOM_MEET
-            ), (lo, hi)
+def test_coatom_criterion_equals_definition_on_l1_to_l12(lat):
+    singleton_tops = 0
+    for n in range(1, 13):
+        ln = lat(n)
+        for hi in range(len(ln)):
+            singleton_tops += ln.size_of(hi) == 1
+            for lo in ln.ideal(hi):
+                assert mb.mobius_interval(ln, lo, hi) == mb.mobius_interval(
+                    ln, lo, hi, MM.COATOM_MEET
+                ), (n, lo, hi)
+    assert singleton_tops == sum(range(1, 13))
 
 
 def test_structural_representation_matches_subsets(lat):
     # the subset search over covered elements against the coatom table of
-    # L(|hi|), relabeled through the ideal below hi, on every interval of L(7)
-    l7 = lat(7)
-    for hi in range(len(l7)):
-        host = l7.elements[hi]
-        if host.length < 1:
-            continue
-        for lo in l7.ideal(hi):
-            if lo == hi:
+    # L(|hi|), relabeled through the ideal below hi, on every interval of
+    # L(1..10)
+    for n in range(1, 11):
+        ln = lat(n)
+        for hi in range(len(ln)):
+            host = ln.elements[hi]
+            if host.length < 1:
                 continue
-            found = st._meet_subset(l7, lo, l7.covers_down[hi])
-            if host.length == 1:
-                # L(1) below a singleton: the only covered element is the bottom
-                expected = (l7.bottom_id,) if lo == l7.bottom_id else None
-            else:
-                rep = st.coatom_meet_table(host.length).get(
-                    project_progression(l7.elements[lo], host)
-                )
-                expected = None if rep is None else tuple(
-                    sorted(l7.id_of[embed_progression(c, host)] for c in rep)
-                )
-            assert found == expected, (lo, hi, found, expected)
+            for lo in ln.ideal(hi):
+                if lo == hi:
+                    continue
+                found = meet_subset(ln, lo, ln.covers_down[hi])
+                if host.length == 1:
+                    # L(1) below a singleton: the only covered element is the bottom
+                    expected = (ln.bottom_id,) if lo == ln.bottom_id else None
+                else:
+                    rep = st.coatom_meet_table(host.length).get(
+                        project_progression(ln.elements[lo], host)
+                    )
+                    expected = None if rep is None else tuple(
+                        sorted(ln.id_of[embed_progression(c, host)] for c in rep)
+                    )
+                assert found == expected, (n, lo, hi, found, expected)
 
 
 def test_support_sizes_and_values(lat):

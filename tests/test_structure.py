@@ -9,7 +9,7 @@ from aplattice import numtheory as nt
 from aplattice import progression as pr
 from aplattice import structure as st
 
-from helpers import element_set
+from helpers import edge_labeling_from_text, element_set, meet_subset
 
 
 def _never(*args, **kwargs):
@@ -90,6 +90,18 @@ def test_meet_representation_examples(lat):
         st.meet_of_coatoms_representation(l7, l7.top_id)
     with pytest.raises(ValueError):
         st.meet_of_coatoms_representation(lat(3), 0)
+
+
+def test_meet_representation_matches_subset_search(lat):
+    # the table answer against a search over every coatom subset, on every
+    # non-top element of L(4..30)
+    for n in range(4, 31):
+        ln = lat(n)
+        cs = st.coatoms(ln)
+        for x in range(len(ln) - 1):
+            assert st.meet_of_coatoms_representation(ln, x) == meet_subset(
+                ln, x, cs
+            ), (n, x)
 
 
 def test_meet_representation_round_trip(lat):
@@ -330,16 +342,16 @@ def test_labeling_loader_and_validation(lat):
     text = "\n".join(
         f"{lo} {hi} {label}" for (lo, hi), label in sorted(good.labels.items())
     )
-    loaded = st.EdgeLabeling.from_text(l3, "# comment\n" + text + "\n")
+    loaded = edge_labeling_from_text(l3, "# comment\n" + text + "\n")
     assert loaded.labels == good.labels
 
     lines = text.splitlines()
     with pytest.raises(ValueError):
-        st.EdgeLabeling.from_text(l3, "\n".join(lines[:-1]))  # partial
+        edge_labeling_from_text(l3, "\n".join(lines[:-1]))  # partial
     with pytest.raises(ValueError):
-        st.EdgeLabeling.from_text(l3, text + "\n0 99 5\n")  # not a cover edge
+        edge_labeling_from_text(l3, text + "\n0 99 5\n")  # not a cover edge
     with pytest.raises(ValueError):
-        st.EdgeLabeling.from_text(l3, text + "\n" + lines[0] + "\n")  # duplicate
+        edge_labeling_from_text(l3, text + "\n" + lines[0] + "\n")  # duplicate
 
 
 def test_labeling_bound(lat, monkeypatch):
