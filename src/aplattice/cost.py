@@ -14,7 +14,8 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 * nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 2.6-3.3 s, 130 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
-  5.6 s, 29 MB
+  1.2-1.3 s, 29 MB (an upper bound: the scan checks only the intervals
+  [x, {1,..,m}] and carries their witnesses to the rest)
 * chain_steps(n), the steps of all saturated chains of all intervals, from
   count_rows and the coatom sizes: labeling of L(14), 2.50M, 1.8 s, 24 MB
 * engine(n, name), terms: n^2/2 for pnk (2828: 0.7 s), n^3/6 for chains

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import cost
-from .lattice import Lattice
+from .lattice import Lattice, _embed_fields, _project_fields
 from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import EMPTY, Progression, sort_key
 
@@ -99,23 +99,23 @@ def meet_of_coatoms_representation(lattice: Lattice, x: int):
 # left-modularity and comodernism
 
 
-def _pairs_below(lattice: Lattice, members: tuple[int, ...]):
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            if lattice.leq_ids(x, y):  # ids ascend, so y is never below x
-                yield x, y
-
-
 def is_left_modular_in_interval(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
-    """Definitional test: (x v m) ^ y == x v (m ^ y) for all x < y in [lo, hi]."""
+    """Definitional test: (x v m) ^ y == x v (m ^ y) for all x < y in [lo, hi].
+
+    x v m is computed once per member x and m ^ y once per member y; the
+    identity is still checked on every pair.
+    """
     members = lattice.interval(lo, hi)
     if m not in members:
         raise ValueError("m must belong to the interval")
-    for x, y in _pairs_below(lattice, members):
-        left = lattice.meet_ids(lattice.join_ids(x, m), y)
-        right = lattice.join_ids(x, lattice.meet_ids(m, y))
-        if left != right:
-            return False
+    meets = [lattice.meet_ids(m, y) for y in members]
+    for i, x in enumerate(members):
+        x_join_m = lattice.join_ids(x, m)
+        for y, m_meet_y in zip(members[i + 1 :], meets[i + 1 :]):
+            if not lattice.leq_ids(x, y):  # ids ascend, so y is never below x
+                continue
+            if lattice.meet_ids(x_join_m, y) != lattice.join_ids(x, m_meet_y):
+                return False
     return True
 
 
@@ -129,6 +129,14 @@ def interval_coatoms(lattice: Lattice, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(c for c in lattice.covers_down[hi] if lattice.leq_ids(lo, c))
 
 
+def _covers_its_meets(lattice: Lattice, members: tuple[int, ...], m: int) -> bool:
+    """The cover criterion: every member y not below m covers m ^ y."""
+    return all(
+        lattice.leq_ids(y, m) or lattice.covers(y, lattice.meet_ids(m, y))
+        for y in members
+    )
+
+
 def is_left_modular_coatom(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
     """Cover-based criterion for a coatom m of [lo, hi]: m is left-modular in
     the interval iff every member y not below m covers m ^ y.
@@ -137,12 +145,21 @@ def is_left_modular_coatom(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
     """
     if m not in interval_coatoms(lattice, lo, hi):
         raise ValueError("m must be a coatom of the interval")
-    for y in lattice.interval(lo, hi):
-        if lattice.leq_ids(y, m):
-            continue
-        if not lattice.covers(y, lattice.meet_ids(m, y)):
-            return False
-    return True
+    return _covers_its_meets(lattice, lattice.interval(lo, hi), m)
+
+
+def _first_left_modular_coatom(lattice: Lattice, lo: int, hi: int) -> int | None:
+    """The first coatom of [lo, hi] that passes the cover criterion, or None.
+
+    Coatoms are tried by ascending step, then id, which puts the two size
+    |hi|-1 runs first: for |hi| >= 3 they keep the step of hi, and every
+    other coatom of hi has a prime multiple of it.
+    """
+    members = lattice.interval(lo, hi)
+    candidates = sorted(
+        interval_coatoms(lattice, lo, hi), key=lambda c: (lattice.elements[c].step, c)
+    )
+    return next((m for m in candidates if _covers_its_meets(lattice, members, m)), None)
 
 
 @dataclass
@@ -158,34 +175,41 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
     left-modular coatom.  Past the work budget (one unit per triple
     lo <= y <= hi) it raises cost.BudgetError first.
 
-    Witness search prefers the coatoms of size |hi|-1 (the two runs), then
-    the remaining ones by ascending step, which keeps witnesses deterministic.
+    The ideal below hi is L(|hi|) relabeled (``lattice._embed_fields`` and its
+    inverse ``_project_fields``), so [lo, hi] is isomorphic to [proj(lo),
+    {1,..,|hi|}].  The check runs in two phases inside the given lattice:
+
+    * representatives: for each m = 1..n, every interval [x, R_m] below
+      R_m = {1,..,m} (the element whose embedding is the identity) is
+      searched for its first coatom passing the cover criterion, by
+      ascending step, then id (the two runs of size m-1 come first), which
+      keeps witnesses deterministic;
+    * fill: the witness of [lo, hi] is the witness of its representative,
+      embedded into hi.  The embedding keeps size and is increasing in base
+      and step, so it is the first qualifying coatom of [lo, hi] in the same
+      candidate order.
+
+    A failure stops the scan, and ``counterexample`` names the failing
+    representative [x, R_m], itself an interval of the given lattice.
     """
     cost.require(f"the comodernism scan of L({lattice.n})", cost.triples(lattice.n))
     report = ComodernismReport(True)
-    size = len(lattice.elements)
-    for hi in range(size):
-        for lo in lattice.ideal(hi):
-            if lo == hi:
-                continue
-            cands = sorted(
-                interval_coatoms(lattice, lo, hi),
-                key=lambda c: (
-                    lattice.size_of(c) != lattice.size_of(hi) - 1,
-                    lattice.elements[c].step,
-                    c,
-                ),
-            )
-            witness = None
-            for m in cands:
-                if is_left_modular_coatom(lattice, lo, hi, m):
-                    witness = m
-                    break
+    fields, index = lattice._fields, lattice.id_of
+    # witness_of[m][x]: the witness fields of [x, R_m], in L(m) coordinates
+    witness_of = [{} for _ in range(lattice.n + 1)]
+    for m in range(1, lattice.n + 1):
+        r_m = index[(1, 1, m) if m > 1 else (1, 0, 1)]
+        for lo in lattice.ideal(r_m)[:-1]:
+            witness = _first_left_modular_coatom(lattice, lo, r_m)
             if witness is None:
                 report.holds = False
-                report.counterexample = (lo, hi)
+                report.counterexample = (lo, r_m)
                 return report
-            report.witnesses[(lo, hi)] = witness
+            witness_of[m][fields[lo]] = fields[witness]
+    for hi, host in enumerate(fields):
+        for lo in lattice.ideal(hi)[:-1]:
+            rep = witness_of[host[2]][_project_fields(fields[lo], host)]
+            report.witnesses[(lo, hi)] = index[_embed_fields(rep, host)]
     return report
 
 

@@ -1,11 +1,11 @@
-"""Relabeling, member-set, subset-meet and labeling-file helpers that only
-the tests use."""
+"""Relabeling, member-set, subset-meet, comodernism-scan and labeling-file
+helpers that only the tests use."""
 
 from itertools import combinations
 
 from aplattice.lattice import Lattice, _embed_fields, _project_fields, build
 from aplattice.progression import Progression, _of_fields, leq
-from aplattice.structure import EdgeLabeling
+from aplattice.structure import EdgeLabeling, interval_coatoms, is_left_modular_coatom
 
 
 def element_set(lattice: Lattice, i: int) -> frozenset[int]:
@@ -41,6 +41,28 @@ def meet_subset(lattice: Lattice, target: int, candidates):
                 hits.append(combo)
     assert len(hits) <= 1, f"meet representation of id {target} not unique"
     return hits[0] if hits else None
+
+
+def comodernism_by_scan(lattice: Lattice) -> dict:
+    """Witness of every interval (lo, hi) with lo < hi, searched in that
+    interval itself: its coatoms of size |hi|-1 first, then by ascending
+    step, then id, the first passing the cover criterion.  The oracle for
+    is_comodernistic; None stands for an interval with no such coatom."""
+    witnesses = {}
+    for hi in range(len(lattice)):
+        for lo in lattice.ideal(hi)[:-1]:
+            cands = sorted(
+                interval_coatoms(lattice, lo, hi),
+                key=lambda c: (
+                    lattice.size_of(c) != lattice.size_of(hi) - 1,
+                    lattice.elements[c].step,
+                    c,
+                ),
+            )
+            witnesses[(lo, hi)] = next(
+                (m for m in cands if is_left_modular_coatom(lattice, lo, hi, m)), None
+            )
+    return witnesses
 
 
 def edge_labeling_from_text(lattice: Lattice, text: str) -> EdgeLabeling:

@@ -9,7 +9,12 @@ from aplattice import numtheory as nt
 from aplattice import progression as pr
 from aplattice import structure as st
 
-from helpers import edge_labeling_from_text, element_set, meet_subset
+from helpers import (
+    comodernism_by_scan,
+    edge_labeling_from_text,
+    element_set,
+    meet_subset,
+)
 
 
 def _never(*args, **kwargs):
@@ -190,6 +195,33 @@ def test_comodernistic_witnesses_are_valid(lat):
         assert st.is_left_modular_in_interval(l6, lo, hi, m), (lo, hi, m)
 
 
+def test_comodernistic_witnesses_match_the_per_interval_scan(lat):
+    # the witnesses carried from [x, {1..m}] equal a search in every interval
+    for n in range(17):
+        report = st.is_comodernistic(lat(n))
+        assert report.holds and report.counterexample is None, n
+        assert report.witnesses == comodernism_by_scan(lat(n)), n
+
+
+def test_comodernism_failure_names_the_rejected_representative(lat, monkeypatch):
+    l8 = lat(8)
+    lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 5)]  # [{2}, {1,..,5}]
+    criterion = st._covers_its_meets
+
+    def rejecting(lattice, members, m):
+        return (members[0], members[-1]) != (lo, top) and criterion(lattice, members, m)
+
+    monkeypatch.setattr(st, "_covers_its_meets", rejecting)
+    report = st.is_comodernistic(l8)
+    assert not report.holds and report.counterexample == (lo, top)
+    cands = st.interval_coatoms(l8, lo, top)
+    assert cands and not any(
+        st.is_left_modular_coatom(l8, lo, top, m) for m in cands
+    )
+    # the definition still finds one: the failure is the rejection alone
+    assert any(st.is_left_modular_in_interval(l8, lo, top, m) for m in cands)
+
+
 def test_comodernistic_bound(lat, monkeypatch):
     # one unit per triple lo <= y <= hi: L(29) is the last in budget
     assert cost.triples(29) <= cost.BUDGET
@@ -204,7 +236,7 @@ def test_witnesses_in_endpoint_pinning_intervals_have_prime_step(lat):
     # covered element remains, so the witness must be a prime-step progression
     for n in (6, 7, 8):
         ln = lat(n)
-        report = st.is_comodernistic(ln) if n <= 8 else None
+        report = st.is_comodernistic(ln)
         for (lo, hi), m in report.witnesses.items():
             host = ln.elements[hi]
             low = ln.elements[lo]
