@@ -115,10 +115,10 @@ def _engines(n: int, names) -> int:
 def cmd_table(kind: str, n_max: int, out: str | None) -> int:
     if n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    # b is the chains engine's table; p reads the pnk engine's count rows, and
-    # the divisor sums of size add up to as many terms
-    engine = "chains" if kind == "b" else "pnk"
-    _admit(f"table {kind} --n-max {n_max}", cost.engine(n_max, engine))
+    # b is the chains engine's table; p reads the count rows, and the divisor
+    # sums of size add up to as many terms
+    units = cost.engine(n_max, "chains") if kind == "b" else cost.row_terms(n_max)
+    _admit(f"table {kind} --n-max {n_max}", units)
     if kind == "p":
         rows = complexes.progression_count_rows(n_max)
     elif kind == "b":

@@ -18,9 +18,11 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
   [x, {1,..,m}] and carries their witnesses to the rest)
 * chain_steps(n), the steps of all saturated chains of all intervals, from
   count_rows and the coatom sizes: labeling of L(14), 2.50M, 1.8 s, 24 MB
-* engine(n, name), terms: n^2/2 for pnk (2828: 0.7 s), n^3/6 for chains
-  (288: 0.6 s), the build and sum |L(m)| over m <= n for definition
-  (142: 3.0 s, 45 MB), isqrt(n) trial divisions for coatom
+* row_terms(n), n^2/2 count-row terms for table p and table size: 2828,
+  1.3-1.4 s, 185 MB (table p); 1.9-2.5 s, 18 MB (table size)
+* engine(n, name), terms: 2 n isqrt(n) for pnk (15875: 0.4-0.5 s, 17 MB),
+  n^3/6 for chains (288: 0.6 s), the build and sum |L(m)| over m <= n for
+  definition (142: 3.0 s, 45 MB), isqrt(n) trial divisions for coatom
 
 Every count grows with n, so an estimate stops at the first one past the
 budget (the elements at their n(n+1)/2 + 1 runs): refusing needs no more.
@@ -135,11 +137,18 @@ def chain_steps(n: int) -> int:
     return _first_past(_chain_steps(n))
 
 
+def row_terms(n: int) -> int:
+    """Terms of the count rows 0..n, as many as the divisor sums up to n."""
+    return valid_n(n) ** 2 // 2
+
+
 def engine(n: int, name: str) -> int:
-    """Terms of the Moebius engine `name` (a method value) on M(n)."""
+    """Terms of the Moebius engine `name` (a method value) on M(n); pnk sums
+    at most isqrt(N) direct terms and N//(isqrt(N)+1) <= isqrt(N) blocks for
+    each N = m - 1 < n."""
     valid_n(n)
     if name == "pnk":
-        return n * n // 2
+        return 2 * n * isqrt(n)
     if name == "chains":
         return n**3 // 6
     if name == "coatom":

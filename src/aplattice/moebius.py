@@ -4,8 +4,13 @@
   memoised per call.  Intervals starting at the bottom are keyed by the size
   of the upper element, because the ideal below an element of size m is
   isomorphic to L(m); that one reduction makes the whole-lattice value cheap.
-* PnkRecurrence: M(n) = -sum over k < n of M(k) * p(n, k), needing only the
-  progression counts, one incremental row per n.
+* PnkRecurrence: sum over k of M(k) * p(m, k) = 0 for m >= 1, because the
+  ideal below a size-k element is L(k).  The relation at m minus the one at
+  m-1 keeps only the progressions ending at m, (m-1)//(k-1) of size k >= 2
+  and one of size 1, so with N = m-1 it reads
+  M(m) = 1 - sum over 1 <= j < N of M(j+1) * (N//j).  The terms j <= isqrt(N)
+  are summed directly; the rest fall in blocks of equal quotient q = N//j,
+  summed by parts over a running prefix sum of M: O(sqrt(m)) terms per m.
 * ChainAlternatingSum: M(n) = sum over k of (-1)^k b(n, k), needing only the
   bottom-to-top chain counts.
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
@@ -21,8 +26,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from itertools import islice
-from operator import mul
+from itertools import repeat
+from math import isqrt
+from operator import floordiv, mul
 
 from . import cost
 from .complexes import chain_counts
@@ -31,7 +37,6 @@ from .lattice import (
     _project_fields,
     build,
     coatom_progressions,
-    count_rows,
 )
 from .numtheory import omega
 from .progression import meet
@@ -93,12 +98,29 @@ def mobius_interval(
     raise ValueError(f"{method} applies to the whole lattice, not to intervals")
 
 
+def _pnk_values(n: int) -> list[int]:
+    """M(0..n) by the differenced p(n, k) relation of the module docstring."""
+    values = [1, -1, 1]  # M(2) = 1: at m = 2 the sum over j is empty
+    prefix = [0, 1]  # prefix[x] = M(2) + .. + M(x+1), for x < N
+    for big in range(2, n):  # big is N = m - 1 for m = 3..n
+        r = isqrt(big)
+        quotients = map(floordiv, repeat(big), range(1, r + 1))
+        direct = sum(map(mul, values[2 : r + 2], quotients))
+        # Block q holds the j with N//(q+1) < j <= N//q, for q = 1..last,
+        # which covers r < j <= N.  By parts, the sum of
+        # q * (prefix[N//q] - prefix[N//(q+1)]) is the sum of prefix[N//q]
+        # less last * prefix[r]; block 1 stops at N-1, short of M(N+1).
+        last = big // (r + 1)
+        ends = map(floordiv, repeat(big), range(2, last + 1))
+        blocks = prefix[big - 1] + sum(map(prefix.__getitem__, ends)) - last * prefix[r]
+        value = 1 - direct - blocks
+        values.append(value)
+        prefix.append(prefix[-1] + value)
+    return values[: n + 1]
+
+
 def _bottom_top_pnk(n: int) -> int:
-    values = [1]
-    for row in islice(count_rows(n), 1, None):
-        # values holds M(0..m-1), so map stops before p(m, m)
-        values.append(-sum(map(mul, values, row)))
-    return values[n]
+    return _pnk_values(n)[n]
 
 
 def _bottom_top_chains(n: int) -> int:

@@ -1,9 +1,10 @@
-"""Relabeling, member-set, subset-meet, comodernism-scan and labeling-file
-helpers that only the tests use."""
+"""Relabeling, member-set, subset-meet, comodernism-scan, count-row Moebius
+and labeling-file helpers that only the tests use."""
 
-from itertools import combinations
+from itertools import combinations, islice
+from operator import mul
 
-from aplattice.lattice import Lattice, _embed_fields, _project_fields, build
+from aplattice.lattice import Lattice, _embed_fields, _project_fields, build, count_rows
 from aplattice.progression import Progression, _of_fields, leq
 from aplattice.structure import EdgeLabeling, interval_coatoms, is_left_modular_coatom
 
@@ -41,6 +42,16 @@ def meet_subset(lattice: Lattice, target: int, candidates):
                 hits.append(combo)
     assert len(hits) <= 1, f"meet representation of id {target} not unique"
     return hits[0] if hits else None
+
+
+def pnk_by_rows(n: int) -> list[int]:
+    """M(0..n) by the p(n, k) recurrence as written, one dot product with
+    each whole count row: the oracle for the differenced pnk engine."""
+    values = [1]
+    for row in islice(count_rows(n), 1, None):
+        # values holds M(0..m-1), so map stops before p(m, m)
+        values.append(-sum(map(mul, values, row)))
+    return values
 
 
 def comodernism_by_scan(lattice: Lattice) -> dict:

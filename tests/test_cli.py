@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from aplattice import cli, complexes, cost, structure
+from aplattice import cli, complexes, cost, moebius, structure
 
 
 def run(capsys, *argv):
@@ -48,9 +48,19 @@ def test_table_size(capsys):
 
 def test_table_bound_is_exit_2(capsys, monkeypatch):
     # table p reads n_max**2 / 2 count-row terms: 2828 is the last in budget
-    assert cost.engine(2828, "pnk") <= cost.BUDGET < cost.engine(2829, "pnk")
+    assert cost.row_terms(2828) <= cost.BUDGET < cost.row_terms(2829)
     monkeypatch.setattr(complexes, "progression_count_rows", _never)
     code, _, err = run(capsys, "table", "p", "--n-max", "2829")
+    assert code == 2 and "budget" in err
+
+
+def test_mobius_pnk_bound_is_exit_2(capsys, monkeypatch):
+    # pnk sums at most 2 n isqrt(n) terms: 15875 is the last in budget
+    assert cost.engine(15875, "pnk") <= cost.BUDGET < cost.engine(15876, "pnk")
+    code, out, _ = run(capsys, "mobius", "15875", "--method", "pnk")
+    assert code == 0 and "PASS" in out
+    monkeypatch.setattr(moebius, "_bottom_top_pnk", _never)
+    code, _, err = run(capsys, "mobius", "15876", "--method", "pnk")
     assert code == 2 and "budget" in err
 
 
@@ -235,7 +245,7 @@ def test_force_prints_warning(capsys, monkeypatch):
 
 
 def test_mobius_force_warns_only_when_the_lattice_is_built(capsys, monkeypatch):
-    # pnk on 40 costs 800 units; building L(31) alone costs 40 * 1524
+    # pnk on 40 costs 2 * 40 * 6 = 480 units; building L(31) alone costs 40 * 1524
     monkeypatch.setattr(cost, "BUDGET", 1000)
     code, out, err = run(capsys, "mobius", "40", "--method", "pnk", "--force")
     assert code == 0 and "PASS" in out

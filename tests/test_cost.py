@@ -208,6 +208,7 @@ SIZED = [
     cost.pairs,
     cost.triples,
     cost.chain_steps,
+    cost.row_terms,
     lambda n: cost.engine(n, "definition"),
     lambda k: count_progressions_enumerated(lattice.build(4), k),
 ]

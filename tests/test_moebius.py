@@ -1,7 +1,9 @@
 import time
+from collections import Counter
 
 import pytest
 
+from aplattice import cost
 from aplattice import lattice as lt
 from aplattice import moebius as mb
 from aplattice import numtheory as nt
@@ -9,7 +11,7 @@ from aplattice import progression as pr
 from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
-from helpers import embed_progression, meet_subset, project_progression
+from helpers import embed_progression, meet_subset, pnk_by_rows, project_progression
 
 
 def expected_m(n):
@@ -48,6 +50,34 @@ def test_pnk_engine_matches_formula_per_term():
     for n in range(201):
         assert mb.mobius_bottom_top(n, MM.PNK_RECURRENCE) == oracle[n], n
     assert mb.mobius_bottom_top(2000, MM.PNK_RECURRENCE) == pnk_by_formula(2000)[2000]
+
+
+def test_pnk_engine_matches_the_count_rows():
+    assert mb._pnk_values(2000) == pnk_by_rows(2000)
+
+
+def test_pnk_engine_matches_classical_mobius_to_the_largest_admitted_n():
+    n = 15875  # the largest n that mobius --method pnk admits (test_cli)
+    values = mb._pnk_values(n)
+    assert len(values) == n + 1
+    for m in range(2, n + 1):
+        assert values[m] == nt.classical_mobius(m - 1), m
+
+
+def test_pnk_cost_bounds_the_engine_terms(monkeypatch):
+    # every summed term takes one quotient N // j or N // q, N = m - 1
+    terms = Counter()
+
+    def counted(a, b):
+        terms[a] += 1
+        return a // b
+
+    monkeypatch.setattr(mb, "floordiv", counted)
+    mb._pnk_values(2000)
+    total = 0
+    for n in range(2001):
+        total += terms[n - 1]
+        assert total <= cost.engine(n, "pnk"), n
 
 
 def test_spot_values():
