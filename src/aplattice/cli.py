@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import complexes, cost, homology, moebius, structure
-from .lattice import build, size_formula
+from .lattice import build, sizes
 from .moebius import MoebiusMethod
 from .numtheory import classical_mobius, is_squarefree, omega
 
@@ -74,15 +75,17 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
     return a, b
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the chunks in order, to out_path or else to stdout; a lazy
+    iterable is written as it is produced."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write {out_path}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _admit(what: str, units: int) -> None:
@@ -115,8 +118,8 @@ def _engines(n: int, names) -> int:
 def cmd_table(kind: str, n_max: int, out: str | None) -> int:
     if n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    # b is the chains engine's table; p reads the count rows, and the divisor
-    # sums of size add up to as many terms
+    # b is the chains engine's table; p reads the count rows, and size, a
+    # running sum of n divisor counts, keeps the bound of p
     units = cost.engine(n_max, "chains") if kind == "b" else cost.row_terms(n_max)
     _admit(f"table {kind} --n-max {n_max}", units)
     if kind == "p":
@@ -124,8 +127,8 @@ def cmd_table(kind: str, n_max: int, out: str | None) -> int:
     elif kind == "b":
         rows = complexes.chain_count_rows(n_max)
     else:
-        rows = [[n, size_formula(n)] for n in range(0, n_max + 1)]
-    _emit(complexes.rows_to_tsv(rows), out)
+        rows = enumerate(sizes(n_max))
+    _emit(complexes.tsv_lines(rows), out)
     return 0
 
 
@@ -271,14 +274,14 @@ def cmd_export(kind: str, n: int, out: str | None) -> int:
     _admit(f"export {kind} --n {n}", units(n))
     lat = build(n)
     if kind == "hasse-dot":
-        _emit(lat.to_dot(), out)
+        _emit([lat.to_dot()], out)
     elif kind == "lattice-json":
-        _emit(json.dumps(lat.to_json_dict(), indent=2, sort_keys=True) + "\n", out)
+        _emit([json.dumps(lat.to_json_dict(), indent=2, sort_keys=True) + "\n"], out)
     elif kind == "complex-json":
-        _emit(complexes.order_complex(lat).to_json(), out)
+        _emit([complexes.order_complex(lat).to_json()], out)
     else:
         result = homology.reduced_homology(complexes.order_complex(lat))
-        _emit(json.dumps(result.as_dict(), indent=2, sort_keys=True) + "\n", out)
+        _emit([json.dumps(result.as_dict(), indent=2, sort_keys=True) + "\n"], out)
     return 0
 
 

@@ -19,7 +19,7 @@ first use, already in lexicographic order.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations, islice
@@ -264,16 +264,17 @@ def reduced_euler_characteristic(complex: SimplicialComplex) -> int:
 # published table layouts
 
 
-def progression_count_rows(n_max: int) -> list[list[int]]:
-    """Row n holds the progression counts p(n, 0) .. p(n, n), for n = 1..n_max."""
-    return [list(row) for row in islice(count_rows(n_max), 1, None)]
+def progression_count_rows(n_max: int) -> Iterator[tuple[int, ...]]:
+    """Row n holds the progression counts p(n, 0) .. p(n, n), for n = 1..n_max,
+    one row at a time."""
+    return islice(count_rows(n_max), 1, None)
 
 
-def chain_count_rows(n_max: int) -> list[list[int]]:
+def chain_count_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
     """Row n holds the chain counts b(n, 1) .. b(n, n), for n = 1..n_max."""
-    table = chain_counts(n_max)
-    return [[table.count(n, k) for k in range(1, n + 1)] for n in range(1, n_max + 1)]
+    return chain_counts(n_max).rows[1:]
 
 
-def rows_to_tsv(rows: list[list[int]]) -> str:
-    return "\n".join("\t".join(str(v) for v in row) for row in rows) + "\n"
+def tsv_lines(rows: Iterable[Iterable[int]]) -> Iterator[str]:
+    """One tab-separated line per row, newline included, lazily."""
+    return ("\t".join(map(str, row)) + "\n" for row in rows)

@@ -12,12 +12,18 @@ Conventions:
   three exact stages.  Clearing (Chen and Kerber, "Persistent homology
   computation with a twist", 2011; over Z the elementary reductions of
   Kaczynski, Mrozek and Slusarek, 1998): the d-faces that were unit pivot
-  rows of the (d+1)-st map get no column in the d-th.  Units: while some
-  entry is +-1, the one in the shortest row of its column clears that row by
-  column operations, after which the row and the column drop out with one
-  unit divisor.  Dense: whatever block has no unit entry left goes through
-  minimal-pivot elimination on unbounded Python integers, so results are
-  exact for any input.  smith_normal_form runs the last two stages.
+  rows of the (d+1)-st map get no column in the d-th.  Units: a +-1 entry
+  clears its row by column operations, after which the row and the column
+  drop out with one unit divisor; the pivots are picked globally to keep
+  fill low (Markowitz, "The elimination form of the inverse and its
+  application to linear programming", Management Sci. 1957; Dumas,
+  Heckenbach, Saunders and Welker, "Computing simplicial homology based on
+  efficient Smith normal form algorithms", 2003): rows whose one live entry
+  is +-1 first, then the sparsest row holding a unit, in its shortest unit
+  column, until no live column holds +-1.  Dense: whatever block has no
+  unit entry left goes through minimal-pivot elimination on unbounded Python
+  integers, so results are exact for any input.  smith_normal_form runs the
+  last two stages.
 * Clearing is exact.  Take the unit pivots (r_i, c_i) of the (d+1)-st map in
   elimination order: when picked, column c_i is the boundary b_i of some
   (d+1)-chain, with +-1 on row r_i and 0 on the rows r_j of earlier pivots.
@@ -31,7 +37,9 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import NamedTuple
 
@@ -93,40 +101,78 @@ def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
 
     Once the pivot's row is cleared by column operations, row operations
     would only touch the pivot column, so dropping both is exact.
+
+    The pivot order is global and fill-aware (Markowitz 1957; Dumas,
+    Heckenbach, Saunders and Welker 2003; see the module docstring).  A row
+    whose one live entry is +-1 comes first, from a first-in first-out
+    worklist that a row joins when its count drops to 1: such a pivot
+    updates no other column.  When the worklist is empty, the live row with
+    the fewest entries that holds a unit is taken, in its shortest unit
+    column.  Those rows come from a heap of (count, row), built the first
+    time the worklist runs dry.  A pivot that updates other columns pushes
+    each row of its column once; a row popped with a count above its key is
+    pushed back, and one without a unit is dropped until an update changes
+    it, which pushes it again.
     """
     where: dict[int, set[int]] = {}  # row -> live columns with an entry there
     for c, col in enumerate(cols):
         for r in col:
             where.setdefault(r, set()).add(c)
+    singles = deque(r for r, ks in where.items() if len(ks) == 1)
+    heap = None  # (count, row) candidates, once the singles have run out
     pivots = []
-    progress = True
-    while progress:
-        progress = False
-        for c, col in enumerate(cols):
-            units = [r for r, v in col.items() if v == 1 or v == -1]
+    while True:
+        if singles:
+            r = singles.popleft()
+            ks = where.get(r, ())
+            if len(ks) != 1:
+                continue
+            (c,) = ks
+            if cols[c][r] not in (1, -1):
+                continue
+        else:
+            if heap is None:
+                heap = [(len(ks), r) for r, ks in where.items() if ks]
+                heapify(heap)
+            if not heap:
+                break
+            count, r = heappop(heap)
+            ks = where.get(r, ())
+            if not ks:
+                continue
+            if len(ks) > count:
+                heappush(heap, (len(ks), r))
+                continue
+            units = [k for k in ks if cols[k][r] in (1, -1)]
             if not units:
                 continue
-            r = min(units, key=lambda i: len(where[i]))
-            u = col.pop(r)
-            for k in where.pop(r):
-                if k == c:
-                    continue
-                other = cols[k]
-                f = other.pop(r) * u  # u * u == 1, so this clears row r
-                for i, v in col.items():
-                    w = other.get(i, 0) - f * v
-                    if w:
-                        if i not in other:
-                            where[i].add(k)
-                        other[i] = w
-                    else:
-                        del other[i]
-                        where[i].discard(k)
-            for i in col:
-                where[i].discard(c)
-            col.clear()
-            pivots.append(r)
-            progress = True
+            c = min(units, key=lambda k: len(cols[k]))
+        col = cols[c]
+        u = col.pop(r)
+        fill = len(ks) > 1  # the pivot updates other columns
+        for k in where.pop(r):
+            if k == c:
+                continue
+            other = cols[k]
+            f = other.pop(r) * u  # u * u == 1, so this clears row r
+            for i, v in col.items():
+                w = other.get(i, 0) - f * v
+                if w:
+                    if i not in other:
+                        where[i].add(k)
+                    other[i] = w
+                else:
+                    del other[i]
+                    where[i].discard(k)
+        for i in col:
+            live = where[i]
+            live.discard(c)
+            if len(live) == 1:
+                singles.append(i)
+            elif fill and live:
+                heappush(heap, (len(live), i))
+        col.clear()
+        pivots.append(r)
     return pivots
 
 

@@ -248,6 +248,19 @@ def size_formula(n: int) -> int:
     return 1 + n + sum((n - r) * tau(r) for r in range(1, n))
 
 
+def sizes(n_max: int) -> list[int]:
+    """|L(0)|, .., |L(n_max)| as one running sum.  The progressions of L(n)
+    not in L(n-1) end at n: {n}, and one starting at n - jr for each pair
+    of a step r and j >= 1 with rj <= n-1, so |L(n)| - |L(n-1)| is
+    1 + tau(1) + .. + tau(n-1)."""
+    out = [1]
+    ends = 0  # tau(1) + .. + tau(n-1)
+    for n in range(1, valid_n(n_max, name="n_max") + 1):
+        out.append(out[-1] + 1 + ends)
+        ends += tau(n)
+    return out
+
+
 def count_progressions_formula(n: int, k: int) -> int:
     """The number of progressions of size k in {1,..,n}, in closed form.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import cost
-from .lattice import Lattice, _embed_fields, _project_fields
+from .lattice import Lattice, _embed_fields
 from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import EMPTY, Progression, sort_key
 
@@ -184,10 +184,11 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
       searched for its first coatom passing the cover criterion, by
       ascending step, then id (the two runs of size m-1 come first), which
       keeps witnesses deterministic;
-    * fill: the witness of [lo, hi] is the witness of its representative,
-      embedded into hi.  The embedding keeps size and is increasing in base
-      and step, so it is the first qualifying coatom of [lo, hi] in the same
-      candidate order.
+    * fill: for each hi, every representative [x, R_|hi|] and its witness
+      are embedded into hi, in the L(|hi|) coordinates the first phase
+      recorded, which gives [lo, hi] with lo below hi and its witness.  The
+      embedding keeps size and is increasing in base and step, so it is the
+      first qualifying coatom of [lo, hi] in the same candidate order.
 
     A failure stops the scan, and ``counterexample`` names the failing
     representative [x, R_m], itself an interval of the given lattice.
@@ -207,9 +208,9 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
                 return report
             witness_of[m][fields[lo]] = fields[witness]
     for hi, host in enumerate(fields):
-        for lo in lattice.ideal(hi)[:-1]:
-            rep = witness_of[host[2]][_project_fields(fields[lo], host)]
-            report.witnesses[(lo, hi)] = index[_embed_fields(rep, host)]
+        for x, w in witness_of[host[2]].items():
+            lo, witness = _embed_fields(x, host), _embed_fields(w, host)
+            report.witnesses[(index[lo], hi)] = index[witness]
     return report
 
 

@@ -1,5 +1,5 @@
-"""Relabeling, member-set, subset-meet, comodernism-scan, count-row Moebius
-and labeling-file helpers that only the tests use."""
+"""Relabeling, member-set, subset-meet, comodernism-scan, count-row Moebius,
+column-sweep unit stage and labeling-file helpers that only the tests use."""
 
 from itertools import combinations, islice
 from operator import mul
@@ -52,6 +52,46 @@ def pnk_by_rows(n: int) -> list[int]:
         # values holds M(0..m-1), so map stops before p(m, m)
         values.append(-sum(map(mul, values, row)))
     return values
+
+
+def eliminate_units_by_sweep(cols: list[dict[int, int]]) -> list[int]:
+    """The unit stage by column sweeps: each column in turn pivots on the
+    unit in its shortest row, until a sweep finds no unit.  Same contract as
+    homology._eliminate_units; the oracle for its global pivot order."""
+    where: dict[int, set[int]] = {}  # row -> live columns with an entry there
+    for c, col in enumerate(cols):
+        for r in col:
+            where.setdefault(r, set()).add(c)
+    pivots = []
+    progress = True
+    while progress:
+        progress = False
+        for c, col in enumerate(cols):
+            units = [r for r, v in col.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            r = min(units, key=lambda i: len(where[i]))
+            u = col.pop(r)
+            for k in where.pop(r):
+                if k == c:
+                    continue
+                other = cols[k]
+                f = other.pop(r) * u  # u * u == 1, so this clears row r
+                for i, v in col.items():
+                    w = other.get(i, 0) - f * v
+                    if w:
+                        if i not in other:
+                            where[i].add(k)
+                        other[i] = w
+                    else:
+                        del other[i]
+                        where[i].discard(k)
+            for i in col:
+                where[i].discard(c)
+            col.clear()
+            pivots.append(r)
+            progress = True
+    return pivots
 
 
 def comodernism_by_scan(lattice: Lattice) -> dict:

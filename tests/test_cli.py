@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from aplattice import cli, complexes, cost, moebius, structure
+from aplattice import lattice as lt
 
 
 def run(capsys, *argv):
@@ -44,6 +45,20 @@ def test_table_size(capsys):
     rows = [line.split("\t") for line in out.strip().splitlines()]
     assert rows[0] == ["0", "1"]
     assert rows[4] == ["4", "14"]
+
+
+def test_table_size_column_matches_size_formula(capsys):
+    code, out, _ = run(capsys, "table", "size", "--n-max", "400")
+    assert code == 0
+    assert out == "".join(f"{n}\t{lt.size_formula(n)}\n" for n in range(401))
+
+
+@pytest.mark.parametrize("kind", ["p", "b", "size"])
+def test_table_out_file_matches_stdout(capsys, tmp_path, kind):
+    code, out, _ = run(capsys, "table", kind, "--n-max", "40")
+    path = tmp_path / "table.tsv"
+    assert run(capsys, "table", kind, "--n-max", "40", "--out", str(path))[0] == code == 0
+    assert path.read_bytes() == out.encode()
 
 
 def test_table_bound_is_exit_2(capsys, monkeypatch):

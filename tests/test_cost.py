@@ -193,6 +193,7 @@ def test_force_warns_once_and_only_over_budget(capsys, monkeypatch):
 
 SIZED = [
     size_formula,
+    lattice.sizes,
     lambda n: count_progressions_formula(n, 2),
     coatom_progressions,
     lambda n: gf_coefficients(n, 2),

@@ -9,6 +9,8 @@ from aplattice import complexes as cx
 from aplattice import homology as hm
 from aplattice import numtheory as nt
 
+from helpers import eliminate_units_by_sweep
+
 
 def rational_rank(entries):
     """Independent oracle: Gaussian elimination over the rationals."""
@@ -103,14 +105,61 @@ def test_snf_worked_examples():
     assert hm.smith_normal_form(diag(4, 6, 9, 2)) == ((1, 2, 6, 36), 4)
 
 
-def test_snf_on_random_matrices_against_rational_oracles():
+def small_random_grids():
     rng = random.Random(20240901)
-    for trial in range(120):
+    for _ in range(120):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        entries = tuple(
-            tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)
+        yield tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
+
+
+def big_entry_grids():
+    """Entries from 2**31 and from 2**63 upward, mixed with small ones and
+    units, then one worked example."""
+    rng = random.Random(31)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        yield tuple(
+            tuple(
+                rng.choice((-1, 1))
+                * rng.choice(
+                    (0, 1, rng.randint(2, 9), rng.randint(2**31, 2**33),
+                     rng.randint(2**63, 2**66))
+                )
+                for _ in range(n)
+            )
+            for _ in range(m)
         )
+    yield ((11, 7, 5), (2**35, 3, 2), (9, 2**34, 13))
+
+
+def unitless_grids():
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        yield tuple(
+            tuple(rng.choice((0, 0, 1, -1)) * rng.randint(2, 30) for _ in range(n))
+            for _ in range(m)
+        )
+
+
+def mixed_unit_grids():
+    """(grid, number of top rows): the top rows carry units and the rest are
+    even, with a 1 in the corner."""
+    rng = random.Random(11)
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        top = rng.randint(1, m - 1)
+        entries = [
+            [rng.randint(-3, 3) for _ in range(n)] for _ in range(top)
+        ] + [[2 * rng.randint(-6, 6) for _ in range(n)] for _ in range(m - top)]
+        entries[0][0] = 1
+        yield entries, top
+
+
+def test_snf_on_random_matrices_against_rational_oracles():
+    for entries in small_random_grids():
+        m, n = len(entries), len(entries[0])
         diag, rank = hm.smith_normal_form(sparse(entries))
         assert rank == rational_rank(entries), entries
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
@@ -129,24 +178,8 @@ def test_snf_on_random_matrices_against_rational_oracles():
 
 
 def test_snf_exact_beyond_64_bits():
-    # entries from 2**31 and from 2**63 upward, mixed with small ones and units
-    rng = random.Random(31)
-    for _ in range(40):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        entries = tuple(
-            tuple(
-                rng.choice((-1, 1))
-                * rng.choice(
-                    (0, 1, rng.randint(2, 9), rng.randint(2**31, 2**33),
-                     rng.randint(2**63, 2**66))
-                )
-                for _ in range(n)
-            )
-            for _ in range(m)
-        )
+    for entries in big_entry_grids():
         assert_snf_matches_oracles(entries)
-    worked = ((11, 7, 5), (2**35, 3, 2), (9, 2**34, 13))
-    assert_snf_matches_oracles(worked)
     assert hm.smith_normal_form(sparse(((2**64, 0), (0, 3 * 2**64)))) == (
         (2**64, 3 * 2**64),
         2,
@@ -154,13 +187,7 @@ def test_snf_exact_beyond_64_bits():
 
 
 def test_snf_without_unit_entries_skips_unit_stage():
-    rng = random.Random(5)
-    for _ in range(40):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        entries = tuple(
-            tuple(rng.choice((0, 0, 1, -1)) * rng.randint(2, 30) for _ in range(n))
-            for _ in range(m)
-        )
+    for entries in unitless_grids():
         columns = [dict(col) for col in sparse(entries).columns]
         assert hm._eliminate_units(columns) == []  # no pivot row
         assert columns == [dict(col) for col in sparse(entries).columns]
@@ -168,17 +195,10 @@ def test_snf_without_unit_entries_skips_unit_stage():
 
 
 def test_snf_mixed_units_hand_a_leftover_to_dense_stage():
-    # the top rows carry units; the rest are even, so the rank mod 2 stays
-    # below the rational rank and units alone cannot finish the job
-    rng = random.Random(11)
+    # the rows below the top ones are even, so the rank mod 2 stays below
+    # the rational rank and units alone cannot finish the job
     checked = 0
-    for _ in range(40):
-        m, n = rng.randint(2, 5), rng.randint(2, 5)
-        top = rng.randint(1, m - 1)
-        entries = [
-            [rng.randint(-3, 3) for _ in range(n)] for _ in range(top)
-        ] + [[2 * rng.randint(-6, 6) for _ in range(n)] for _ in range(m - top)]
-        entries[0][0] = 1
+    for entries, top in mixed_unit_grids():
         if rational_rank(entries) <= top:
             continue
         columns = [dict(col) for col in sparse(entries).columns]
@@ -409,3 +429,74 @@ def test_homology_result_rendering():
     res = hm.HomologyResult((0, 1, 0), ((), (), (3,)))
     assert str(res) == "H~_1 = Z, H~_2 = Z/3"
     assert res.as_dict()["1"] == {"free_rank": 1, "torsion": []}
+
+
+def snf_by_sweep(mat):
+    """smith_normal_form with the column-sweep unit stage of the tests."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_eliminate_units", eliminate_units_by_sweep)
+        return hm.smith_normal_form(mat)
+
+
+def test_unit_stages_agree_on_random_snf_families():
+    grids = [
+        *small_random_grids(),
+        *big_entry_grids(),
+        *unitless_grids(),
+        *(entries for entries, _ in mixed_unit_grids()),
+    ]
+    for entries in grids:
+        mat = sparse(entries)
+        assert hm.smith_normal_form(mat) == snf_by_sweep(mat), entries
+
+
+def assert_unit_postcondition(mat, label):
+    """After the unit stage no live column holds +-1 or a pivot row."""
+    cols = [dict(col) for col in mat.columns]
+    pivots = set(hm._eliminate_units(cols))
+    for col in cols:
+        assert not any(v in (1, -1) for v in col.values()), label
+        assert pivots.isdisjoint(col), label
+
+
+def test_unit_stage_returns_to_a_row_an_update_gave_a_unit():
+    # row 0 (entries 2, 3, 2) has no unit and leaves the heap first; the
+    # pivot on row 1, column 0 turns its entry in column 1 into 3 - 2 = 1
+    mat = hm.IntegerMatrix(2, 3, (((0, 2), (1, 1)), ((0, 3), (1, 1)), ((0, 2), (1, 2))))
+    cols = [dict(col) for col in mat.columns]
+    assert sorted(hm._eliminate_units(cols)) == [0, 1]
+    assert_unit_postcondition(mat, "revisit")
+    assert hm.smith_normal_form(mat) == snf_by_sweep(mat) == ((1, 1), 2)
+
+
+def assert_unit_stages_agree(complex, label):
+    """Reduce the boundary maps from the top down as reduced_homology does,
+    cleared by the pivot rows of the global order, and require the same Smith
+    form from the column sweep on every cleared map; on the d = 2 map, check
+    the postcondition of the unit stage too."""
+    paired = []
+    for d in reversed(range(complex.dim + 1)):
+        mat = hm.boundary_matrix(complex, d, frozenset(paired))
+        paired = []
+        assert hm.smith_normal_form(mat, paired) == snf_by_sweep(mat), (label, d)
+        if d == 2:
+            assert_unit_postcondition(mat, (label, d))
+
+
+def test_unit_stages_agree_on_cleared_order_complex_maps(lat):
+    # the n range of test_order_complex_homology_small and check folkman
+    for n in range(2, 12):
+        assert_unit_stages_agree(cx.order_complex(lat(n)), ("order", n))
+
+
+def test_unit_stages_agree_on_cleared_crosscut_maps(lat):
+    for n in range(4, 11):
+        assert_unit_stages_agree(cx.crosscut_complex(lat(n)), ("crosscut", n))
+
+
+def test_unit_stages_agree_on_random_torsion_complexes():
+    # the 60 inputs of test_clearing_matches_the_uncleared_route
+    rng = random.Random(909)
+    for _ in range(60):
+        c = random_torsion_complex(rng)
+        assert_unit_stages_agree(c, c.faces_by_dim)
