@@ -105,11 +105,15 @@ class SimplicialComplex:
 
 
 def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
-    """Raise ValueError unless level d holds distinct, strictly increasing
-    (d+1)-tuples of vertices in range(vertex_count), each of whose facets is
-    in level d-1.  The faces of a level may come in any order."""
+    """Raise ValueError unless level d is nonempty and holds distinct,
+    strictly increasing (d+1)-tuples of vertices in range(vertex_count), each
+    of whose facets is in level d-1, and level 0 holds every vertex (being
+    distinct and in range, it does when it has vertex_count faces).  The
+    faces of a level may come in any order."""
     below = set()
     for d, level in enumerate(faces_by_dim):
+        if not level:
+            raise ValueError(f"dimension {d} is listed with no face")
         here = set(level)
         if len(here) != len(level):
             raise ValueError(f"dimension {d} lists a face twice")
@@ -127,6 +131,8 @@ def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
             if d and not all(f[:i] + f[i + 1 :] in below for i in range(d + 1)):
                 raise ValueError(f"a facet of {f!r} is missing from dimension {d - 1}")
         below = here
+    if (len(faces_by_dim[0]) if faces_by_dim else 0) != vertex_count:
+        raise ValueError(f"dimension 0 lacks a vertex of range({vertex_count})")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 * elements(n), from the size identity: build(200), 99k, 0.57-0.62 s, 46 MB
 * faces(n), from chain_counts: order_complex(build(13)), 3.70M, 0.13-0.22 s,
   30 MB; decoding its face tuples (homology, export) 1.1-1.5 s more, 416 MB
-* nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 2.6-3.3 s, 130 MB
+* nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 1.9-2.4 s, 123 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
   1.2-1.3 s, 29 MB (an upper bound: the scan checks only the intervals

@@ -6,8 +6,9 @@ Conventions:
 * The chain complex is augmented: dimension -1 is the single empty face, and
   the 0th boundary matrix is the 1 x f0 all-ones map onto it, so every rank
   reported here is a *reduced* homology rank.
-* Matrices are stored as sparse columns of exact integers; a boundary column
-  of a d-face holds d+1 entries of +-1.
+* A matrix is a tuple of sparse columns, each a dict from row to nonzero
+  exact integer, built once and eliminated in place on a copy; a boundary
+  column of a d-face holds d+1 entries of +-1.
 * Homology reduces one boundary map per dimension, from the top down, in
   three exact stages.  Clearing (Chen and Kerber, "Persistent homology
   computation with a twist", 2011; over Z the elementary reductions of
@@ -40,6 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -49,20 +51,18 @@ from .complexes import SimplicialComplex, reduced_euler_characteristic
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """A rows x cols integer matrix by columns: each column is a tuple of
-    (row, value) pairs with distinct rows in range and nonzero values."""
+    """An integer matrix of `rows` rows, stored by columns: each column is a
+    dict from row, in range(rows), to its value; zeros are not stored."""
 
     rows: int
-    cols: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    columns: tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        if len(self.columns) != self.cols or any(
-            len({r for r, _ in col}) != len(col)
-            or any(not 0 <= r < self.rows or not v for r, v in col)
-            for col in self.columns
-        ):
-            raise ValueError("columns do not match the declared shape")
+        for col in self.columns:
+            if not isinstance(col, dict) or col and (
+                min(col) < 0 or max(col) >= self.rows or not all(col.values())
+            ):
+                raise ValueError("a column is not a dict of nonzero values in range")
 
 
 def boundary_matrix(
@@ -77,16 +77,14 @@ def boundary_matrix(
     if d < 0 or d > complex.dim:
         raise ValueError(f"dimension {d} out of range 0..{complex.dim}")
     cols = [f for i, f in enumerate(complex.faces(d)) if i not in cleared]
-    if d == 0:
-        return IntegerMatrix(1, len(cols), tuple(((0, 1),) for _ in cols))
-    rows = complex.faces(d - 1)
-    row_index = {f: i for i, f in enumerate(rows)}
-    signs = [(j, (-1) ** j) for j in reversed(range(d + 1))]
+    rows = complex.faces(d - 1) if d else ((),)
+    row_of = {f: i for i, f in enumerate(rows)}.__getitem__
+    # combinations yields the facets omitting vertex d, d-1, .., 0 in turn
+    signs = [(-1) ** j for j in reversed(range(d + 1))]
     columns = tuple(
-        tuple((row_index[face[:j] + face[j + 1 :]], s) for j, s in signs)
-        for face in cols
+        dict(zip(map(row_of, combinations(face, d)), signs)) for face in cols
     )
-    return IntegerMatrix(len(rows), len(cols), columns)
+    return IntegerMatrix(len(rows), columns)
 
 
 class SmithNormalForm(NamedTuple):

@@ -297,12 +297,6 @@ class EdgeLabeling:
         return tuple(self.labels[(a, b)] for a, b in zip(chain, chain[1:]))
 
 
-def lex_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """a precedes b when a is a prefix of b or a is smaller at the first
-    differing position."""
-    return a <= b
-
-
 @dataclass
 class LabelingVerdict:
     is_er: bool
@@ -345,7 +339,8 @@ def _scan_labeling(labeling: EdgeLabeling, check_lex: bool):
                 continue
             if check_lex:
                 for w in words:
-                    if w != rising[0] and not lex_leq(rising[0], w):
+                    # tuples compare lexicographically, a prefix first
+                    if w < rising[0]:
                         lex_failures.append((lo, hi, rising[0], w))
                         break
     is_er = not rising_failures

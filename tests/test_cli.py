@@ -129,10 +129,16 @@ def test_check_complemented(capsys):
     assert "semicomplement witness" in out
 
 
-def test_check_comodernistic(capsys):
+def test_check_comodernistic(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "comodernistic", "0..5")
     assert code == 0
     assert out.count("PASS") == 6
+    # a representative with no witness fails the check and is named
+    monkeypatch.setattr(structure, "_first_left_modular_coatom", lambda *args: None)
+    code, out, _ = run(capsys, "check", "comodernistic", "0..1")
+    assert code == 1
+    assert out.count("PASS") == 1
+    assert "counterexample interval (0, 1)" in out
 
 
 def test_check_comodernistic_bound(capsys, monkeypatch):

@@ -110,6 +110,8 @@ def test_library_requests_admitted():
     assert cost.chain_steps(7) + cost.triples(7) <= cost.BUDGET
     assert cost.engine(30, "definition") <= cost.BUDGET
     assert cost.engine(2000, "pnk") + cost.engine(200, "chains") <= cost.BUDGET
+    with pytest.raises(ValueError):
+        cost.engine(5, "nosuch")
 
 
 @pytest.mark.parametrize(

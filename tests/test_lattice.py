@@ -20,6 +20,7 @@ def test_build_small_sizes(lat):
     assert len(lat(2)) == 4
     assert [str(p) for p in lat(2).elements] == ["{}", "{1}", "{2}", "{1,2}"]
     assert len(lat(4)) == 14  # the degree-4 count polynomial at 1
+    assert repr(lat(3)) == "Lattice(n=3, size=8)"
 
 
 def test_build_rejects_bad_n():

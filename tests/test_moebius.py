@@ -27,6 +27,8 @@ def test_small_values_all_methods():
         values = {m: mb.mobius_bottom_top(n, m) for m in MM}
         assert len(set(values.values())) == 1, (n, values)
         assert values[MM.DEFINITION] == expected_m(n)
+    with pytest.raises(ValueError):
+        mb.mobius_bottom_top(5, "pnk")  # a method value, not a MoebiusMethod
 
 
 def test_lattice_free_methods_to_30():

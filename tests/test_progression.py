@@ -17,6 +17,10 @@ def test_canonical_form_rules():
         Progression(1, 1, 0)  # empty must be all zeros
     with pytest.raises(ValueError):
         Progression(0, 0, 1)  # base below 1
+    with pytest.raises(ValueError):
+        Progression(1, 1, -1)  # negative length
+    with pytest.raises(ValueError):
+        EMPTY.last  # the empty progression has no last element
 
 
 @pytest.mark.parametrize(

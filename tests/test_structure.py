@@ -95,6 +95,8 @@ def test_meet_representation_examples(lat):
         st.meet_of_coatoms_representation(l7, l7.top_id)
     with pytest.raises(ValueError):
         st.meet_of_coatoms_representation(lat(3), 0)
+    with pytest.raises(ValueError):
+        st.coatom_meet_table(1)  # the table starts at n = 2
 
 
 def test_meet_representation_matches_subset_search(lat):
@@ -265,6 +267,8 @@ def test_left_modularity_survives_principal_filters(lat):
 def test_complemented_iff_squarefree(lat):
     for n in [*range(2, 13), 30]:
         assert st.is_complemented(lat(n)) == nt.is_squarefree(n - 1), n
+    with pytest.raises(ValueError):
+        st.is_complemented(lat(1))  # considered for n >= 2 only
 
 
 def test_complement_scan_matches_listing(lat):
@@ -332,6 +336,15 @@ def test_added_element_labeling_on_l3_is_el(lat):
     verdict = st.verify_el_labeling(added_element_labeling(lat(3)))
     assert verdict.is_er and verdict.is_el
     assert not verdict.ties
+    # label the edge from the bottom to {2} 1, as the edge to {1}: still ER,
+    # but in [bottom, {1,2}] the rising word (1, 2) follows the word (1, 1)
+    l3 = lat(3)
+    labels = dict(added_element_labeling(l3).labels)
+    bottom, two, one_two = (l3.id_of[pr.from_set(s)] for s in ((), (2,), (1, 2)))
+    labels[(bottom, two)] = 1
+    verdict = st.verify_el_labeling(st.EdgeLabeling(l3, labels))
+    assert verdict.is_er and not verdict.is_el
+    assert verdict.lex_failures[0] == (bottom, one_two, (1, 2), (1, 1))
 
 
 def test_constant_labeling_on_l4_is_not_er(lat):
@@ -393,11 +406,3 @@ def test_labeling_bound(lat, monkeypatch):
     monkeypatch.setattr(lt.Lattice, "maximal_chains", _never)
     with pytest.raises(cost.BudgetError):
         st.verify_er_labeling(labeling)
-
-
-def test_lex_order():
-    assert st.lex_leq((1, 2), (1, 2, 3))  # prefix
-    assert st.lex_leq((1, 2), (1, 3))
-    assert not st.lex_leq((2,), (1, 9))
-    assert st.lex_leq((), (5,))
-    assert st.lex_leq((1, 2), (1, 2))
