@@ -9,7 +9,6 @@ before it starts.
 """
 
 from .complexes import (
-    ChainTable,
     SimplicialComplex,
     chain_counts,
     crosscut_complex,
@@ -19,7 +18,6 @@ from .complexes import (
 from .cost import BudgetError
 from .homology import (
     HomologyResult,
-    IntegerMatrix,
     boundary_matrix,
     reduced_homology,
     smith_normal_form,
@@ -51,10 +49,7 @@ from .numtheory import (
 )
 from .progression import (
     EMPTY,
-    NotAProgressionError,
     Progression,
-    covers,
-    from_set,
     join_in_ambient,
     leq,
     meet,

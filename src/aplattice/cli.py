@@ -15,9 +15,10 @@ import json
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import complexes, cost, homology, moebius, structure
-from .lattice import build, sizes
+from .lattice import build, count_rows, sizes
 from .moebius import MoebiusMethod
 from .numtheory import classical_mobius, is_squarefree, omega
 
@@ -122,10 +123,12 @@ def cmd_table(kind: str, n_max: int, out: str | None) -> int:
     # running sum of n divisor counts, keeps the bound of p
     units = cost.engine(n_max, "chains") if kind == "b" else cost.row_terms(n_max)
     _admit(f"table {kind} --n-max {n_max}", units)
+    # row n of p is (p(n, 0), .., p(n, n)) and of b (b(n, 1), .., b(n, n)),
+    # for n = 1..n_max
     if kind == "p":
-        rows = complexes.progression_count_rows(n_max)
+        rows = islice(count_rows(n_max), 1, None)
     elif kind == "b":
-        rows = complexes.chain_count_rows(n_max)
+        rows = complexes.chain_counts(n_max)[1:]
     else:
         rows = enumerate(sizes(n_max))
     _emit(complexes.tsv_lines(rows), out)

@@ -6,8 +6,9 @@ boundary-matrix homology downstream.  Vertices are dense integers with a
 translation table back to lattice ids.  The empty face is always considered
 present.
 
-Chain counts and the count tables read the progression counts one whole row
-p(m, 0..m) at a time from ``lattice.count_rows``.  The order complex is
+Chain counts are plain rows (b(m, 1), .., b(m, m)), one per m, filled from
+the progression counts one whole row p(m, 0..m) at a time from
+``lattice.count_rows``; their readers index the rows.  The order complex is
 walked level by level as one flat list of last vertices, the breadth-first
 layout of a simplex tree (Boissonnat and Maria, "The Simplex Tree",
 Algorithmica 2014): the children of a chain ending at v are the vertices
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import mul
 
 from . import cost
@@ -106,14 +106,16 @@ class SimplicialComplex:
 
 def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
     """Raise ValueError unless level d is nonempty and holds distinct,
-    strictly increasing (d+1)-tuples of vertices in range(vertex_count), each
-    of whose facets is in level d-1, and level 0 holds every vertex (being
-    distinct and in range, it does when it has vertex_count faces).  The
-    faces of a level may come in any order."""
+    strictly increasing (d+1)-tuples of plain int vertices (not bool, not
+    float) in range(vertex_count), each of whose facets is in level d-1, and
+    level 0 holds every vertex (being distinct and in range, it does when it
+    has vertex_count faces).  The faces of a level may come in any order."""
     below = set()
     for d, level in enumerate(faces_by_dim):
         if not level:
             raise ValueError(f"dimension {d} is listed with no face")
+        if not set(map(type, chain.from_iterable(level))) <= {int}:
+            raise ValueError(f"dimension {d} has a vertex that is not an int")
         here = set(level)
         if len(here) != len(level):
             raise ValueError(f"dimension {d} lists a face twice")
@@ -135,27 +137,10 @@ def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
         raise ValueError(f"dimension 0 lacks a vertex of range({vertex_count})")
 
 
-@dataclass(frozen=True)
-class ChainTable:
-    """Counts of bottom-to-top chains by length, for every interval size up to n.
-
-    count(m, k) is the number of chains of length k in L(m) that contain both
-    the empty progression and {1,..,m}; it is 1 at k = 1 and 0 for k > m.
-    """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]  # rows[m][k-1] for 1 <= k <= m
-
-    def count(self, m: int, k: int) -> int:
-        if not 1 <= m <= self.n:
-            raise ValueError(f"m must be in 1..{self.n}")
-        if k < 1 or k > m:
-            return 0
-        return self.rows[m][k - 1]
-
-
-def chain_counts(n: int) -> ChainTable:
-    """Fill the chain-count table through the recurrence
+def chain_counts(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows (b(m, 1), .., b(m, m)) for m = 0..n, where b(m, k) counts the
+    chains of length k in L(m) that contain both the empty progression and
+    {1,..,m}; row 0 is empty.  They fill through the recurrence
     b(m, k) = sum over i < m of p(m, i) * b(i, k-1), with b(m, 1) = 1.
 
     Row m of the progression counts is read once, and b is also kept by
@@ -172,7 +157,7 @@ def chain_counts(n: int) -> ChainTable:
         for k, b in enumerate(row, 1):
             cols[k].append(b)
         rows.append(row)
-    return ChainTable(n, tuple(rows))
+    return tuple(rows)
 
 
 def order_complex(lattice: Lattice) -> SimplicialComplex:
@@ -181,9 +166,9 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
 
     Each level of the walk lists the last vertex of every face of one
     dimension, and the next level lays the vertices above each of them end to
-    end.  The level lengths must equal the chain counts of the table; that is
+    end.  The level lengths must equal the chain counts of row n; that is
     asserted on every construction.  Past the work budget (one unit per face,
-    counted from the same table) it raises cost.BudgetError first.
+    counted from the same rows) it raises cost.BudgetError first.
     """
     n = lattice.n
     if n < 2:
@@ -200,7 +185,7 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
         below, last = last, []
         for v in below:
             last.extend(ups[v])
-    assert tuple(counts) == chain_counts(n).rows[n][1:], (
+    assert tuple(counts) == chain_counts(n)[n][1:], (
         "face counts disagree with the chain recurrence"
     )
     return SimplicialComplex._decoded_on_demand(
@@ -264,21 +249,6 @@ def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
 def reduced_euler_characteristic(complex: SimplicialComplex) -> int:
     """Alternating face-count sum minus one (the empty face's contribution)."""
     return sum((-1) ** d * c for d, c in enumerate(complex.f_vector())) - 1
-
-
-# ---------------------------------------------------------------------------
-# published table layouts
-
-
-def progression_count_rows(n_max: int) -> Iterator[tuple[int, ...]]:
-    """Row n holds the progression counts p(n, 0) .. p(n, n), for n = 1..n_max,
-    one row at a time."""
-    return islice(count_rows(n_max), 1, None)
-
-
-def chain_count_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Row n holds the chain counts b(n, 1) .. b(n, n), for n = 1..n_max."""
-    return chain_counts(n_max).rows[1:]
 
 
 def tsv_lines(rows: Iterable[Iterable[int]]) -> Iterator[str]:

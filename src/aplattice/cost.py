@@ -19,7 +19,8 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 * chain_steps(n), the steps of all saturated chains of all intervals, from
   count_rows and the coatom sizes: labeling of L(14), 2.50M, 1.8 s, 24 MB
 * row_terms(n), n^2/2 count-row terms for table p and table size: 2828,
-  1.3-1.4 s, 185 MB (table p); 1.9-2.5 s, 18 MB (table size)
+  1.3 s, 17 MB (table p, written one row at a time); 0.1 s, 17 MB (table
+  size)
 * engine(n, name), terms: 2 n isqrt(n) for pnk (15875: 0.4-0.5 s, 17 MB),
   n^3/6 for chains (288: 0.6 s), the build and sum |L(m)| over m <= n for
   definition (142: 3.0 s, 45 MB), isqrt(n) trial divisions for coatom
@@ -86,7 +87,7 @@ def _chains(n: int):
     """b(m, k) for k >= 2 and m = 0..n: a chain of length d + 2 from the
     bottom to the top is a d-face of the order complex."""
     for m in range(valid_n(n) + 1):
-        yield complexes.chain_counts(m).rows[m][1:] if m else ()
+        yield complexes.chain_counts(m)[m][1:] if m else ()
 
 
 def faces(n: int) -> int:

@@ -6,9 +6,10 @@ Conventions:
 * The chain complex is augmented: dimension -1 is the single empty face, and
   the 0th boundary matrix is the 1 x f0 all-ones map onto it, so every rank
   reported here is a *reduced* homology rank.
-* A matrix is a tuple of sparse columns, each a dict from row to nonzero
-  exact integer, built once and eliminated in place on a copy; a boundary
-  column of a d-face holds d+1 entries of +-1.
+* A matrix is a plain tuple of sparse columns, each a dict from row to
+  nonzero exact integer; a boundary column of a d-face holds d+1 entries of
+  +-1.  smith_normal_form copies the columns, checks every entry of the
+  copies (plain ints only) and eliminates them in place.
 * Homology reduces one boundary map per dimension, from the top down, in
   three exact stages.  Clearing (Chen and Kerber, "Persistent homology
   computation with a twist", 2011; over Z the elementary reductions of
@@ -33,7 +34,8 @@ Conventions:
   sends each b_i to zero, so dropping the columns r_i changes neither its
   rank nor its nonzero elementary divisors.  Dense pivots need not be units
   and come with row operations, so they clear nothing.
-* The rank reported with the divisors counts the nonzero elementary divisors.
+* A Smith normal form is the plain tuple of its nonzero elementary
+  divisors, so the rank of the map is the length of that tuple.
 """
 
 from __future__ import annotations
@@ -43,36 +45,20 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
-from typing import NamedTuple
 
 from . import cost
 from .complexes import SimplicialComplex, reduced_euler_characteristic
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """An integer matrix of `rows` rows, stored by columns: each column is a
-    dict from row, in range(rows), to its value; zeros are not stored."""
-
-    rows: int
-    columns: tuple[dict[int, int], ...]
-
-    def __post_init__(self):
-        for col in self.columns:
-            if not isinstance(col, dict) or col and (
-                min(col) < 0 or max(col) >= self.rows or not all(col.values())
-            ):
-                raise ValueError("a column is not a dict of nonzero values in range")
-
-
 def boundary_matrix(
     complex: SimplicialComplex, d: int, cleared: frozenset[int] = frozenset()
-) -> IntegerMatrix:
-    """The d-th boundary map: columns are d-faces, rows are (d-1)-faces, and
-    removing the j-th vertex of a face contributes sign (-1)**j.  The d-faces
-    whose indices are in `cleared` have no column.
+) -> tuple[dict[int, int], ...]:
+    """The d-th boundary map as columns: one row -> value dict per d-face,
+    whose rows index the (d-1)-faces, and removing the j-th vertex of a face
+    contributes sign (-1)**j.  The d-faces whose indices are in `cleared`
+    have no column.
 
-    d = 0 maps every vertex to the empty face (the augmentation row).
+    d = 0 maps every vertex to the empty face (the augmentation row 0).
     """
     if d < 0 or d > complex.dim:
         raise ValueError(f"dimension {d} out of range 0..{complex.dim}")
@@ -81,15 +67,7 @@ def boundary_matrix(
     row_of = {f: i for i, f in enumerate(rows)}.__getitem__
     # combinations yields the facets omitting vertex d, d-1, .., 0 in turn
     signs = [(-1) ** j for j in reversed(range(d + 1))]
-    columns = tuple(
-        dict(zip(map(row_of, combinations(face, d)), signs)) for face in cols
-    )
-    return IntegerMatrix(len(rows), columns)
-
-
-class SmithNormalForm(NamedTuple):
-    diagonal: tuple[int, ...]  # positive, each dividing the next
-    rank: int
+    return tuple(dict(zip(map(row_of, combinations(face, d)), signs)) for face in cols)
 
 
 def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
@@ -243,15 +221,30 @@ def _divisor_chain(values: list[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(
-    mat: IntegerMatrix, unit_rows: list[int] | None = None
-) -> SmithNormalForm:
-    """Elementary divisors (positive, divisibility-chained) and rank.  The
-    rows of the unit-stage pivots are appended to `unit_rows` if given.
+    columns: tuple[dict[int, int], ...], unit_rows: list[int] | None = None
+) -> tuple[int, ...]:
+    """The elementary divisors, positive and each dividing the next, of the
+    matrix with these columns; their number is the rank.  The rows of the
+    unit-stage pivots are appended to `unit_rows` if given.
 
-    The transforming unimodular matrices are not kept; only the divisor
-    multiset is needed downstream.
+    Each column must be a row -> value dict whose rows are non-negative ints
+    and whose values are nonzero ints (bool is not an int here); anything
+    else raises ValueError.  The columns are copied, and the copies checked,
+    before elimination.  The transforming unimodular matrices are not kept;
+    only the divisor multiset is needed downstream.
     """
-    cols = [dict(col) for col in mat.columns]
+    cols = []
+    for j, col in enumerate(columns):
+        if not isinstance(col, dict):
+            raise ValueError(f"column {j} is not a row -> value dict")
+        col = dict(col)
+        for r, v in col.items():
+            if not (type(r) is type(v) is int and r >= 0 and v):
+                raise ValueError(
+                    f"column {j} maps row {r!r} to {v!r}: a row must be a "
+                    f"non-negative int and a value a nonzero int"
+                )
+        cols.append(col)
     pivots = _eliminate_units(cols)
     if unit_rows is not None:
         unit_rows.extend(pivots)
@@ -259,10 +252,9 @@ def smith_normal_form(
     rows = sorted(set().union(*live))
     block = [[col.get(r, 0) for col in live] for r in rows]
     _diagonalize_python(block, len(rows), len(live))
-    chain = (1,) * len(pivots) + _divisor_chain(
+    return (1,) * len(pivots) + _divisor_chain(
         [block[i][i] for i in range(min(len(rows), len(live)))]
     )
-    return SmithNormalForm(chain, len(chain))
 
 
 @dataclass(frozen=True)
@@ -316,17 +308,17 @@ def reduced_homology(complex: SimplicialComplex) -> HomologyResult:
     fvec = complex.f_vector()
     nonzeros = sum(d * f for d, f in enumerate(fvec, 1))
     cost.require(f"the homology of a {complex.dim}-dimensional complex", nonzeros)
-    forms = [None] * (complex.dim + 1)
+    divisors = [()] * (complex.dim + 1)
     paired: list[int] = []  # the unit pivot rows of the map above
     for d in reversed(range(complex.dim + 1)):
         cleared, paired = frozenset(paired), []
-        forms[d] = smith_normal_form(boundary_matrix(complex, d, cleared), paired)
-    ranks = [f.rank for f in forms] + [0]
+        divisors[d] = smith_normal_form(boundary_matrix(complex, d, cleared), paired)
+    ranks = [len(ds) for ds in divisors] + [0]
     free = tuple(
         fvec[d] - ranks[d] - ranks[d + 1] for d in range(complex.dim + 1)
     )
     torsion = tuple(
-        tuple(v for v in forms[d + 1].diagonal if v > 1)
+        tuple(v for v in divisors[d + 1] if v > 1)
         if d < complex.dim
         else ()
         for d in range(complex.dim + 1)

@@ -126,8 +126,7 @@ def _bottom_top_pnk(n: int) -> int:
 def _bottom_top_chains(n: int) -> int:
     if n == 0:
         return 1
-    table = chain_counts(n)
-    return sum((-1) ** k * table.count(n, k) for k in range(1, n + 1))
+    return sum((-1) ** k * b for k, b in enumerate(chain_counts(n)[n], 1))
 
 
 def _bottom_top_coatoms(n: int) -> int:

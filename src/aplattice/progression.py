@@ -26,14 +26,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from typing import Iterable
-
 
 _Fields = tuple[int, int, int]  # (base, step, length) of a canonical progression
-
-
-class NotAProgressionError(ValueError):
-    """Raised by from_set when a set is not an arithmetic progression."""
 
 
 class Progression(namedtuple("Progression", "base step length")):
@@ -90,26 +84,6 @@ EMPTY = Progression(0, 0, 0)
 def sort_key(p: Progression) -> tuple[int, int, int]:
     """(size, base, step): the canonical element order of the lattice layer."""
     return (p.length, p.base, p.step)
-
-
-def from_set(elements: Iterable[int]) -> Progression:
-    """Canonical progression for a finite set of positive integers.
-
-    Raises NotAProgressionError when the gaps are unequal (e.g. {1,2,4}),
-    ValueError when a member is not a positive integer.
-    """
-    xs = sorted(set(elements))
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in xs):
-        raise ValueError("members must be positive integers")
-    if not xs:
-        return EMPTY
-    if len(xs) == 1:
-        return Progression(xs[0], 0, 1)
-    step = xs[1] - xs[0]
-    for a, b in zip(xs, xs[1:]):
-        if b - a != step:
-            raise NotAProgressionError(f"not an arithmetic progression: {set(xs)}")
-    return Progression(xs[0], step, len(xs))
 
 
 def _of_fields(fields: _Fields) -> Progression:
@@ -206,20 +180,6 @@ def join_in_ambient(p: Progression, q: Progression) -> Progression:
     containing both.
     """
     return _of_fields(_join_fields(p, q))
-
-
-def covers(q: Progression, p: Progression, lattice) -> bool:
-    """True iff q covers p in the given lattice (no element strictly between).
-
-    Both progressions must belong to the lattice.  The answer comes from the
-    lattice's cover structure: L(n) is not graded, so there is no rank test.
-    """
-    try:
-        qi = lattice.id_of[q]
-        pi = lattice.id_of[p]
-    except KeyError as exc:
-        raise ValueError(f"progression {exc.args[0]} is not in L({lattice.n})") from None
-    return lattice.covers(qi, pi)
 
 
 def render(p: Progression, n: int) -> str:

@@ -1,12 +1,38 @@
-"""Relabeling, member-set, subset-meet, comodernism-scan, count-row Moebius,
-column-sweep unit stage and labeling-file helpers that only the tests use."""
+"""Set-to-progression, relabeling, member-set, subset-meet, comodernism-scan,
+count-row Moebius, column-sweep unit stage and labeling-file helpers that
+only the tests use."""
 
+from collections.abc import Iterable
 from itertools import combinations, islice
 from operator import mul
 
 from aplattice.lattice import Lattice, _embed_fields, _project_fields, build, count_rows
-from aplattice.progression import Progression, _of_fields, leq
+from aplattice.progression import EMPTY, Progression, _of_fields, leq
 from aplattice.structure import EdgeLabeling, interval_coatoms, is_left_modular_coatom
+
+
+class NotAProgressionError(ValueError):
+    """Raised by from_set when a set is not an arithmetic progression."""
+
+
+def from_set(elements: Iterable[int]) -> Progression:
+    """Canonical progression for a finite set of positive integers.
+
+    Raises NotAProgressionError when the gaps are unequal (e.g. {1,2,4}),
+    ValueError when a member is not a positive integer.
+    """
+    xs = sorted(set(elements))
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in xs):
+        raise ValueError("members must be positive integers")
+    if not xs:
+        return EMPTY
+    if len(xs) == 1:
+        return Progression(xs[0], 0, 1)
+    step = xs[1] - xs[0]
+    for a, b in zip(xs, xs[1:]):
+        if b - a != step:
+            raise NotAProgressionError(f"not an arithmetic progression: {set(xs)}")
+    return Progression(xs[0], step, len(xs))
 
 
 def element_set(lattice: Lattice, i: int) -> frozenset[int]:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from aplattice import cli, complexes, cost, moebius, structure
+from aplattice import cli, cost, moebius, structure
 from aplattice import lattice as lt
 
 
@@ -64,7 +64,7 @@ def test_table_out_file_matches_stdout(capsys, tmp_path, kind):
 def test_table_bound_is_exit_2(capsys, monkeypatch):
     # table p reads n_max**2 / 2 count-row terms: 2828 is the last in budget
     assert cost.row_terms(2828) <= cost.BUDGET < cost.row_terms(2829)
-    monkeypatch.setattr(complexes, "progression_count_rows", _never)
+    monkeypatch.setattr(cli, "count_rows", _never)
     code, _, err = run(capsys, "table", "p", "--n-max", "2829")
     assert code == 2 and "budget" in err
 
@@ -290,3 +290,21 @@ def test_readme_examples(capsys, monkeypatch, tmp_path):
     for argv in commands:
         assert cli.main(argv[1:]) == 0, argv
         assert capsys.readouterr().err == "", argv
+
+
+def test_readme_library_example(capsys):
+    """README's library block runs on the exported names, and each line it
+    prints opens the comment beside its print: 49, 1 and H~_2 = Z."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```")[0]
+    comments = [
+        line.split("#", 1)[1].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["49", "1", "H~_2 = Z"]
+    assert len(comments) == len(printed)
+    for line, comment in zip(printed, comments):
+        assert comment == line or comment.startswith(line + " "), (line, comment)

@@ -38,21 +38,19 @@ TABLE_B = [
 
 
 def test_progression_rows_match_published_table():
-    assert [list(row) for row in cx.progression_count_rows(11)] == TABLE_P
+    assert [list(row) for row in lt.count_rows(11)][1:] == TABLE_P
 
 
 def test_chain_rows_match_published_table():
-    assert [list(row) for row in cx.chain_count_rows(11)] == TABLE_B
+    assert [list(row) for row in cx.chain_counts(11)[1:]] == TABLE_B
 
 
 def test_chain_count_examples():
-    table = cx.chain_counts(9)
-    assert table.count(4, 3) == 24
-    assert table.count(7, 4) == 666
-    assert table.count(9, 1) == 1
-    assert table.count(3, 7) == 0
-    with pytest.raises(ValueError):
-        table.count(10, 1)
+    rows = cx.chain_counts(9)
+    assert rows[4][2] == 24
+    assert rows[7][3] == 666
+    assert rows[9][0] == 1
+    assert [len(row) for row in rows] == list(range(10))  # b(m, k) for k <= m
 
 
 def enumerate_bottom_top_chains(lattice):
@@ -80,10 +78,10 @@ def enumerate_bottom_top_chains(lattice):
 
 def test_chain_recurrence_against_enumeration(lat):
     for n in range(1, 9):
-        table = cx.chain_counts(n)
+        row = cx.chain_counts(n)[n]
         oracle = enumerate_bottom_top_chains(lat(n))
         for k in range(1, n + 1):
-            assert table.count(n, k) == oracle.get(k, 0), (n, k)
+            assert row[k - 1] == oracle.get(k, 0), (n, k)
 
 
 def chain_counts_by_formula(n):
@@ -103,7 +101,7 @@ def chain_counts_by_formula(n):
 
 
 def test_chain_counts_match_formula_per_term():
-    assert cx.chain_counts(200).rows == chain_counts_by_formula(200)
+    assert cx.chain_counts(200) == chain_counts_by_formula(200)
 
 
 def test_stirling_variant_of_the_recurrence():
@@ -143,9 +141,9 @@ def test_order_complex_examples(lat):
 def test_order_complex_face_counts_follow_chain_table(lat):
     for n in range(2, 10):
         oc = cx.order_complex(lat(n))
-        table = cx.chain_counts(n)
+        row = cx.chain_counts(n)[n]
         assert oc.dim == n - 2
-        assert oc.f_vector() == tuple(table.count(n, d + 2) for d in range(n - 1))
+        assert oc.f_vector() == tuple(row[d + 1] for d in range(n - 1))
 
 
 def test_order_complex_translation(lat):
@@ -234,7 +232,7 @@ def test_counts_build_no_face(lat, monkeypatch):
 
     monkeypatch.setattr(cx, "_chains", no_decoding)
     oc = cx.order_complex(lat(9))
-    assert oc.f_vector() == tuple(cx.chain_counts(9).rows[9][1:])
+    assert oc.f_vector() == tuple(cx.chain_counts(9)[9][1:])
     assert oc.dim == 7
     assert cx.reduced_euler_characteristic(oc) == mb.mobius_bottom_top(9, MM.PNK_RECURRENCE)
     with pytest.raises(AssertionError, match="decoded"):
@@ -291,8 +289,8 @@ def test_euler_characteristic_examples(lat):
 def test_euler_equals_alternating_chain_sum(lat):
     for n in range(2, 11):
         chi = cx.reduced_euler_characteristic(cx.order_complex(lat(n)))
-        table = cx.chain_counts(n)
-        alt = sum((-1) ** k * table.count(n, k) for k in range(1, n + 1))
+        row = cx.chain_counts(n)[n]
+        alt = sum((-1) ** k * row[k - 1] for k in range(1, n + 1))
         assert chi == alt == mb.mobius_bottom_top(n, MM.CHAIN_ALTERNATING_SUM)
 
 

@@ -49,7 +49,7 @@ def test_faces_and_nonzeros_match_the_order_complex(lat):
             nonzeros = sum(
                 len(col)
                 for d in range(c.dim + 1)
-                for col in boundary_matrix(c, d).columns
+                for col in boundary_matrix(c, d)
             )
             assert cost.nonzeros(n) == nonzeros, n
 
@@ -80,7 +80,7 @@ def test_chain_steps_match_listed_chains(lat):
 def test_estimates_past_the_budget_are_lower_bounds():
     # L(13) is the last order complex in budget; larger n stop at L(14)
     assert cost.faces(13) <= cost.BUDGET < cost.faces(14) == cost.faces(10**9)
-    assert cost.faces(10**9) == sum(chain_counts(14).rows[14][1:])
+    assert cost.faces(10**9) == sum(chain_counts(14)[14][1:])
     assert cost.triples(30) == cost.triples(10**9) > cost.BUDGET
     n = 10**9
     assert cost.elements(n) == n * (n + 1) // 2 + 1

@@ -10,6 +10,7 @@ from aplattice import progression as pr
 from helpers import (
     element_set,
     embed_progression,
+    from_set,
     ideal_isomorphism,
     project_progression,
 )
@@ -54,7 +55,7 @@ def test_element_order_and_ids(lat):
         ln = lat(n)
         assert ln.elements[0] is pr.EMPTY or ln.elements[0] == pr.EMPTY
         if n >= 1:
-            assert ln.elements[ln.top_id] == pr.from_set(range(1, n + 1))
+            assert ln.elements[ln.top_id] == from_set(range(1, n + 1))
         keys = [pr.sort_key(p) for p in ln.elements]
         assert keys == sorted(keys)
         assert all(ln.id_of[p] == i for i, p in enumerate(ln.elements))
@@ -129,10 +130,10 @@ def test_ideal_filter_interval(lat):
     l4 = lat(4)
     assert l4.ideal(l4.top_id) == tuple(range(14))
     assert l4.filter(0) == tuple(range(14))
-    i1 = l4.id_of[pr.from_set({1})]
-    i14 = l4.id_of[pr.from_set({1, 4})]
+    i1 = l4.id_of[from_set({1})]
+    i14 = l4.id_of[from_set({1, 4})]
     assert l4.interval(i1, i14) == (i1, i14)
-    i2 = l4.id_of[pr.from_set({2})]
+    i2 = l4.id_of[from_set({2})]
     with pytest.raises(ValueError):
         l4.interval(i2, i14)
 
@@ -219,9 +220,9 @@ def test_not_graded_witness_chains(lat):
     # two maximal chains of different lengths through 1 < 14 < 1234 < ...
     for n in range(4, 9):
         ln = lat(n)
-        short = [pr.EMPTY, pr.from_set({1}), pr.from_set({1, 4})]
-        short += [pr.from_set(range(1, m + 1)) for m in range(4, n + 1)]
-        long = [pr.EMPTY] + [pr.from_set(range(1, m + 1)) for m in range(1, n + 1)]
+        short = [pr.EMPTY, from_set({1}), from_set({1, 4})]
+        short += [from_set(range(1, m + 1)) for m in range(4, n + 1)]
+        long = [pr.EMPTY] + [from_set(range(1, m + 1)) for m in range(1, n + 1)]
         for chain, length in ((short, n - 1), (long, n)):
             ids = [ln.id_of[p] for p in chain]
             assert len(ids) - 1 == length
@@ -232,20 +233,20 @@ def test_not_graded_witness_chains(lat):
 
 def test_ideal_isomorphism_examples(lat):
     l9 = lat(9)
-    x = l9.id_of[pr.from_set({2, 5, 8})]
+    x = l9.id_of[from_set({2, 5, 8})]
     iso = ideal_isomorphism(l9, x)
     l3 = lat(3)
     assert len(iso) == len(l3)
-    assert iso[l9.id_of[pr.from_set({2})]] == l3.id_of[pr.from_set({1})]
-    assert iso[l9.id_of[pr.from_set({5})]] == l3.id_of[pr.from_set({2})]
-    assert iso[l9.id_of[pr.from_set({2, 5, 8})]] == l3.top_id
+    assert iso[l9.id_of[from_set({2})]] == l3.id_of[from_set({1})]
+    assert iso[l9.id_of[from_set({5})]] == l3.id_of[from_set({2})]
+    assert iso[l9.id_of[from_set({2, 5, 8})]] == l3.top_id
 
     # the top maps identically
     l4 = lat(4)
     iso_top = ideal_isomorphism(l4, l4.top_id)
     assert iso_top == {i: i for i in range(len(l4))}
 
-    iso_14 = ideal_isomorphism(l4, l4.id_of[pr.from_set({1, 4})])
+    iso_14 = ideal_isomorphism(l4, l4.id_of[from_set({1, 4})])
     assert len(iso_14) == 4
 
     with pytest.raises(ValueError):

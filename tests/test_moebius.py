@@ -7,11 +7,16 @@ from aplattice import cost
 from aplattice import lattice as lt
 from aplattice import moebius as mb
 from aplattice import numtheory as nt
-from aplattice import progression as pr
 from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
-from helpers import embed_progression, meet_subset, pnk_by_rows, project_progression
+from helpers import (
+    embed_progression,
+    from_set,
+    meet_subset,
+    pnk_by_rows,
+    project_progression,
+)
 
 
 def expected_m(n):
@@ -89,7 +94,7 @@ def test_spot_values():
 
 def test_interval_examples(lat):
     l7 = lat(7)
-    x = l7.id_of[pr.from_set({2, 3, 4, 5, 6})]
+    x = l7.id_of[from_set({2, 3, 4, 5, 6})]
     assert mb.mobius_interval(l7, x, x) == 1
     assert mb.mobius_interval(l7, x, l7.top_id) == 1
     assert mb.mobius_interval(l7, x, l7.top_id, MM.COATOM_MEET) == 1

@@ -13,6 +13,7 @@ from helpers import (
     comodernism_by_scan,
     edge_labeling_from_text,
     element_set,
+    from_set,
     meet_subset,
 )
 
@@ -87,7 +88,7 @@ def test_unique_meet_over_all_coatom_subsets(lat):
 def test_meet_representation_examples(lat):
     l7 = lat(7)
     assert st.meet_of_coatoms_representation(l7, 0) == st.coatoms(l7)
-    x = l7.id_of[pr.from_set({2, 3, 4, 5, 6})]
+    x = l7.id_of[from_set({2, 3, 4, 5, 6})]
     rep = st.meet_of_coatoms_representation(l7, x)
     assert {str(l7.elements[i]) for i in rep} == {"{1,2,3,4,5,6}", "{2,3,4,5,6,7}"}
     assert st.meet_of_coatoms_representation(lat(10), 0) is None
@@ -144,7 +145,7 @@ def test_run_coatoms_are_left_modular(lat):
     for n in (4, 5, 6):
         ln = lat(n)
         for base in (1, 2):
-            run = ln.id_of[pr.from_set(range(base, base + n - 1))]
+            run = ln.id_of[from_set(range(base, base + n - 1))]
             assert st.is_left_modular(ln, run)
 
 
@@ -279,8 +280,8 @@ def test_complement_scan_matches_listing(lat):
 
 def test_complements_examples(lat):
     l2 = lat(2)
-    one = l2.id_of[pr.from_set({1})]
-    two = l2.id_of[pr.from_set({2})]
+    one = l2.id_of[from_set({1})]
+    two = l2.id_of[from_set({2})]
     assert st.complements_of(l2, one) == (two,)
     # bottom and top complement each other, always
     l7 = lat(7)
@@ -290,16 +291,16 @@ def test_complements_examples(lat):
 
 def test_semicomplement_witnesses(lat):
     l5 = lat(5)
-    assert st.semicomplement_witness(l5) == pr.from_set({3})
-    assert st.semicomplement_witness(lat(9)) == pr.from_set({5})
-    assert st.semicomplement_witness(lat(10)) == pr.from_set({4, 7})
+    assert st.semicomplement_witness(l5) == from_set({3})
+    assert st.semicomplement_witness(lat(9)) == from_set({5})
+    assert st.semicomplement_witness(lat(10)) == from_set({4, 7})
     assert st.semicomplement_witness(lat(7)) is None
 
 
 def test_semicomplement_witness_checked_exhaustively(lat):
     # direct restatement of the claim for n = 5: only the top joins to the top
     l5 = lat(5)
-    w = l5.id_of[pr.from_set({3})]
+    w = l5.id_of[from_set({3})]
     for y in range(len(l5)):
         if l5.join_ids(w, y) == l5.top_id:
             assert y == l5.top_id
@@ -340,7 +341,7 @@ def test_added_element_labeling_on_l3_is_el(lat):
     # but in [bottom, {1,2}] the rising word (1, 2) follows the word (1, 1)
     l3 = lat(3)
     labels = dict(added_element_labeling(l3).labels)
-    bottom, two, one_two = (l3.id_of[pr.from_set(s)] for s in ((), (2,), (1, 2)))
+    bottom, two, one_two = (l3.id_of[from_set(s)] for s in ((), (2,), (1, 2)))
     labels[(bottom, two)] = 1
     verdict = st.verify_el_labeling(st.EdgeLabeling(l3, labels))
     assert verdict.is_er and not verdict.is_el
