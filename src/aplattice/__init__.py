@@ -36,10 +36,8 @@ from .moebius import (
     MoebiusMethod,
     mobius_bottom_top,
     mobius_interval,
-    mobius_support,
 )
 from .numtheory import (
-    Factorization,
     classical_mobius,
     divisors,
     factorize,

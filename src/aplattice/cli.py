@@ -1,11 +1,12 @@
 """Command-line surface: published tables, structural checks, and exports.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 a usage error or a
-request over the work budget.  Each request is estimated once, through
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 a usage error, input
+the library refuses, or a request over the work budget.  The command line
+only parses, prices and prints: each request is estimated once, through
 ``cost``, before any work; ``--force`` runs an over-budget request after one
 warning.  A check is a verdict of one n; ``cmd_check`` runs it over the
-requested range, clamped up to the least n where the default range starts.
-All output is deterministic for fixed arguments.
+requested range, clamped up to the check's least n.  All output is
+deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ from itertools import islice
 from . import complexes, cost, homology, moebius, structure
 from .lattice import build, count_rows, sizes
 from .moebius import MoebiusMethod
-from .numtheory import classical_mobius, is_squarefree, omega
+from .numtheory import classical_mobius, is_squarefree, omega, valid_n
 
 _METHOD_NAMES = {m.value: m for m in MoebiusMethod}
-
-
-class UsageError(ValueError):
-    """Malformed arguments; maps to exit code 2."""
 
 
 @dataclass
@@ -60,9 +57,7 @@ class RunReport:
         return json.dumps(blob, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
-    if text is None:
-        return default
+def _parse_range(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -70,9 +65,9 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
         else:
             a = b = int(text)
     except ValueError:
-        raise UsageError(f"bad range {text!r}; use N or A..B") from None
+        raise ValueError(f"bad range {text!r}; use N or A..B") from None
     if a > b or a < 0:
-        raise UsageError(f"bad range {text!r}")
+        raise ValueError(f"bad range {text!r}")
     return a, b
 
 
@@ -84,7 +79,7 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc}") from None
+            raise ValueError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.writelines(chunks)
 
@@ -117,8 +112,7 @@ def _engines(n: int, names) -> int:
 
 
 def cmd_table(kind: str, n_max: int, out: str | None) -> int:
-    if n_max < 1:
-        raise UsageError("--n-max must be >= 1")
+    valid_n(n_max, 1, "--n-max")
     # b is the chains engine's table; p reads the count rows, and size, a
     # running sum of n divisor counts, keeps the bound of p
     units = cost.engine(n_max, "chains") if kind == "b" else cost.row_terms(n_max)
@@ -230,35 +224,32 @@ def _euler(n: int) -> tuple[bool, str]:
     return chi == alt == mu, detail
 
 
-# name -> (verdict of one n, default range, work units of one n); a default
-# range starts at the check's least n.  The coatom brute force lists the
-# interval up to the top of every element; the complement scan meets a
-# complement within about 2n candidates per element (counted up to n = 150),
-# a join and a meet each.
+# name -> (verdict of one n, least n, work units of one n).  The coatom
+# brute force lists the interval up to the top of every element; the
+# complement scan meets a complement within about 2n candidates per element
+# (counted up to n = 150), a join and a meet each.
 _CHECKS = {
-    "theorem1": (_theorem1, (0, 12), lambda n: _engines(n, _METHOD_NAMES)),
-    "coatoms": (_coatoms, (1, 12), lambda n: _lattice_units(n) + cost.pairs(n)),
-    "comodernistic": (
-        _comodernistic, (0, 8), lambda n: _lattice_units(n) + cost.triples(n)
-    ),
+    "theorem1": (_theorem1, 0, lambda n: _engines(n, _METHOD_NAMES)),
+    "coatoms": (_coatoms, 1, lambda n: _lattice_units(n) + cost.pairs(n)),
+    "comodernistic": (_comodernistic, 0, lambda n: _lattice_units(n) + cost.triples(n)),
     "complemented": (
-        _complemented, (2, 12), lambda n: (cost.ELEMENT + 4 * n) * cost.elements(n)
+        _complemented, 2, lambda n: (cost.ELEMENT + 4 * n) * cost.elements(n)
     ),
-    "folkman": (_folkman, (4, 8), _complex_units),
+    "folkman": (_folkman, 4, _complex_units),
     "euler": (
         _euler,
-        (2, 10),
+        2,
         lambda n: _lattice_units(n) + cost.faces(n) + _engines(n, ("pnk", "chains")),
     ),
 }
 
 
-def cmd_check(name: str, range_text: str | None, as_json: bool) -> int:
-    verdict, default, units_of = _CHECKS[name]
-    lo, hi = _parse_range(range_text, default)
-    ns = range(max(lo, default[0]), hi + 1)
+def cmd_check(name: str, range_text: str, as_json: bool) -> int:
+    verdict, least, units_of = _CHECKS[name]
+    lo, hi = _parse_range(range_text)
+    ns = range(max(lo, least), hi + 1)
     if not ns:
-        raise UsageError(f"range {lo}..{hi} leaves nothing to check for {name!r}")
+        raise ValueError(f"range {lo}..{hi} leaves nothing to check for {name!r}")
     units = 0
     for n in ns:  # stop once the budget is passed
         units += units_of(n)
@@ -294,7 +285,7 @@ def cmd_export(kind: str, n: int, out: str | None) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 2 without argparse's traceback noise
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -312,8 +303,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--out")
 
     m = sub.add_parser("mobius", help="Moebius value of the whole lattice", parents=[force])
-    m.add_argument("n", type=int, nargs="?")
-    m.add_argument("--n", type=int, dest="n_flag")
+    m.add_argument("n", type=int)
     m.add_argument("--method", choices=sorted(_METHOD_NAMES) + ["all"], default="all")
     m.add_argument("--json", action="store_true")
 
@@ -321,8 +311,7 @@ def _build_parser() -> _Parser:
         "check", help="verify a structural statement over a range of n", parents=[force]
     )
     c.add_argument("name", choices=sorted(_CHECKS))
-    c.add_argument("range", nargs="?", help="N or A..B (default depends on the check)")
-    c.add_argument("--n", dest="n_flag", help="alternative spelling of the range")
+    c.add_argument("range", help="N or A..B, clamped up to the check's least n")
     c.add_argument("--json", action="store_true")
 
     e = sub.add_parser(
@@ -341,7 +330,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with cost.unbounded(args.force):
             return _dispatch(args)
-    except (UsageError, cost.BudgetError) as exc:
+    # every ValueError of the package refuses input (BudgetError is one);
+    # internal invariants are asserts, so a bug is never a usage error
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -350,23 +341,11 @@ def _dispatch(args) -> int:
     if args.subcommand == "table":
         return cmd_table(args.kind, args.n_max, args.out)
     if args.subcommand == "mobius":
-        n = args.n if args.n is not None else args.n_flag
-        if n is None or n < 0:
-            raise UsageError("mobius needs a nonnegative n")
-        return cmd_mobius(n, args.method, args.json)
+        return cmd_mobius(args.n, args.method, args.json)
     if args.subcommand == "check":
-        range_text = args.range if args.range is not None else args.n_flag
-        return cmd_check(args.name, range_text, args.json)
-    if args.n < 0:  # export, the last subcommand
-        raise UsageError("export needs a nonnegative n")
-    if args.n < 2 and args.kind in ("complex-json", "homology-json"):
-        raise UsageError(f"export {args.kind} needs n >= 2")
+        return cmd_check(args.name, args.range, args.json)
     return cmd_export(args.kind, args.n, args.out)
 
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

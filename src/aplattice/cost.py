@@ -16,6 +16,9 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
   1.2-1.3 s, 29 MB (an upper bound: the scan checks only the intervals
   [x, {1,..,m}] and carries their witnesses to the rest)
+* k(k-1)/2 member pairs of an interval of k elements, priced in
+  ``structure``: left-modularity of a run coatom in the whole L(40), 3.71M,
+  2.0 s, 15 MB
 * chain_steps(n), the steps of all saturated chains of all intervals, from
   count_rows and the coatom sizes: labeling of L(14), 2.50M, 1.8 s, 24 MB
 * row_terms(n), n^2/2 count-row terms for table p and table size: 2828,

@@ -38,7 +38,6 @@ from .lattice import (
     build,
     coatom_progressions,
 )
-from .numtheory import omega
 from .progression import meet
 from .structure import coatom_meet_table
 
@@ -155,27 +154,3 @@ def mobius_bottom_top(n: int, method: MoebiusMethod) -> int:
     if method is MoebiusMethod.CHAIN_ALTERNATING_SUM:
         return _bottom_top_chains(n)
     return _bottom_top_coatoms(n)
-
-
-def mobius_support(lattice: Lattice) -> tuple[tuple[int, int], ...]:
-    """All (id, mu(id, top)) pairs with nonzero value, ascending by id.
-
-    Defined for n >= 4.  Every value is +1 or -1, and the number of pairs is
-    2 ** (omega(n-1) + 2), both asserted here and cross-checked against the
-    definitional recursion in the tests.
-    """
-    n = lattice.n
-    if n < 4:
-        raise ValueError("mobius_support is defined for n >= 4")
-    table = coatom_meet_table(n)
-    out = []
-    for i, p in enumerate(lattice.elements):
-        if i == lattice.top_id:
-            out.append((i, 1))
-            continue
-        rep = table.get(p)
-        if rep is not None:
-            out.append((i, (-1) ** len(rep)))
-    assert len(out) == 2 ** (omega(n - 1) + 2), "support size disagrees with 2^(omega+2)"
-    assert all(v in (-1, 1) for _, v in out)
-    return tuple(out)

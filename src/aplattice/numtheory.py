@@ -8,16 +8,7 @@ works with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorisation ``value = prod(p**e)`` with primes strictly increasing."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
 
 
 def valid_n(n, least: int = 0, name: str = "n") -> int:
@@ -29,8 +20,9 @@ def valid_n(n, least: int = 0, name: str = "n") -> int:
 
 
 @lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division. factorize(1) carries no factors."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1 by trial division, primes
+    strictly increasing; factorize(1) is ()."""
     valid_n(n, 1)
     m = n
     factors = []
@@ -45,43 +37,43 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def classical_mobius(n: int) -> int:
     """mu(n): 1 for squarefree with an even number of primes, -1 for odd, else 0."""
     fac = factorize(n)
-    if any(e > 1 for _, e in fac.factors):
+    if any(e > 1 for _, e in fac):
         return 0
-    return -1 if len(fac.factors) % 2 else 1
+    return -1 if len(fac) % 2 else 1
 
 
 def tau(n: int) -> int:
     """Number of divisors of n."""
     result = 1
-    for _, e in factorize(n).factors:
+    for _, e in factorize(n):
         result *= e + 1
     return result
 
 
 def omega(n: int) -> int:
     """Number of distinct prime divisors of n."""
-    return len(factorize(n).factors)
+    return len(factorize(n))
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
     """Distinct primes dividing n, ascending."""
-    return tuple(p for p, _ in factorize(n).factors)
+    return tuple(p for p, _ in factorize(n))
 
 
 def divisors(n: int) -> tuple[int, ...]:
     """All divisors of n, ascending."""
     out = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out = [d * p**i for d in out for i in range(e + 1)]
     return tuple(sorted(out))
 
 
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n."""
-    return all(e == 1 for _, e in factorize(n).factors)
+    return all(e == 1 for _, e in factorize(n))

@@ -103,11 +103,14 @@ def is_left_modular_in_interval(lattice: Lattice, lo: int, hi: int, m: int) -> b
     """Definitional test: (x v m) ^ y == x v (m ^ y) for all x < y in [lo, hi].
 
     x v m is computed once per member x and m ^ y once per member y; the
-    identity is still checked on every pair.
+    identity is still checked on every pair.  Past the work budget (one unit
+    per pair of members) it raises cost.BudgetError first.
     """
     members = lattice.interval(lo, hi)
     if m not in members:
         raise ValueError("m must belong to the interval")
+    pairs = len(members) * (len(members) - 1) // 2
+    cost.require(f"the left-modularity test on {len(members):,} elements", pairs)
     meets = [lattice.meet_ids(m, y) for y in members]
     for i, x in enumerate(members):
         x_join_m = lattice.join_ids(x, m)

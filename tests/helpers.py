@@ -1,14 +1,20 @@
 """Set-to-progression, relabeling, member-set, subset-meet, comodernism-scan,
-count-row Moebius, column-sweep unit stage and labeling-file helpers that
-only the tests use."""
+count-row Moebius, Moebius-support, column-sweep unit stage and
+labeling-file helpers that only the tests use."""
 
 from collections.abc import Iterable
 from itertools import combinations, islice
 from operator import mul
 
 from aplattice.lattice import Lattice, _embed_fields, _project_fields, build, count_rows
+from aplattice.numtheory import omega
 from aplattice.progression import EMPTY, Progression, _of_fields, leq
-from aplattice.structure import EdgeLabeling, interval_coatoms, is_left_modular_coatom
+from aplattice.structure import (
+    EdgeLabeling,
+    coatom_meet_table,
+    interval_coatoms,
+    is_left_modular_coatom,
+)
 
 
 class NotAProgressionError(ValueError):
@@ -78,6 +84,30 @@ def pnk_by_rows(n: int) -> list[int]:
         # values holds M(0..m-1), so map stops before p(m, m)
         values.append(-sum(map(mul, values, row)))
     return values
+
+
+def mobius_support(lattice: Lattice) -> tuple[tuple[int, int], ...]:
+    """All (id, mu(id, top)) pairs with nonzero value, ascending by id.
+
+    Read off coatom_meet_table(n); defined for n >= 4.  Every value is +1 or
+    -1, and the number of pairs is 2 ** (omega(n-1) + 2), both asserted here;
+    test_moebius checks the values against the definitional recursion.
+    """
+    n = lattice.n
+    if n < 4:
+        raise ValueError("mobius_support is defined for n >= 4")
+    table = coatom_meet_table(n)
+    out = []
+    for i, p in enumerate(lattice.elements):
+        if i == lattice.top_id:
+            out.append((i, 1))
+            continue
+        rep = table.get(p)
+        if rep is not None:
+            out.append((i, (-1) ** len(rep)))
+    assert len(out) == 2 ** (omega(n - 1) + 2), "support size disagrees with 2^(omega+2)"
+    assert all(v in (-1, 1) for _, v in out)
+    return tuple(out)
 
 
 def eliminate_units_by_sweep(cols: list[dict[int, int]]) -> list[int]:

@@ -105,18 +105,6 @@ def test_check_theorem1(capsys):
     assert out.count("PASS") == 19
 
 
-def test_check_theorem1_default_range(capsys):
-    code, out, _ = run(capsys, "check", "theorem1")
-    assert code == 0
-    assert out.count("PASS") == 13  # 0..12
-
-
-def test_check_range_flag_spelling(capsys):
-    code, out, _ = run(capsys, "check", "theorem1", "--n", "5")
-    assert code == 0
-    assert "theorem1 n=5" in out
-
-
 def test_check_coatoms(capsys):
     code, out, _ = run(capsys, "check", "coatoms", "1..12")
     assert code == 0
@@ -181,11 +169,28 @@ def test_check_empty_range(capsys):
         ("export", "hasse-dot", "--n", "-1"),
         ("export", "complex-json", "--n", "1"),
         ("export", "homology-json", "--n", "0"),
+        ("check", "theorem1"),  # a check needs its range
+        ("check", "theorem1", "--n", "5"),  # n and the range are positional
+        ("mobius", "--n", "5"),
+        ("mobius", "-1"),  # refused by the library, as below
     ],
 )
 def test_usage_errors_exit_2_with_no_output(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("export", "complex-json", "--n", "1"), "the order complex needs n >= 2"),
+        (("mobius", "-1"), "n must be an integer >= 0"),
+    ],
+)
+def test_library_refusals_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_failed_verdict_exits_1(capsys, monkeypatch):

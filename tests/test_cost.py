@@ -9,6 +9,7 @@ from aplattice import (
     chain_counts,
     cli,
     coatom_progressions,
+    coatoms,
     complexes,
     cost,
     count_progressions_enumerated,
@@ -16,6 +17,7 @@ from aplattice import (
     count_rows,
     gf_coefficients,
     homology,
+    is_left_modular,
     lattice,
     mobius_bottom_top,
     moebius,
@@ -152,10 +154,22 @@ def test_library_refuses_before_any_work(monkeypatch):
         homology.reduced_homology(c4)
 
 
+def test_left_modularity_is_priced_per_pair(monkeypatch):
+    # one unit per pair of members: the whole L(40) fits, the whole L(41) not
+    l40, l41 = lattice.build(40), lattice.build(41)
+    m40, m41 = coatoms(l40)[0], coatoms(l41)[0]
+    assert len(l40) * (len(l40) - 1) // 2 == 3_708_726 <= cost.BUDGET
+    monkeypatch.setattr(lattice.Lattice, "meet_ids", _never)
+    with pytest.raises(cost.BudgetError, match="4,154,403"):
+        is_left_modular(l41, m41)
+    with pytest.raises(AssertionError, match="work started"):  # admitted
+        is_left_modular(l40, m40)
+
+
 def test_range_estimate_stops_once_past_the_budget(capsys, monkeypatch):
-    runner, default, units_of = cli._CHECKS["euler"]
+    runner, least, units_of = cli._CHECKS["euler"]
     seen = []
-    counted = (runner, default, lambda n: seen.append(n) or units_of(n))
+    counted = (runner, least, lambda n: seen.append(n) or units_of(n))
     monkeypatch.setitem(cli._CHECKS, "euler", counted)
     assert cli.main(["check", "euler", "2..100000"]) == 2
     assert seen == list(range(2, 14))  # 2..12 fit, 13 passes the budget

@@ -14,6 +14,7 @@ from helpers import (
     embed_progression,
     from_set,
     meet_subset,
+    mobius_support,
     pnk_by_rows,
     project_progression,
 )
@@ -162,7 +163,7 @@ def test_structural_representation_matches_subsets(lat):
 
 def test_support_sizes_and_values(lat):
     for n, size in ((5, 8), (7, 16)):
-        support = mb.mobius_support(lat(n))
+        support = mobius_support(lat(n))
         assert len(support) == size == 2 ** (nt.omega(n - 1) + 2)
         assert all(v in (-1, 1) for _, v in support)
 
@@ -170,7 +171,7 @@ def test_support_sizes_and_values(lat):
 def test_support_matches_definition(lat):
     for n in range(4, 10):
         ln = lat(n)
-        support = dict(mb.mobius_support(ln))
+        support = dict(mobius_support(ln))
         for x in range(len(ln)):
             mu = mb.mobius_interval(ln, x, ln.top_id)
             assert support.get(x, 0) == mu, (n, x)
@@ -178,7 +179,7 @@ def test_support_matches_definition(lat):
 
 def test_support_rejects_small_n(lat):
     with pytest.raises(ValueError):
-        mb.mobius_support(lat(3))
+        mobius_support(lat(3))
 
 
 def test_euler_characteristic_agreement(lat):
