@@ -6,15 +6,17 @@ boundary-matrix homology downstream.  Vertices are dense integers with a
 translation table back to lattice ids.  The empty face is always considered
 present.
 
-Chain counts are plain rows (b(m, 1), .., b(m, m)), one per m, filled from
-the progression counts one whole row p(m, 0..m) at a time from
-``lattice.count_rows``; their readers index the rows.  The order complex is
-walked level by level as one flat list of last vertices, the breadth-first
-layout of a simplex tree (Boissonnat and Maria, "The Simplex Tree",
-Algorithmica 2014): the children of a chain ending at v are the vertices
-above v, so a level's length is its face count, and the f-vector and the
-Euler characteristic need no face tuple.  The tuples are decoded once, on
-first use, already in lexicographic order.
+Chain counts are rows (b(m, 1), .., b(m, m)), read as polynomials
+B_m(t) = sum of b(m, k) t^k: B_0 = 1 and B_m = t A_m, A_m = sum over i < m
+of p(m, i) B_i.  Differenced like the p(n, k) Moebius engine, with N = m-1,
+A_m = A_(m-1) + B_1 + B_N + sum over 1 <= j < N of (N//j) B_(j+1), summed in
+blocks of equal quotient; at one power of two wide enough for every count,
+each row is one integer (Kronecker substitution).  The order complex is
+walked level by level as a count per vertex of the faces of one dimension
+that end there, one pass over the comparable pairs a level, so the f-vector
+and the Euler characteristic need no face tuple.  The tuples are decoded
+once, on first use, in lexicographic order: the breadth-first layout of a
+simplex tree (Boissonnat and Maria, "The Simplex Tree", Algorithmica 2014).
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial, reduce
-from itertools import chain, combinations, islice
-from operator import mul
+from itertools import chain, combinations
 
 from . import cost
-from .lattice import Lattice, count_rows
-from .numtheory import valid_n
+from .lattice import Lattice
+from .numtheory import _quotient_block_sum, valid_n
 from .structure import coatoms
 
 _Faces = tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
@@ -137,36 +138,53 @@ def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
         raise ValueError(f"dimension 0 lacks a vertex of range({vertex_count})")
 
 
-def chain_counts(n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows (b(m, 1), .., b(m, m)) for m = 0..n, where b(m, k) counts the
-    chains of length k in L(m) that contain both the empty progression and
-    {1,..,m}; row 0 is empty.  They fill through the recurrence
-    b(m, k) = sum over i < m of p(m, i) * b(i, k-1), with b(m, 1) = 1.
+def _chain_values(n: int, shift: int) -> list[int]:
+    """B_0(t), .., B_n(t) at t = 2**shift, by the module docstring's recurrence."""
+    t = 1 << shift
+    a = 1 + 2 * t  # A_2
+    values = [1, t, a << shift]  # B_0, B_1 and B_2 = t A_2
+    prefix = [0, values[2]]  # prefix[x] = B_2 + .. + B_(x+1), for x < N
+    for big in range(2, n):  # big is N = m - 1 for m = 3..n
+        a += values[1] + values[big] + _quotient_block_sum(values, prefix, big)
+        values.append(a << shift)
+        prefix.append(prefix[-1] + values[-1])
+    return values[: n + 1]
 
-    Row m of the progression counts is read once, and b is also kept by
-    column (cols[k] holds b(k, k), b(k+1, k), ..), so each b(m, k) is one
-    dot product of two contiguous runs.
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per packed coefficient: those `bound` needs, plus one."""
+    return (bound.bit_length() + 7) // 8 + 1
+
+
+def chain_counts(n: int, *, last: bool = False) -> tuple:
+    """The rows (b(m, 1), .., b(m, m)) for m = 0..n, or row n alone when
+    `last`, where b(m, k) counts the chains of length k in L(m) that contain
+    both the empty progression and {1,..,m}; row 0 is empty.
+
+    The recurrence is evaluated once at t = 1, for the total B_n(1), which
+    bounds every b(m, k) with m <= n, and once at t = 2**(8w), with w bytes
+    per coefficient to spare, where each row is one integer; only the rows
+    asked for are unpacked, through to_bytes and from_bytes.
     """
     valid_n(n, 1)
-    rows: list[tuple[int, ...]] = [()]
-    cols: list[list[int]] = [[]]
-    for m, p in enumerate(islice(count_rows(n), 1, None), 1):
-        cols.append([])
-        # cols[k-1] holds b(k-1..m-1, k-1), so map stops before p(m, m)
-        row = (1, *(sum(map(mul, p[k - 1 :], cols[k - 1])) for k in range(2, m + 1)))
-        for k, b in enumerate(row, 1):
-            cols[k].append(b)
-        rows.append(row)
-    return tuple(rows)
+    w = _slot_bytes(_chain_values(n, 0)[n])
+    packed = _chain_values(n, 8 * w)
+
+    def row(m: int) -> tuple[int, ...]:
+        data = packed[m].to_bytes((m + 1) * w, "little")  # slot k holds b(m, k)
+        slots = range(w, len(data), w)
+        return tuple(int.from_bytes(data[i : i + w], "little") for i in slots)
+
+    return row(n) if last else tuple(map(row, range(n + 1)))
 
 
 def order_complex(lattice: Lattice) -> SimplicialComplex:
     """The complex whose vertices are the proper elements of L(n) and whose
     faces are the chains among them.  Needs n >= 2 (a proper part to speak of).
 
-    Each level of the walk lists the last vertex of every face of one
-    dimension, and the next level lays the vertices above each of them end to
-    end.  The level lengths must equal the chain counts of row n; that is
+    Each level of the walk counts, per vertex, the faces of one dimension
+    that end there, and the next level adds each count to the vertices
+    above.  The level totals must equal the chain counts of row n; that is
     asserted on every construction.  Past the work budget (one unit per face,
     counted from the same rows) it raises cost.BudgetError first.
     """
@@ -179,13 +197,15 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
     # vertex i is lattice id i + 1 and filter(v) ascends
     ups = tuple(tuple(w - 1 for w in lattice.filter(v) if v < w < top) for v in vertices)
     counts = []
-    last = list(range(len(ups)))
-    while last:
-        counts.append(len(last))
-        below, last = last, []
-        for v in below:
-            last.extend(ups[v])
-    assert tuple(counts) == chain_counts(n)[n][1:], (
+    mult = [1] * len(ups)  # mult[v] = number of d-faces that end at v
+    while any(mult):
+        counts.append(sum(mult))
+        below, mult = mult, [0] * len(ups)
+        for v, c in enumerate(below):
+            if c:
+                for w in ups[v]:
+                    mult[w] += c
+    assert tuple(counts) == chain_counts(n, last=True)[1:], (
         "face counts disagree with the chain recurrence"
     )
     return SimplicialComplex._decoded_on_demand(

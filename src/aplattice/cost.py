@@ -9,8 +9,8 @@ face of L(13).  The largest admitted request of each kind took (one run
 unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 
 * elements(n), from the size identity: build(200), 99k, 0.57-0.62 s, 46 MB
-* faces(n), from chain_counts: order_complex(build(13)), 3.70M, 0.13-0.22 s,
-  30 MB; decoding its face tuples (homology, export) 1.1-1.5 s more, 416 MB
+* faces(n), from chain_counts: order_complex(build(13)), 3.70M, 0.003-0.007 s,
+  15 MB; decoding its face tuples (homology, export) 1.1-1.5 s more, 410-416 MB
 * nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 1.9-2.4 s, 123 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
@@ -25,8 +25,9 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
   1.3 s, 17 MB (table p, written one row at a time); 0.1 s, 17 MB (table
   size)
 * engine(n, name), terms: 2 n isqrt(n) for pnk (15875: 0.4-0.5 s, 17 MB),
-  n^3/6 for chains (288: 0.6 s), the build and sum |L(m)| over m <= n for
-  definition (142: 3.0 s, 45 MB), isqrt(n) trial divisions for coatom
+  n^3/6 for chains (288: 0.06-0.08 s, 24 MB), the build and sum |L(m)| over
+  m <= n for definition (142: 3.0 s, 45 MB), isqrt(n) trial divisions for
+  coatom
 
 Every count grows with n, so an estimate stops at the first one past the
 budget (the elements at their n(n+1)/2 + 1 runs): refusing needs no more.
@@ -90,7 +91,7 @@ def _chains(n: int):
     """b(m, k) for k >= 2 and m = 0..n: a chain of length d + 2 from the
     bottom to the top is a d-face of the order complex."""
     for m in range(valid_n(n) + 1):
-        yield complexes.chain_counts(m)[m][1:] if m else ()
+        yield complexes.chain_counts(m, last=True)[1:] if m else ()
 
 
 def faces(n: int) -> int:

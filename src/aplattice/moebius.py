@@ -8,11 +8,11 @@
   ideal below a size-k element is L(k).  The relation at m minus the one at
   m-1 keeps only the progressions ending at m, (m-1)//(k-1) of size k >= 2
   and one of size 1, so with N = m-1 it reads
-  M(m) = 1 - sum over 1 <= j < N of M(j+1) * (N//j).  The terms j <= isqrt(N)
-  are summed directly; the rest fall in blocks of equal quotient q = N//j,
-  summed by parts over a running prefix sum of M: O(sqrt(m)) terms per m.
-* ChainAlternatingSum: M(n) = sum over k of (-1)^k b(n, k), needing only the
-  bottom-to-top chain counts.
+  M(m) = 1 - sum over 1 <= j < N of M(j+1) * (N//j), summed in blocks of
+  equal quotient N//j over a running prefix sum of M: O(sqrt(m)) terms per m.
+* ChainAlternatingSum: M(n) = sum over k of (-1)^k b(n, k), read off row n
+  of the chain counts alone.  Those rows run through the same quotient-block
+  sum, each row packed into one integer (see ``complexes``).
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
   exactly k elements covered by y, and 0 when x is no such meet.  The ideal
   below y is L(|y|) relabeled, so the value is read off
@@ -26,9 +26,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from itertools import repeat
-from math import isqrt
-from operator import floordiv, mul
 
 from . import cost
 from .complexes import chain_counts
@@ -38,6 +35,7 @@ from .lattice import (
     build,
     coatom_progressions,
 )
+from .numtheory import _quotient_block_sum
 from .progression import meet
 from .structure import coatom_meet_table
 
@@ -102,19 +100,8 @@ def _pnk_values(n: int) -> list[int]:
     values = [1, -1, 1]  # M(2) = 1: at m = 2 the sum over j is empty
     prefix = [0, 1]  # prefix[x] = M(2) + .. + M(x+1), for x < N
     for big in range(2, n):  # big is N = m - 1 for m = 3..n
-        r = isqrt(big)
-        quotients = map(floordiv, repeat(big), range(1, r + 1))
-        direct = sum(map(mul, values[2 : r + 2], quotients))
-        # Block q holds the j with N//(q+1) < j <= N//q, for q = 1..last,
-        # which covers r < j <= N.  By parts, the sum of
-        # q * (prefix[N//q] - prefix[N//(q+1)]) is the sum of prefix[N//q]
-        # less last * prefix[r]; block 1 stops at N-1, short of M(N+1).
-        last = big // (r + 1)
-        ends = map(floordiv, repeat(big), range(2, last + 1))
-        blocks = prefix[big - 1] + sum(map(prefix.__getitem__, ends)) - last * prefix[r]
-        value = 1 - direct - blocks
-        values.append(value)
-        prefix.append(prefix[-1] + value)
+        values.append(1 - _quotient_block_sum(values, prefix, big))
+        prefix.append(prefix[-1] + values[-1])
     return values[: n + 1]
 
 
@@ -125,7 +112,7 @@ def _bottom_top_pnk(n: int) -> int:
 def _bottom_top_chains(n: int) -> int:
     if n == 0:
         return 1
-    return sum((-1) ** k * b for k, b in enumerate(chain_counts(n)[n], 1))
+    return sum((-1) ** k * b for k, b in enumerate(chain_counts(n, last=True), 1))
 
 
 def _bottom_top_coatoms(n: int) -> int:

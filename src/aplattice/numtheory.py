@@ -9,6 +9,9 @@ works with.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from math import isqrt
+from operator import floordiv, mul
 
 
 def valid_n(n, least: int = 0, name: str = "n") -> int:
@@ -17,6 +20,24 @@ def valid_n(n, least: int = 0, name: str = "n") -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
     return n
+
+
+def _quotient_block_sum(values: list[int], prefix: list[int], big: int) -> int:
+    """The sum over 1 <= j < big of (big//j) * values[j+1], for big >= 2, in
+    O(isqrt(big)) terms, where prefix[x] = values[2] + .. + values[x+1] for
+    x < big.  The terms j <= isqrt(big) are summed directly; the rest fall in
+    blocks of equal quotient q = big//j, summed by parts over the prefix."""
+    r = isqrt(big)
+    quotients = map(floordiv, repeat(big), range(1, r + 1))
+    direct = sum(map(mul, values[2 : r + 2], quotients))
+    # Block q holds the j with big//(q+1) < j <= big//q, for q = 1..last,
+    # which covers r < j < big.  By parts, the sum of
+    # q * (prefix[big//q] - prefix[big//(q+1)]) is the sum of prefix[big//q]
+    # less last * prefix[r]; block 1 stops at big-1, short of values[big+1].
+    last = big // (r + 1)
+    ends = map(floordiv, repeat(big), range(2, last + 1))
+    blocks = prefix[big - 1] + sum(map(prefix.__getitem__, ends)) - last * prefix[r]
+    return direct + blocks
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 """Set-to-progression, relabeling, member-set, subset-meet, comodernism-scan,
-count-row Moebius, Moebius-support, column-sweep unit stage and
+count-row Moebius and chain-row, Moebius-support, column-sweep unit stage and
 labeling-file helpers that only the tests use."""
 
 from collections.abc import Iterable
@@ -84,6 +84,23 @@ def pnk_by_rows(n: int) -> list[int]:
         # values holds M(0..m-1), so map stops before p(m, m)
         values.append(-sum(map(mul, values, row)))
     return values
+
+
+def chain_counts_by_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The chain rows (b(m, 1), .., b(m, m)) for m = 0..n by the recurrence
+    b(m, k) = sum over i < m of p(m, i) * b(i, k-1) as written, one dot
+    product per b(m, k) with a whole count row: the oracle for the packed
+    quotient-block rows of complexes.chain_counts."""
+    rows: list[tuple[int, ...]] = [()]
+    cols: list[list[int]] = [[]]  # cols[k] holds b(k, k), b(k+1, k), ..
+    for m, p in enumerate(islice(count_rows(n), 1, None), 1):
+        cols.append([])
+        # cols[k-1] holds b(k-1..m-1, k-1), so map stops before p(m, m)
+        row = (1, *(sum(map(mul, p[k - 1 :], cols[k - 1])) for k in range(2, m + 1)))
+        for k, b in enumerate(row, 1):
+            cols[k].append(b)
+        rows.append(row)
+    return tuple(rows)
 
 
 def mobius_support(lattice: Lattice) -> tuple[tuple[int, int], ...]:

@@ -8,6 +8,8 @@ from aplattice import moebius as mb
 from aplattice import progression as pr
 from aplattice.moebius import MoebiusMethod as MM
 
+from helpers import chain_counts_by_rows
+
 # Published count tables, frozen for golden comparison.
 TABLE_P = [
     [1, 1],
@@ -102,6 +104,39 @@ def chain_counts_by_formula(n):
 
 def test_chain_counts_match_formula_per_term():
     assert cx.chain_counts(200) == chain_counts_by_formula(200)
+
+
+@pytest.fixture(scope="module")
+def rows_by_recurrence():
+    # the whole range the budget admits for mobius --method chains and table b
+    return chain_counts_by_rows(288)
+
+
+def test_chain_counts_match_the_row_recurrence(rows_by_recurrence):
+    oracle = rows_by_recurrence
+    assert cx.chain_counts(288) == oracle
+    for n in (*range(1, 40), *range(40, 289, 31), 288):
+        assert cx.chain_counts(n, last=True) == oracle[n], n
+
+
+def test_narrow_slots_break_the_chain_rows(rows_by_recurrence, monkeypatch):
+    # packing with slots narrower than the largest b(n, k) must be caught
+    oracle = rows_by_recurrence
+    for n in (12, 100, 288):
+        narrow = (max(oracle[n]).bit_length() + 7) // 8 - 1
+        monkeypatch.setattr(cx, "_slot_bytes", lambda bound: narrow)
+        try:
+            rows = cx.chain_counts(n)
+        except OverflowError:  # the top slot carried past row n's bytes
+            continue
+        assert rows != oracle[: n + 1], n
+
+
+def test_pnk_values_are_alternating_chain_sums():
+    # the two callers of numtheory._quotient_block_sum check each other
+    rows = cx.chain_counts(288)
+    sums = [sum((-1) ** k * b for k, b in enumerate(row, 1)) for row in rows]
+    assert mb._pnk_values(288)[1:] == sums[1:]
 
 
 def test_stirling_variant_of_the_recurrence():

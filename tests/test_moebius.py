@@ -80,7 +80,7 @@ def test_pnk_cost_bounds_the_engine_terms(monkeypatch):
         terms[a] += 1
         return a // b
 
-    monkeypatch.setattr(mb, "floordiv", counted)
+    monkeypatch.setattr(nt, "floordiv", counted)  # inside _quotient_block_sum
     mb._pnk_values(2000)
     total = 0
     for n in range(2001):
