@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import cost
-from .lattice import Lattice, _embed_fields
+from .lattice import Lattice, _embed_fields, build
 from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import EMPTY, Progression, sort_key
 
@@ -165,6 +165,25 @@ def _first_left_modular_coatom(lattice: Lattice, lo: int, hi: int) -> int | None
     return next((m for m in candidates if _covers_its_meets(lattice, members, m)), None)
 
 
+@lru_cache(maxsize=None)
+def _representative_witnesses(m: int) -> tuple[dict, tuple | None]:
+    """The witness of every interval [x, top] of L(m) with x below the top,
+    as (base, step, length) triples in L(m) coordinates: its first coatom
+    passing the cover criterion, by ascending step, then id (the two runs of
+    size m-1 come first).  Returns (witnesses, None), or the witnesses found
+    so far and the first x whose interval has none.
+    """
+    lattice = build(m)
+    fields, top = lattice._fields, lattice.top_id
+    witnesses = {}
+    for lo in range(top):
+        witness = _first_left_modular_coatom(lattice, lo, top)
+        if witness is None:
+            return witnesses, fields[lo]
+        witnesses[fields[lo]] = fields[witness]
+    return witnesses, None
+
+
 @dataclass
 class ComodernismReport:
     holds: bool
@@ -180,37 +199,37 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
 
     The ideal below hi is L(|hi|) relabeled (``lattice._embed_fields`` and its
     inverse ``_project_fields``), so [lo, hi] is isomorphic to [proj(lo),
-    {1,..,|hi|}].  The check runs in two phases inside the given lattice:
+    {1,..,|hi|}].  The check runs in two phases:
 
-    * representatives: for each m = 1..n, every interval [x, R_m] below
-      R_m = {1,..,m} (the element whose embedding is the identity) is
-      searched for its first coatom passing the cover criterion, by
-      ascending step, then id (the two runs of size m-1 come first), which
-      keeps witnesses deterministic;
+    * representatives: for each m = 1..n, the witnesses of the intervals
+      [x, R_m] below R_m = {1,..,m} are read from
+      ``_representative_witnesses(m)``, which searches [x, top] in L(m)
+      itself (R_m is the element whose embedding is the identity, so its
+      ideal is L(m) with the same triples).  The search is memoised per m,
+      so a range of n, or a later call, searches each L(m) once per process;
     * fill: for each hi, every representative [x, R_|hi|] and its witness
-      are embedded into hi, in the L(|hi|) coordinates the first phase
-      recorded, which gives [lo, hi] with lo below hi and its witness.  The
-      embedding keeps size and is increasing in base and step, so it is the
-      first qualifying coatom of [lo, hi] in the same candidate order.
+      are embedded into hi, which gives [lo, hi] with lo below hi and its
+      witness.  The embedding keeps size and is increasing in base and step,
+      so it is the first qualifying coatom of [lo, hi] in the same candidate
+      order.
 
     A failure stops the scan, and ``counterexample`` names the failing
-    representative [x, R_m], itself an interval of the given lattice.
+    representative [x, R_m], as ids of the given lattice.
     """
     cost.require(f"the comodernism scan of L({lattice.n})", cost.triples(lattice.n))
     report = ComodernismReport(True)
-    fields, index = lattice._fields, lattice.id_of
+    index = lattice.id_of
     # witness_of[m][x]: the witness fields of [x, R_m], in L(m) coordinates
-    witness_of = [{} for _ in range(lattice.n + 1)]
+    witness_of = [{}]
     for m in range(1, lattice.n + 1):
-        r_m = index[(1, 1, m) if m > 1 else (1, 0, 1)]
-        for lo in lattice.ideal(r_m)[:-1]:
-            witness = _first_left_modular_coatom(lattice, lo, r_m)
-            if witness is None:
-                report.holds = False
-                report.counterexample = (lo, r_m)
-                return report
-            witness_of[m][fields[lo]] = fields[witness]
-    for hi, host in enumerate(fields):
+        witnesses, failing = _representative_witnesses(m)
+        if failing is not None:
+            r_m = (1, 1, m) if m > 1 else (1, 0, 1)
+            report.holds = False
+            report.counterexample = (index[failing], index[r_m])
+            return report
+        witness_of.append(witnesses)
+    for hi, host in enumerate(lattice._fields):
         for x, w in witness_of[host[2]].items():
             lo, witness = _embed_fields(x, host), _embed_fields(w, host)
             report.witnesses[(index[lo], hi)] = index[witness]

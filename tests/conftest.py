@@ -1,6 +1,7 @@
 import pytest
 
 from aplattice import build
+from aplattice.structure import _representative_witnesses
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +15,13 @@ def lat():
         return cache[n]
 
     return get
+
+
+@pytest.fixture
+def cold_witnesses():
+    """Empties the comodernism memo before and after the test, so that a
+    patched search is reached and no result it found stays cached.  The
+    value empties it again, for a patch made after a warming call."""
+    _representative_witnesses.cache_clear()
+    yield _representative_witnesses.cache_clear
+    _representative_witnesses.cache_clear()

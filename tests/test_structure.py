@@ -206,15 +206,25 @@ def test_comodernistic_witnesses_match_the_per_interval_scan(lat):
         assert report.witnesses == comodernism_by_scan(lat(n)), n
 
 
-def test_comodernism_failure_names_the_rejected_representative(lat, monkeypatch):
-    l8 = lat(8)
-    lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 5)]  # [{2}, {1,..,5}]
+def _reject_2_under_1_to_5(monkeypatch):
+    """Patch the cover criterion to fail on [{2}, {1,..,5}] alone, in
+    whichever lattice the search runs."""
     criterion = st._covers_its_meets
+    rejected = ((2, 0, 1), (1, 1, 5))
 
     def rejecting(lattice, members, m):
-        return (members[0], members[-1]) != (lo, top) and criterion(lattice, members, m)
+        ends = (lattice._fields[members[0]], lattice._fields[members[-1]])
+        return ends != rejected and criterion(lattice, members, m)
 
     monkeypatch.setattr(st, "_covers_its_meets", rejecting)
+
+
+def test_comodernism_failure_names_the_rejected_representative(
+    lat, monkeypatch, cold_witnesses
+):
+    l8 = lat(8)
+    lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 5)]  # [{2}, {1,..,5}]
+    _reject_2_under_1_to_5(monkeypatch)
     report = st.is_comodernistic(l8)
     assert not report.holds and report.counterexample == (lo, top)
     cands = st.interval_coatoms(l8, lo, top)
@@ -223,6 +233,47 @@ def test_comodernism_failure_names_the_rejected_representative(lat, monkeypatch)
     )
     # the definition still finds one: the failure is the rejection alone
     assert any(st.is_left_modular_in_interval(l8, lo, top, m) for m in cands)
+
+
+def test_comodernism_memo_warm_matches_the_scan(lat, cold_witnesses):
+    # L(16) searches every type; each smaller lattice then reads the memo only
+    for n in range(16, -1, -1):
+        report = st.is_comodernistic(lat(n))
+        assert report.holds and report.counterexample is None, n
+        assert report.witnesses == comodernism_by_scan(lat(n)), n
+
+
+def test_comodernism_memo_names_a_cached_failure_in_each_lattice(
+    lat, monkeypatch, cold_witnesses
+):
+    _reject_2_under_1_to_5(monkeypatch)
+    l6, l8 = lat(6), lat(8)
+    assert st.is_comodernistic(l6).counterexample == (
+        l6.id_of[(2, 0, 1)],
+        l6.id_of[(1, 1, 5)],
+    )
+    assert st._representative_witnesses(5)[1] == (2, 0, 1)  # a triple, not an id
+    report = st.is_comodernistic(l8)  # the failure is read from the memo
+    assert not report.holds
+    assert report.counterexample == (l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 5)])
+    assert report.counterexample != (l6.id_of[(2, 0, 1)], l6.id_of[(1, 1, 5)])
+
+
+def test_comodernism_memo_holds_triples_not_ids(lat):
+    # the memo of m equals the per-interval scan of [x, {1,..,m}] inside L(12)
+    l12 = lat(12)
+    fields = l12._fields
+    scan = comodernism_by_scan(l12)
+    for m in range(1, 13):
+        witnesses, failing = st._representative_witnesses(m)
+        assert failing is None, m
+        for x, w in witnesses.items():
+            for t in (x, w):
+                assert type(t) is tuple and len(t) == 3, (m, t)
+                assert all(type(v) is int for v in t), (m, t)
+        r_m = l12.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
+        expected = {fields[lo]: fields[w] for (lo, hi), w in scan.items() if hi == r_m}
+        assert witnesses == expected, m
 
 
 def test_comodernistic_bound(lat, monkeypatch):
