@@ -14,13 +14,14 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 * nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 1.9-2.4 s, 123 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
-  1.2-1.3 s, 30 MB cold (check comodernistic 29..29), 0.09-0.11 s warm (a
+  0.7-0.9 s, 29 MB cold (check comodernistic 29..29), 0.08-0.12 s warm (a
   second call in the same process); an upper bound, as the scan searches
   only the intervals [x, {1,..,m}], once per m and process, and carries
   their witnesses to the rest, so a range costs less than its summed triples
 * k(k-1)/2 member pairs of an interval of k elements, priced in
   ``structure``: left-modularity of a run coatom in the whole L(40), 3.71M,
-  2.0 s, 15 MB
+  0.018 s, 15-16 MB; an upper bound, as the test walks only the comparable
+  pairs x <= y with x not below the coatom (3,935 of them)
 * chain_steps(n), the steps of all saturated chains of all intervals, from
   count_rows and the coatom sizes: labeling of L(14), 2.50M, 1.8 s, 24 MB
 * row_terms(n), n^2/2 count-row terms for table p and table size: 2828,

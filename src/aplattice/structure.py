@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import cost
-from .lattice import Lattice, _embed_fields, build
+from .lattice import Lattice, _embed_fields
 from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import EMPTY, Progression, sort_key
 
@@ -100,23 +100,27 @@ def meet_of_coatoms_representation(lattice: Lattice, x: int):
 
 
 def is_left_modular_in_interval(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
-    """Definitional test: (x v m) ^ y == x v (m ^ y) for all x < y in [lo, hi].
+    """Definitional test: (x v m) ^ y == x v (m ^ y) for all x <= y in [lo, hi].
 
-    x v m is computed once per member x and m ^ y once per member y; the
-    identity is still checked on every pair.  Past the work budget (one unit
-    per pair of members) it raises cost.BudgetError first.
+    y walks only the filter of x in the interval, and two kinds of pair are
+    skipped, as both sides are equal there: x <= m (x v m = m and x <= m ^ y,
+    so both are m ^ y) and m <= y (x v m <= y and m ^ y = m, so both are
+    x v m).  Past the work budget (one unit per pair of members, more than
+    the pairs visited) it raises cost.BudgetError first.
     """
     members = lattice.interval(lo, hi)
     if m not in members:
         raise ValueError("m must belong to the interval")
     pairs = len(members) * (len(members) - 1) // 2
     cost.require(f"the left-modularity test on {len(members):,} elements", pairs)
-    meets = [lattice.meet_ids(m, y) for y in members]
-    for i, x in enumerate(members):
+    for x in members:
+        if lattice.leq_ids(x, m):
+            continue
         x_join_m = lattice.join_ids(x, m)
-        for y, m_meet_y in zip(members[i + 1 :], meets[i + 1 :]):
-            if not lattice.leq_ids(x, y):  # ids ascend, so y is never below x
+        for y in lattice.interval(x, hi):
+            if lattice.leq_ids(m, y):
                 continue
+            m_meet_y = lattice.meet_ids(m, y)
             if lattice.meet_ids(x_join_m, y) != lattice.join_ids(x, m_meet_y):
                 return False
     return True
@@ -165,23 +169,30 @@ def _first_left_modular_coatom(lattice: Lattice, lo: int, hi: int) -> int | None
     return next((m for m in candidates if _covers_its_meets(lattice, members, m)), None)
 
 
-@lru_cache(maxsize=None)
-def _representative_witnesses(m: int) -> tuple[dict, tuple | None]:
-    """The witness of every interval [x, top] of L(m) with x below the top,
-    as (base, step, length) triples in L(m) coordinates: its first coatom
-    passing the cover criterion, by ascending step, then id (the two runs of
-    size m-1 come first).  Returns (witnesses, None), or the witnesses found
-    so far and the first x whose interval has none.
+_WITNESSES: dict[int, tuple[dict, tuple | None]] = {}
+
+
+def _representative_witnesses(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
+    """The witness of every interval [x, R_m] with x below R_m = {1,..,m},
+    as (base, step, length) triples: its first coatom passing the cover
+    criterion, by ascending step, then id (the two runs of size m-1 come
+    first).  Returns (witnesses, None), or the witnesses found so far and
+    the first x whose interval has none.  R_m embeds by the identity, so its
+    ideal in any L(n), n >= m, is L(m) with the same triples in the same
+    order: the result depends on m alone and is memoised in ``_WITNESSES``.
     """
-    lattice = build(m)
-    fields, top = lattice._fields, lattice.top_id
-    witnesses = {}
-    for lo in range(top):
-        witness = _first_left_modular_coatom(lattice, lo, top)
-        if witness is None:
-            return witnesses, fields[lo]
-        witnesses[fields[lo]] = fields[witness]
-    return witnesses, None
+    if m not in _WITNESSES:
+        fields = lattice._fields
+        r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
+        witnesses, failing = {}, None
+        for lo in lattice.ideal(r_m)[:-1]:
+            witness = _first_left_modular_coatom(lattice, lo, r_m)
+            if witness is None:
+                failing = fields[lo]
+                break
+            witnesses[fields[lo]] = fields[witness]
+        _WITNESSES[m] = witnesses, failing
+    return _WITNESSES[m]
 
 
 @dataclass
@@ -203,10 +214,10 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
 
     * representatives: for each m = 1..n, the witnesses of the intervals
       [x, R_m] below R_m = {1,..,m} are read from
-      ``_representative_witnesses(m)``, which searches [x, top] in L(m)
-      itself (R_m is the element whose embedding is the identity, so its
-      ideal is L(m) with the same triples).  The search is memoised per m,
-      so a range of n, or a later call, searches each L(m) once per process;
+      ``_representative_witnesses(lattice, m)``, which searches them in the
+      given lattice (R_m embeds by the identity, so its ideal is L(m) with
+      the same triples).  The search is memoised per m, so a range of n, or
+      a later call, searches each type once per process;
     * fill: for each hi, every representative [x, R_|hi|] and its witness
       are embedded into hi, which gives [lo, hi] with lo below hi and its
       witness.  The embedding keeps size and is increasing in base and step,
@@ -222,7 +233,7 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
     # witness_of[m][x]: the witness fields of [x, R_m], in L(m) coordinates
     witness_of = [{}]
     for m in range(1, lattice.n + 1):
-        witnesses, failing = _representative_witnesses(m)
+        witnesses, failing = _representative_witnesses(lattice, m)
         if failing is not None:
             r_m = (1, 1, m) if m > 1 else (1, 0, 1)
             report.holds = False

@@ -1,6 +1,6 @@
 """Set-to-progression, relabeling, member-set, subset-meet, comodernism-scan,
-count-row Moebius and chain-row, Moebius-support, column-sweep unit stage and
-labeling-file helpers that only the tests use."""
+all-pairs left-modularity, count-row Moebius and chain-row, Moebius-support,
+column-sweep unit stage and labeling-file helpers that only the tests use."""
 
 from collections.abc import Iterable
 from itertools import combinations, islice
@@ -187,6 +187,22 @@ def comodernism_by_scan(lattice: Lattice) -> dict:
                 (m for m in cands if is_left_modular_coatom(lattice, lo, hi, m)), None
             )
     return witnesses
+
+
+def left_modular_by_all_pairs(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
+    """(x v m) ^ y == x v (m ^ y) on every pair x < y of members of [lo, hi]:
+    every member pair is tested for comparability and no pair is skipped.
+    The oracle for structure.is_left_modular_in_interval."""
+    members = lattice.interval(lo, hi)
+    meets = [lattice.meet_ids(m, y) for y in members]
+    for i, x in enumerate(members):
+        x_join_m = lattice.join_ids(x, m)
+        for y, m_meet_y in zip(members[i + 1 :], meets[i + 1 :]):
+            if not lattice.leq_ids(x, y):  # ids ascend, so y is never below x
+                continue
+            if lattice.meet_ids(x_join_m, y) != lattice.join_ids(x, m_meet_y):
+                return False
+    return True
 
 
 def edge_labeling_from_text(lattice: Lattice, text: str) -> EdgeLabeling:

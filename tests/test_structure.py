@@ -14,6 +14,7 @@ from helpers import (
     edge_labeling_from_text,
     element_set,
     from_set,
+    left_modular_by_all_pairs,
     meet_subset,
 )
 
@@ -157,6 +158,56 @@ def test_left_modular_matches_independent_oracle_on_l4(lat):
         )
 
 
+def test_left_modular_matches_all_pairs_oracle(lat):
+    # every (lo, hi, m) with m in [lo, hi] for L(0..6), and every coatom of
+    # the whole L(4..12), the range the benchmark checks
+    cases = [
+        (ln, lo, hi, m)
+        for ln in map(lat, range(7))
+        for hi in range(len(ln))
+        for lo in ln.ideal(hi)
+        for m in ln.interval(lo, hi)
+    ]
+    cases += [
+        (ln, ln.bottom_id, ln.top_id, m)
+        for ln in map(lat, range(4, 13))
+        for m in st.coatoms(ln)
+    ]
+    verdicts = []
+    for ln, lo, hi, m in cases:
+        verdict = st.is_left_modular_in_interval(ln, lo, hi, m)
+        assert verdict == left_modular_by_all_pairs(ln, lo, hi, m), (ln.n, lo, hi, m)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_left_modularity_checks_only_the_pairs_no_skip_settles(lat, monkeypatch):
+    # two meets per comparable pair x <= y with x not below m and y not above
+    # m, the pairs whose sides the skips cannot show equal, and no others
+    l6 = lat(6)
+    leq = l6.leq_ids
+    meet = lt.Lattice.meet_ids
+    calls = []
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return meet(self, i, j)
+
+    monkeypatch.setattr(lt.Lattice, "meet_ids", counted)
+    ids = range(len(l6))
+    checked = 0
+    for m in ids:
+        calls.clear()
+        if not st.is_left_modular(l6, m):
+            continue
+        unsettled = sum(
+            leq(x, y) and not leq(x, m) and not leq(m, y) for x in ids for y in ids
+        )
+        assert len(calls) == 2 * unsettled, m
+        checked += unsettled > 0
+    assert checked
+
+
 def test_cover_criterion_matches_definition_on_l6(lat):
     l6 = lat(6)
     checked = 0
@@ -252,7 +303,7 @@ def test_comodernism_memo_names_a_cached_failure_in_each_lattice(
         l6.id_of[(2, 0, 1)],
         l6.id_of[(1, 1, 5)],
     )
-    assert st._representative_witnesses(5)[1] == (2, 0, 1)  # a triple, not an id
+    assert st._representative_witnesses(l6, 5)[1] == (2, 0, 1)  # a triple, not an id
     report = st.is_comodernistic(l8)  # the failure is read from the memo
     assert not report.holds
     assert report.counterexample == (l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 5)])
@@ -265,7 +316,7 @@ def test_comodernism_memo_holds_triples_not_ids(lat):
     fields = l12._fields
     scan = comodernism_by_scan(l12)
     for m in range(1, 13):
-        witnesses, failing = st._representative_witnesses(m)
+        witnesses, failing = st._representative_witnesses(l12, m)
         assert failing is None, m
         for x, w in witnesses.items():
             for t in (x, w):
