@@ -16,6 +16,7 @@ import json
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 
 from . import complexes, cost, homology, moebius, structure
@@ -288,6 +289,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="aplattice",

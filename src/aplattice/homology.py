@@ -11,21 +11,29 @@ Conventions:
   +-1.  smith_normal_form copies the columns, checks every entry of the
   copies (plain ints only) and eliminates them in place.
 * Homology reduces one boundary map per dimension, from the top down, in
-  three exact stages.  Clearing (Chen and Kerber, "Persistent homology
+  four exact stages.  Clearing (Chen and Kerber, "Persistent homology
   computation with a twist", 2011; over Z the elementary reductions of
   Kaczynski, Mrozek and Slusarek, 1998): the d-faces that were unit pivot
-  rows of the (d+1)-st map get no column in the d-th.  Units: a +-1 entry
-  clears its row by column operations, after which the row and the column
-  drop out with one unit divisor; the pivots are picked globally to keep
-  fill low (Markowitz, "The elimination form of the inverse and its
-  application to linear programming", Management Sci. 1957; Dumas,
-  Heckenbach, Saunders and Welker, "Computing simplicial homology based on
-  efficient Smith normal form algorithms", 2003): rows whose one live entry
-  is +-1 first, then the sparsest row holding a unit, in its shortest unit
-  column, until no live column holds +-1.  Dense: whatever block has no
-  unit entry left goes through minimal-pivot elimination on unbounded Python
-  integers, so results are exact for any input.  smith_normal_form runs the
-  last two stages.
+  rows of the (d+1)-st map get no column in the d-th.  Counter collapses,
+  run by reduced_homology in place on the columns boundary_matrix built:
+  every row whose one live entry is +-1 is a pivot, a free-face collapse.
+  Row r holds nothing else, so clearing it needs no column operation and
+  the pivot is fill-free: the row and its column c drop out with one unit
+  divisor and no other column changes.  So two flat counters per row
+  suffice, the number of live columns with an entry there and the sum of
+  their indices; when the count is 1 the sum is the live column.  A pivot
+  subtracts 1 and c from the counters of the rows of column c.  The
+  columns left go to smith_normal_form, which runs the last two stages.
+  Markowitz units: a +-1 entry clears its row by column operations, after
+  which the row and the column drop out with one unit divisor; the pivots
+  are picked globally to keep fill low (Markowitz, "The elimination form
+  of the inverse and its application to linear programming", Management
+  Sci. 1957; Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
+  homology based on efficient Smith normal form algorithms", 2003): the
+  sparsest row holding a unit, in its shortest unit column, until no live
+  column holds +-1.  Dense: whatever block has no unit entry left goes
+  through minimal-pivot elimination on unbounded Python integers, so
+  results are exact for any input.
 * Clearing is exact.  Take the unit pivots (r_i, c_i) of the (d+1)-st map in
   elimination order: when picked, column c_i is the boundary b_i of some
   (d+1)-chain, with +-1 on row r_i and 0 on the rows r_j of earlier pivots.
@@ -40,7 +48,7 @@ Conventions:
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -70,59 +78,82 @@ def boundary_matrix(
     return tuple(dict(zip(map(row_of, combinations(face, d)), signs)) for face in cols)
 
 
+def _peel_units(cols: Sequence[dict[int, int]], nrows: int) -> list[int]:
+    """The counter collapses: pivot on every row whose one live entry is
+    +-1, the free-face collapses, until none is left.  Rows are
+    0..nrows-1.  Returns the pivot rows in elimination order; pivot columns
+    are left empty in `cols`, the others untouched.
+
+    Two counters per row: the number of live columns with an entry in the
+    row, and the sum of their indices.  When the count is 1, the sum is the
+    one live column.  Row r holds nothing but the unit in column c, so the
+    column operations that would clear it are empty and no other column
+    changes: the pivot only takes c out of the counters of its rows.  A row
+    joins a first-in first-out worklist when its count drops to 1; non-unit
+    singletons stay for smith_normal_form.
+    """
+    count = [0] * nrows
+    tot = [0] * nrows
+    for c, col in enumerate(cols):
+        for r in col:
+            count[r] += 1
+            tot[r] += c
+    todo = [r for col in cols for r in col if count[r] == 1]
+    pivots = []
+    for r in todo:  # rows appended below are visited too
+        if count[r] != 1:
+            continue
+        c = tot[r]
+        col = cols[c]
+        if col[r] not in (1, -1):
+            continue
+        for i in col:
+            count[i] -= 1
+            tot[i] -= c
+            if count[i] == 1:
+                todo.append(i)
+        col.clear()
+        pivots.append(r)
+    return pivots
+
+
 def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
-    """Stage one: pivot on +-1 entries until none is left.  Returns the pivot
-    rows in elimination order, one per unit divisor; eliminated and zeroed
-    columns are left empty in `cols`.
+    """The unit stage: pivot on +-1 entries until none is left.  Returns the
+    pivot rows in elimination order, one per unit divisor; eliminated and
+    zeroed columns are left empty in `cols`.
 
     Once the pivot's row is cleared by column operations, row operations
     would only touch the pivot column, so dropping both is exact.
 
     The pivot order is global and fill-aware (Markowitz 1957; Dumas,
-    Heckenbach, Saunders and Welker 2003; see the module docstring).  A row
-    whose one live entry is +-1 comes first, from a first-in first-out
-    worklist that a row joins when its count drops to 1: such a pivot
-    updates no other column.  When the worklist is empty, the live row with
-    the fewest entries that holds a unit is taken, in its shortest unit
-    column.  Those rows come from a heap of (count, row), built the first
-    time the worklist runs dry.  A pivot that updates other columns pushes
-    each row of its column once; a row popped with a count above its key is
-    pushed back, and one without a unit is dropped until an update changes
-    it, which pushes it again.
+    Heckenbach, Saunders and Welker 2003; see the module docstring): the
+    live row with the fewest entries that holds a unit is taken, in its
+    shortest unit column, from a heap of (count, row).  A row whose one live
+    entry is +-1 thus comes first; such a pivot updates no other column.  A
+    pivot pushes each row of its column whose count drops to 1, and one that
+    updates other columns pushes each row of its column; a row popped with a
+    count above its key is pushed back, and one without a unit is dropped
+    until an update changes it, which pushes it again.
     """
     where: dict[int, set[int]] = {}  # row -> live columns with an entry there
     for c, col in enumerate(cols):
         for r in col:
             where.setdefault(r, set()).add(c)
-    singles = deque(r for r, ks in where.items() if len(ks) == 1)
-    heap = None  # (count, row) candidates, once the singles have run out
+    heap = [(len(ks), r) for r, ks in where.items()]
+    heapify(heap)
     pivots = []
-    while True:
-        if singles:
-            r = singles.popleft()
-            ks = where.get(r, ())
-            if len(ks) != 1:
-                continue
-            (c,) = ks
-            if cols[c][r] not in (1, -1):
-                continue
-        else:
-            if heap is None:
-                heap = [(len(ks), r) for r, ks in where.items() if ks]
-                heapify(heap)
-            if not heap:
-                break
-            count, r = heappop(heap)
-            ks = where.get(r, ())
-            if not ks:
-                continue
-            if len(ks) > count:
-                heappush(heap, (len(ks), r))
-                continue
-            units = [k for k in ks if cols[k][r] in (1, -1)]
-            if not units:
-                continue
-            c = min(units, key=lambda k: len(cols[k]))
+    while heap:
+        count, r = heappop(heap)
+        ks = where.get(r, ())
+        if not ks:
+            continue
+        if len(ks) > count:
+            heappush(heap, (len(ks), r))
+            continue
+        units = [k for k in ks if cols[k][r] in (1, -1)]
+        if not units:
+            continue
+        c = min(units, key=lambda k: len(cols[k]))
         col = cols[c]
         u = col.pop(r)
         fill = len(ks) > 1  # the pivot updates other columns
@@ -143,9 +174,7 @@ def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
         for i in col:
             live = where[i]
             live.discard(c)
-            if len(live) == 1:
-                singles.append(i)
-            elif fill and live:
+            if live and (fill or len(live) == 1):
                 heappush(heap, (len(live), i))
         col.clear()
         pivots.append(r)
@@ -301,8 +330,9 @@ class HomologyResult:
 def reduced_homology(complex: SimplicialComplex) -> HomologyResult:
     """Free ranks and torsion of the reduced homology of a downward-closed
     complex, one boundary-matrix Smith form per dimension, from the top down
-    with the faces paired by the map above cleared.  Past the work budget
-    (one unit per boundary non-zero) it raises cost.BudgetError first."""
+    with the faces paired by the map above cleared, after the counter
+    collapses of each map.  Past the work budget (one unit per boundary
+    non-zero) it raises cost.BudgetError first."""
     if complex.dim < 0:
         return HomologyResult((), (), rank_minus1=1)
     fvec = complex.f_vector()
@@ -311,8 +341,12 @@ def reduced_homology(complex: SimplicialComplex) -> HomologyResult:
     divisors = [()] * (complex.dim + 1)
     paired: list[int] = []  # the unit pivot rows of the map above
     for d in reversed(range(complex.dim + 1)):
-        cleared, paired = frozenset(paired), []
-        divisors[d] = smith_normal_form(boundary_matrix(complex, d, cleared), paired)
+        cleared = frozenset(paired)
+        cols = boundary_matrix(complex, d, cleared)
+        paired = _peel_units(cols, fvec[d - 1] if d else 1)
+        units = (1,) * len(paired)
+        live = [col for col in cols if col]
+        divisors[d] = units + smith_normal_form(live, paired)
     ranks = [len(ds) for ds in divisors] + [0]
     free = tuple(
         fvec[d] - ranks[d] - ranks[d + 1] for d in range(complex.dim + 1)

@@ -187,7 +187,8 @@ def test_snf_exact_beyond_64_bits():
 def test_snf_without_unit_entries_skips_unit_stage():
     for entries in unitless_grids():
         columns = [dict(col) for col in sparse(entries)]
-        assert hm._eliminate_units(columns) == []  # no pivot row
+        assert hm._peel_units(columns, len(entries)) == []  # no pivot row
+        assert hm._eliminate_units(columns) == []
         assert columns == list(sparse(entries))
         assert_snf_matches_oracles(entries)
 
@@ -260,22 +261,31 @@ def order_complexes(lat):
     """n -> (the order complex of L(n), its reduced_homology, and the
     (d, cleared faces, divisors) of each map reduced_homology reduced, from
     the top down) for n = 2..11, built once for the module; the faces stay
-    decoded."""
-    boundary, snf = hm.boundary_matrix, hm.smith_normal_form
+    decoded.  A map's divisors are the units of its counter collapses, then
+    the divisors smith_normal_form found for the columns left."""
+    boundary, peel = hm.boundary_matrix, hm._peel_units
+    snf = hm.smith_normal_form
     maps = []
 
     def recorded_boundary(complex, d, cleared=frozenset()):
         maps.append((d, cleared))
         return boundary(complex, d, cleared)
 
+    def recorded_peel(cols, nrows):
+        pivots = peel(cols, nrows)
+        maps[-1] += ((1,) * len(pivots),)
+        return pivots
+
     def recorded_snf(columns, unit_rows=None):
         divisors = snf(columns, unit_rows)
-        maps[-1] += (divisors,)
+        d, cleared, units = maps[-1]
+        maps[-1] = (d, cleared, units + divisors)
         return divisors
 
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hm, "boundary_matrix", recorded_boundary)
+        mp.setattr(hm, "_peel_units", recorded_peel)
         mp.setattr(hm, "smith_normal_form", recorded_snf)
         for n in range(2, 12):
             c = cx.order_complex(lat(n))
@@ -473,6 +483,18 @@ def snf_by_sweep(mat):
         return hm.smith_normal_form(mat)
 
 
+def peel_then_snf(mat, nrows, unit_rows=None):
+    """The divisors of `mat` as reduced_homology finds them for one map: the
+    counter collapses on a copy, then smith_normal_form on what is left.
+    The pivot rows of both are appended to `unit_rows` if given."""
+    cols = [dict(col) for col in mat]
+    pivots = hm._peel_units(cols, nrows)
+    if unit_rows is not None:
+        unit_rows.extend(pivots)
+    live = [col for col in cols if col]
+    return (1,) * len(pivots) + hm.smith_normal_form(live, unit_rows)
+
+
 def test_unit_stages_agree_on_random_snf_families():
     grids = [
         *small_random_grids(),
@@ -483,12 +505,42 @@ def test_unit_stages_agree_on_random_snf_families():
     for entries in grids:
         mat = sparse(entries)
         assert hm.smith_normal_form(mat) == snf_by_sweep(mat), entries
+        assert peel_then_snf(mat, len(entries)) == snf_by_sweep(mat), entries
+        assert_unit_postcondition(mat, len(entries), entries)
 
 
-def assert_unit_postcondition(mat, label):
-    """After the unit stage no live column holds +-1 or a pivot row."""
+def peel_checked(mat, nrows, label):
+    """Run the counter stage on a copy of `mat` and replay its pivots with a
+    recount of each row's live columns: each pivot row holds exactly one
+    live entry, of +-1, when it is taken, and the replay leaves the copy the
+    stage left, in which no live row holds exactly one live entry of +-1.
+    Returns the copy and the pivot rows."""
     cols = [dict(col) for col in mat]
-    pivots = set(hm._eliminate_units(cols))
+    pivots = hm._peel_units(cols, nrows)
+    where = [set() for _ in range(nrows)]
+    for c, col in enumerate(mat):
+        for r in col:
+            where[r].add(c)
+    left = [dict(col) for col in mat]
+    for r in pivots:
+        assert len(where[r]) == 1, (label, r)
+        (c,) = where[r]
+        assert left[c][r] in (1, -1), (label, r)
+        for i in left[c]:
+            where[i].discard(c)
+        left[c] = {}
+    assert left == cols, label
+    for r, ks in enumerate(where):
+        assert not (len(ks) == 1 and cols[min(ks)][r] in (1, -1)), (label, r)
+    return cols, pivots
+
+
+def assert_unit_postcondition(mat, nrows, label):
+    """After the counter stage, its postcondition (peel_checked); after the
+    Markowitz stage on what is left, no live column holds +-1 or a pivot row
+    of either stage."""
+    cols, pivots = peel_checked(mat, nrows, label)
+    pivots = set(pivots).union(hm._eliminate_units(cols))
     for col in cols:
         assert not any(v in (1, -1) for v in col.values()), label
         assert pivots.isdisjoint(col), label
@@ -500,22 +552,58 @@ def test_unit_stage_returns_to_a_row_an_update_gave_a_unit():
     mat = ({0: 2, 1: 1}, {0: 3, 1: 1}, {0: 2, 1: 2})
     cols = [dict(col) for col in mat]
     assert sorted(hm._eliminate_units(cols)) == [0, 1]
-    assert_unit_postcondition(mat, "revisit")
+    assert_unit_postcondition(mat, 2, "revisit")
     assert hm.smith_normal_form(mat) == snf_by_sweep(mat) == (1, 1)
+
+
+def test_counter_stage_collapses_a_cascade_and_leaves_non_units():
+    # row 3 frees column 2, which frees row 1 in column 0; rows 2 and 0 are
+    # left as singletons of 2 in column 1, so both stay
+    mat = ({0: 1, 1: -1}, {0: 2, 2: 2}, {1: 1, 3: -1})
+    cols, pivots = peel_checked(mat, 4, "cascade")
+    assert pivots == [3, 1]
+    assert cols == [{}, {0: 2, 2: 2}, {}]
+    assert peel_then_snf(mat, 4) == snf_by_sweep(mat) == (1, 1, 2)
+
+
+def test_smith_normal_form_keeps_the_callers_row_ids():
+    # no list is indexed by row, so a row id of 10**12 costs nothing
+    rows = []
+    assert hm.smith_normal_form(({10**12: 1, 3: 2},), rows) == (1,)
+    assert rows == [10**12]
+    rows = []
+    assert hm.smith_normal_form(({100: 1}, {7: 2, 100: 3}), rows) == (1, 2)
+    assert rows == [100]  # a heap pivot: row 7 holds no unit
+    # an increasing map of the row ids maps the pivot rows with it
+    for entries in small_random_grids():
+        mat = sparse(entries)
+        spread = tuple({10**12 + 7 * r: v for r, v in col.items()} for col in mat)
+        rows, spread_rows = [], []
+        assert hm.smith_normal_form(mat, rows) == hm.smith_normal_form(
+            spread, spread_rows
+        ), entries
+        assert spread_rows == [10**12 + 7 * r for r in rows], entries
+
+
+def test_smith_normal_form_reads_a_one_shot_iterable_once():
+    for entries in small_random_grids():
+        mat = sparse(entries)
+        assert hm.smith_normal_form(iter(mat)) == hm.smith_normal_form(mat), entries
 
 
 def assert_unit_stages_agree(complex, label):
     """Reduce the boundary maps from the top down as reduced_homology does,
     cleared by the pivot rows of the global order, and require the same Smith
-    form from the column sweep on every cleared map; on the d = 2 map, check
-    the postcondition of the unit stage too."""
+    form from the column sweep on every cleared map, and the postconditions
+    of both unit stages on every map."""
     paired = []
+    fvec = complex.f_vector()
     for d in reversed(range(complex.dim + 1)):
         mat = hm.boundary_matrix(complex, d, frozenset(paired))
+        nrows = fvec[d - 1] if d else 1
         paired = []
-        assert hm.smith_normal_form(mat, paired) == snf_by_sweep(mat), (label, d)
-        if d == 2:
-            assert_unit_postcondition(mat, (label, d))
+        assert peel_then_snf(mat, nrows, paired) == snf_by_sweep(mat), (label, d)
+        assert_unit_postcondition(mat, nrows, (label, d))
 
 
 def test_unit_stages_agree_on_cleared_order_complex_maps(order_complexes):
@@ -523,12 +611,12 @@ def test_unit_stages_agree_on_cleared_order_complex_maps(order_complexes):
     # the cleared maps reduced_homology reduced there
     for n in range(2, 12):
         c, _, maps = order_complexes[n]
+        fvec = c.f_vector()
         assert [d for d, _, _ in maps] == list(reversed(range(c.dim + 1))), n
         for d, cleared, divisors in maps:
             mat = hm.boundary_matrix(c, d, cleared)
             assert snf_by_sweep(mat) == divisors, (n, d)
-            if d == 2:
-                assert_unit_postcondition(mat, ("order", n, d))
+            assert_unit_postcondition(mat, fvec[d - 1] if d else 1, ("order", n, d))
 
 
 def test_unit_stages_agree_on_cleared_crosscut_maps(lat):
