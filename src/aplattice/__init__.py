@@ -62,7 +62,6 @@ from .structure import (
     is_comodernistic,
     is_complemented,
     is_left_modular,
-    is_left_modular_coatom,
     meet_of_coatoms_representation,
     semicomplement_witness,
     verify_el_labeling,

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, combinations
 
 from . import cost
-from .lattice import Lattice
+from .lattice import Lattice, _coatom_meet
 from .numtheory import _quotient_block_sum, valid_n
 from .structure import coatoms
 
@@ -233,36 +233,21 @@ def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
     not span (a subset spans when its join is the top and its meet is the
     bottom).  Needs n >= 4.
 
-    The coatoms form a cross-cut: they are pairwise incomparable (asserted on
-    construction) and every maximal chain passes through one (its
-    next-to-top element is covered by the top).
+    The coatoms form a cross-cut: they are pairwise incomparable and every
+    maximal chain passes through one (its next-to-top element is covered by
+    the top).  A subset of two or more spans iff its meet is EMPTY, and as a
+    meet of coatoms has one representing set (``lattice._coatom_meet``),
+    only the whole set can: the faces are every nonempty subset, less the
+    whole set when the rule represents EMPTY.
     """
     n = lattice.n
     if n < 4:
         raise ValueError("the cross-cut complex is built for n >= 4")
     cs = coatoms(lattice)
-    for a, b in combinations(cs, 2):
-        assert not lattice.leq_ids(a, b) and not lattice.leq_ids(b, a), (
-            "coatoms must form an antichain"
-        )
-    faces_by_dim: list[list[tuple[int, ...]]] = []
-    for size in range(1, len(cs) + 1):
-        layer = []
-        for combo in combinations(range(len(cs)), size):
-            chosen = [cs[i] for i in combo]
-            spanning = (
-                reduce(lattice.meet_ids, chosen) == lattice.bottom_id
-                and reduce(lattice.join_ids, chosen) == lattice.top_id
-            )
-            if not spanning:
-                layer.append(combo)
-        if not layer:
-            break
-        faces_by_dim.append(layer)
+    k = len(cs)
+    sizes = range(1, k if _coatom_meet(n, (0, 0, 0)) else k + 1)
     return SimplicialComplex(
-        len(cs),
-        tuple(tuple(fs) for fs in faces_by_dim),
-        cs,
+        k, tuple(tuple(combinations(range(k), size)) for size in sizes), cs
     )
 
 

@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import add, floordiv
 
 from . import cost
-from .numtheory import prime_divisors, tau, valid_n
+from .numtheory import factorize, prime_divisors, tau, valid_n
 from .progression import (
     EMPTY,
     Progression,
@@ -49,6 +49,47 @@ def coatom_progressions(n: int) -> tuple[Progression, ...]:
     for p in prime_divisors(n - 1):
         out.append(Progression(1, p, (n - 1) // p + 1))
     return tuple(sorted(out, key=sort_key))
+
+
+def _coatom_meet(m: int, fields: _Fields) -> tuple[_Fields, ...] | None:
+    """The coatoms of L(m), m >= 1, whose meet is the triple x, in canonical
+    order; None for the top and for any x that is no meet of coatoms.
+
+    A meet of coatoms is {1, 1+e, .., m}, e a squarefree divisor of m-1, met
+    by the coatoms of prime step p | e, less 1 if the run {2,..,m} joins
+    them and less m if {1,..,m-1} does: one set per element.  x's step is e;
+    a singleton {a} is {1, m} less one end (e = m-1) or {1, a, m} less both
+    (e = a-1), and EMPTY is {1, m} less both.  In L(1), EMPTY is the meet of
+    the one coatom EMPTY.
+    """
+    base, step, length = fields
+    if m == 1:
+        return ((0, 0, 0),) if length == 0 else None
+    e, first, last = step, base, base + (length - 1) * step
+    if length == 0:
+        e, first, last = m - 1, m, 1
+    elif length == 1:  # a middle a other than (m+1)/2 fails the end test
+        e = m - 1 if base in (1, m) else base - 1
+    if (m - 1) % e or first not in (1, 1 + e) or last not in (m, m - e):
+        return None
+    factors = factorize(e)
+    if any(k > 1 for _, k in factors):
+        return None
+    run = 1 if m > 2 else 0  # at m = 2 the two runs are singletons
+    out = [(1, p, (m - 1) // p + 1) for p, _ in factors]
+    if first != 1:
+        out.append((2, run, m - 1))
+    if last != m:
+        out.append((1, run, m - 1))
+    return tuple(sorted(out, key=lambda f: (f[2], f[0], f[1]))) or None
+
+
+def _valid_id(lattice: Lattice, i, name: str = "id") -> int:
+    """i itself if it is an id of the lattice, a plain int below its size;
+    ValueError otherwise."""
+    if valid_n(i, name=name) >= len(lattice._fields):
+        raise ValueError(f"{name} must be an id below {len(lattice)}, got {i}")
+    return i
 
 
 def _canonical_fields(n: int):

@@ -14,9 +14,9 @@
   of the chain counts alone.  Those rows run through the same quotient-block
   sum, each row packed into one integer (see ``complexes``).
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
-  exactly k elements covered by y, and 0 when x is no such meet.  The ideal
-  below y is L(|y|) relabeled, so the value is read off
-  ``coatom_meet_table(|y|)`` at x in y's coordinates.
+  exactly k elements covered by y, and 0 when x is no such meet (Rota's
+  cross-cut theorem).  The ideal below y is L(|y|) relabeled, so the value
+  is the rule ``lattice._coatom_meet`` of L(|y|) at x in y's coordinates.
 
 All four agree, and agree with the classical mu(n-1) for n >= 2; the test
 suite enforces this.
@@ -31,13 +31,14 @@ from . import cost
 from .complexes import chain_counts
 from .lattice import (
     Lattice,
+    _coatom_meet,
     _project_fields,
+    _valid_id,
     build,
     coatom_progressions,
 )
 from .numtheory import _quotient_block_sum
 from .progression import meet
-from .structure import coatom_meet_table
 
 
 class MoebiusMethod(Enum):
@@ -65,11 +66,8 @@ def _mobius_definition(lattice: Lattice, lo: int, hi: int, memo: dict) -> int:
 def _mobius_coatom_interval(lattice: Lattice, lo: int, hi: int) -> int:
     if lo == hi:
         return 1
-    host = lattice.elements[hi]
-    if host.length == 1:
-        return -1  # [EMPTY, {a}] is a two-element chain; the table starts at 2
-    lo_in_host = _project_fields(lattice.elements[lo], host)
-    rep = coatom_meet_table(host.length).get(lo_in_host)
+    host = lattice._fields[hi]
+    rep = _coatom_meet(host[2], _project_fields(lattice._fields[lo], host))
     return 0 if rep is None else (-1) ** len(rep)
 
 
@@ -79,14 +77,14 @@ def mobius_interval(
     hi: int,
     method: MoebiusMethod = MoebiusMethod.DEFINITION,
 ) -> int:
-    """Moebius value of the interval [lo, hi]; requires lo <= hi.
+    """Moebius value of the interval [lo, hi]; requires element ids lo <= hi.
 
-    DEFINITION runs the memoised recursion; COATOM_MEET reads the
-    covered-elements criterion off ``coatom_meet_table(|hi|)``, through the
+    DEFINITION runs the memoised recursion; COATOM_MEET applies the
+    covered-elements rule ``lattice._coatom_meet`` of L(|hi|), through the
     relabeling of the ideal below hi onto L(|hi|).  The other two methods
     only make sense for the whole lattice, use mobius_bottom_top for those.
     """
-    if not lattice.leq_ids(lo, hi):
+    if not lattice.leq_ids(_valid_id(lattice, lo, "lo"), _valid_id(lattice, hi, "hi")):
         raise ValueError(f"mobius_interval requires lo <= hi, got ids {lo}, {hi}")
     if method is MoebiusMethod.DEFINITION:
         return _mobius_definition(lattice, lo, hi, {})

@@ -8,18 +8,19 @@ Conventions used throughout:
   notions reuse the global cover structure;
 * "coatom of [lo, hi]" means an element covered by hi that lies above lo;
 * comodernism is checked over intervals with at least two elements (a
-  one-point interval has no coatoms to offer).
+  one-point interval has no coatoms to offer);
+* which coatoms meet to an element is decided once, by the closed-form rule
+  ``lattice._coatom_meet``; this module maps its triples to ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import cost
-from .lattice import Lattice, _embed_fields
-from .numtheory import divisors, is_squarefree, prime_divisors
-from .progression import EMPTY, Progression, sort_key
+from .lattice import Lattice, _coatom_meet, _embed_fields, _valid_id
+from .numtheory import is_squarefree, prime_divisors
+from .progression import Progression
 
 
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
@@ -34,65 +35,21 @@ def coatoms(lattice: Lattice) -> tuple[int, ...]:
     return lattice.covers_down[lattice.top_id]
 
 
-@lru_cache(maxsize=None)
-def coatom_meet_table(n: int) -> dict[Progression, tuple[Progression, ...]]:
-    """Every progression in {1,..,n} expressible as a meet of coatoms, with its
-    unique representing coatom set (the top, whose representation would be the
-    empty meet, is excluded).
-
-    A meet of coatoms is {1, 1+e, .., n} for a squarefree divisor e of n-1
-    (the prime-step coatoms for the primes dividing e), with the endpoint 1
-    and/or n stripped when the corresponding size n-1 run participates.
-    """
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    run_step = 1 if n > 2 else 0  # at n = 2 the two runs degenerate to singletons
-    run_left = Progression(1, run_step, n - 1)   # {1,..,n-1}, strips n from a meet
-    run_right = Progression(2, run_step, n - 1)  # {2,..,n}, strips 1 from a meet
-    table: dict[Progression, tuple[Progression, ...]] = {}
-    for e in divisors(n - 1):
-        if not is_squarefree(e):
-            continue
-        primes = prime_divisors(e)
-        prime_coatoms = [Progression(1, p, (n - 1) // p + 1) for p in primes]
-        full_len = (n - 1) // e + 1
-        for drop_one in (False, True):
-            for drop_n in (False, True):
-                length = full_len - drop_one - drop_n
-                base = 1 + (e if drop_one else 0)
-                if length <= 0:
-                    x = EMPTY
-                elif length == 1:
-                    x = Progression(base, 0, 1)
-                else:
-                    x = Progression(base, e, length)
-                s = list(prime_coatoms)
-                if drop_n:
-                    s.append(run_left)
-                if drop_one:
-                    s.append(run_right)
-                if not s:
-                    continue  # empty meet = top, excluded by convention
-                assert x not in table, f"meet representation not unique at n={n}: {x}"
-                table[x] = tuple(sorted(s, key=sort_key))
-    return table
-
-
 def meet_of_coatoms_representation(lattice: Lattice, x: int):
     """The unique coatom subset whose meet is x, or None when x is not a meet
-    of coatoms.  Defined for n >= 4 and x different from the top (the empty
+    of coatoms.  Defined for n >= 4 and an id x other than the top (the empty
     meet would represent the top; that degenerate case is excluded).
 
-    The answer is read off ``coatom_meet_table(n)``; the test suite checks it
-    against a search over every subset of the omega(n-1) + 2 coatoms.
+    The answer is the rule ``lattice._coatom_meet``; the test suite checks
+    it against a search over every subset of the omega(n-1) + 2 coatoms.
     """
     n = lattice.n
     if n < 4:
         raise ValueError("meet representations are defined for n >= 4")
-    if x == lattice.top_id:
+    if _valid_id(lattice, x, "x") == lattice.top_id:
         raise ValueError("the top element is excluded (empty meet convention)")
-    rep = coatom_meet_table(n).get(lattice.elements[x])
-    return None if rep is None else tuple(sorted(lattice.id_of[c] for c in rep))
+    rep = _coatom_meet(n, lattice._fields[x])
+    return None if rep is None else tuple(map(lattice.id_of.__getitem__, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +99,6 @@ def _covers_its_meets(lattice: Lattice, members: tuple[int, ...], m: int) -> boo
         lattice.leq_ids(y, m) or lattice.covers(y, lattice.meet_ids(m, y))
         for y in members
     )
-
-
-def is_left_modular_coatom(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
-    """Cover-based criterion for a coatom m of [lo, hi]: m is left-modular in
-    the interval iff every member y not below m covers m ^ y.
-
-    Agrees with the definitional test wherever both run (checked in tests).
-    """
-    if m not in interval_coatoms(lattice, lo, hi):
-        raise ValueError("m must be a coatom of the interval")
-    return _covers_its_meets(lattice, lattice.interval(lo, hi), m)
 
 
 def _first_left_modular_coatom(lattice: Lattice, lo: int, hi: int) -> int | None:

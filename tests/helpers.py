@@ -1,20 +1,18 @@
-"""Set-to-progression, relabeling, member-set, subset-meet, comodernism-scan,
-all-pairs left-modularity, count-row Moebius and chain-row, Moebius-support,
+"""Set-to-progression, relabeling, member-set, subset-meet, coatom-meet-table,
+cross-cut subset-fold, cover-criterion, comodernism-scan, all-pairs
+left-modularity, count-row Moebius and chain-row, Moebius-support,
 column-sweep unit stage and labeling-file helpers that only the tests use."""
 
 from collections.abc import Iterable
+from functools import reduce
 from itertools import combinations, islice
 from operator import mul
 
+from aplattice import structure
 from aplattice.lattice import Lattice, _embed_fields, _project_fields, build, count_rows
-from aplattice.numtheory import omega
-from aplattice.progression import EMPTY, Progression, _of_fields, leq
-from aplattice.structure import (
-    EdgeLabeling,
-    coatom_meet_table,
-    interval_coatoms,
-    is_left_modular_coatom,
-)
+from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors
+from aplattice.progression import EMPTY, Progression, _of_fields, leq, sort_key
+from aplattice.structure import EdgeLabeling, coatoms, interval_coatoms
 
 
 class NotAProgressionError(ValueError):
@@ -74,6 +72,88 @@ def meet_subset(lattice: Lattice, target: int, candidates):
                 hits.append(combo)
     assert len(hits) <= 1, f"meet representation of id {target} not unique"
     return hits[0] if hits else None
+
+
+def coatom_meet_table(n: int) -> dict[Progression, tuple[Progression, ...]]:
+    """Every progression in {1,..,n} expressible as a meet of coatoms, with its
+    unique representing coatom set (the top, whose representation would be the
+    empty meet, is excluded): the forward-construction oracle for the
+    closed-form rule lattice._coatom_meet.
+
+    A meet of coatoms is {1, 1+e, .., n} for a squarefree divisor e of n-1
+    (the prime-step coatoms for the primes dividing e), with the endpoint 1
+    and/or n stripped when the corresponding size n-1 run participates.
+    """
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    run_step = 1 if n > 2 else 0  # at n = 2 the two runs degenerate to singletons
+    run_left = Progression(1, run_step, n - 1)   # {1,..,n-1}, strips n from a meet
+    run_right = Progression(2, run_step, n - 1)  # {2,..,n}, strips 1 from a meet
+    table: dict[Progression, tuple[Progression, ...]] = {}
+    for e in divisors(n - 1):
+        if not is_squarefree(e):
+            continue
+        primes = prime_divisors(e)
+        prime_coatoms = [Progression(1, p, (n - 1) // p + 1) for p in primes]
+        full_len = (n - 1) // e + 1
+        for drop_one in (False, True):
+            for drop_n in (False, True):
+                length = full_len - drop_one - drop_n
+                base = 1 + (e if drop_one else 0)
+                if length <= 0:
+                    x = EMPTY
+                elif length == 1:
+                    x = Progression(base, 0, 1)
+                else:
+                    x = Progression(base, e, length)
+                s = list(prime_coatoms)
+                if drop_n:
+                    s.append(run_left)
+                if drop_one:
+                    s.append(run_right)
+                if not s:
+                    continue  # empty meet = top, excluded by convention
+                assert x not in table, f"meet representation not unique at n={n}: {x}"
+                table[x] = tuple(sorted(s, key=sort_key))
+    return table
+
+
+def crosscut_by_subsets(lattice: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The faces by dimension of the cross-cut complex on the coatoms of
+    L(n), n >= 4, by folding meet and join over every subset of coatom
+    positions: a subset is a face unless its meet is the bottom and its join
+    the top.  Asserts that the coatoms form an antichain.  The oracle for
+    complexes.crosscut_complex."""
+    cs = coatoms(lattice)
+    for a, b in combinations(cs, 2):
+        assert not lattice.leq_ids(a, b) and not lattice.leq_ids(b, a), (
+            "coatoms must form an antichain"
+        )
+    faces_by_dim = []
+    for size in range(1, len(cs) + 1):
+        layer = []
+        for combo in combinations(range(len(cs)), size):
+            chosen = [cs[i] for i in combo]
+            spanning = (
+                reduce(lattice.meet_ids, chosen) == lattice.bottom_id
+                and reduce(lattice.join_ids, chosen) == lattice.top_id
+            )
+            if not spanning:
+                layer.append(combo)
+        if not layer:
+            break
+        faces_by_dim.append(tuple(layer))
+    return tuple(faces_by_dim)
+
+
+def is_left_modular_coatom(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
+    """Cover-based criterion for a coatom m of [lo, hi]: m is left-modular in
+    the interval iff every member y not below m covers m ^ y.  Reads
+    structure._covers_its_meets at each call, so a patched criterion is the
+    one applied.  Agrees with the definitional test wherever both run."""
+    if m not in interval_coatoms(lattice, lo, hi):
+        raise ValueError("m must be a coatom of the interval")
+    return structure._covers_its_meets(lattice, lattice.interval(lo, hi), m)
 
 
 def pnk_by_rows(n: int) -> list[int]:

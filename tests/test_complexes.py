@@ -8,7 +8,7 @@ from aplattice import moebius as mb
 from aplattice import progression as pr
 from aplattice.moebius import MoebiusMethod as MM
 
-from helpers import chain_counts_by_rows
+from helpers import chain_counts_by_rows, crosscut_by_subsets
 
 # Published count tables, frozen for golden comparison.
 TABLE_P = [
@@ -294,6 +294,16 @@ def test_crosscut_shapes(lat):
     assert cx.crosscut_complex(lat(6)).f_vector() == (3, 3)
     with pytest.raises(ValueError):
         cx.crosscut_complex(lat(3))
+
+
+def test_crosscut_matches_the_subset_folds(lat):
+    # the faces read off the coatom-meet rule against meet and join folds
+    # over every coatom subset
+    for n in range(4, 41):
+        ln = lat(n)
+        cc = cx.crosscut_complex(ln)
+        assert cc.faces_by_dim == crosscut_by_subsets(ln), n
+        assert cc.translation == ln.covers_down[ln.top_id], n
 
 
 def test_crosscut_spanning_logic_by_hand(lat):

@@ -8,6 +8,7 @@ from aplattice import numtheory as nt
 from aplattice import progression as pr
 
 from helpers import (
+    coatom_meet_table,
     element_set,
     embed_progression,
     from_set,
@@ -124,6 +125,20 @@ def test_gf_spot_values():
     assert gf[5][3] == 4
     assert gf[0][0] == 1
     assert gf[9][5] == 6
+
+
+def test_coatom_meet_rule_matches_the_table_on_l1_to_l60():
+    # every triple of L(m), EMPTY, singletons and the top included, against
+    # the forward construction of every meet of coatoms
+    assert lt._coatom_meet(1, (0, 0, 0)) == ((0, 0, 0),)  # the one coatom of L(1)
+    assert lt._coatom_meet(1, (1, 0, 1)) is None  # the top
+    checked = 2
+    for m in range(2, 61):
+        table = coatom_meet_table(m)  # Progression keys equal plain triples
+        for f in lt._canonical_fields(m):
+            assert lt._coatom_meet(m, f) == table.get(f), (m, f)
+            checked += 1
+    assert checked == sum(lt.sizes(60)[1:])
 
 
 def test_ideal_filter_interval(lat):

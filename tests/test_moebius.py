@@ -7,10 +7,10 @@ from aplattice import cost
 from aplattice import lattice as lt
 from aplattice import moebius as mb
 from aplattice import numtheory as nt
-from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
 from helpers import (
+    coatom_meet_table,
     embed_progression,
     from_set,
     meet_subset,
@@ -107,6 +107,24 @@ def test_interval_examples(lat):
         mb.mobius_interval(l4, 0, l4.top_id, MM.PNK_RECURRENCE)
 
 
+@pytest.mark.parametrize("method", [MM.DEFINITION, MM.COATOM_MEET])
+@pytest.mark.parametrize(
+    "case", ["negative hi", "wrapping lo", "bool lo", "hi past the end"]
+)
+def test_interval_rejects_bad_ids(lat, method, case):
+    # ids do not wrap through Python indexing, where the two engines
+    # disagreed: [0, -1] read 0 by DEFINITION and 1 = mu(6) by COATOM_MEET
+    l7 = lat(7)
+    lo, hi = {
+        "negative hi": (0, -1),
+        "wrapping lo": (-len(l7), l7.top_id),
+        "bool lo": (True, l7.top_id),
+        "hi past the end": (0, len(l7)),
+    }[case]
+    with pytest.raises(ValueError, match="(lo|hi) must be"):
+        mb.mobius_interval(l7, lo, hi, method)
+
+
 def test_defining_recursion_sums_to_zero(lat):
     # sum of mu(lo, z) over an interval vanishes whenever lo < hi
     for n in range(9):
@@ -152,7 +170,7 @@ def test_structural_representation_matches_subsets(lat):
                     # L(1) below a singleton: the only covered element is the bottom
                     expected = (ln.bottom_id,) if lo == ln.bottom_id else None
                 else:
-                    rep = st.coatom_meet_table(host.length).get(
+                    rep = coatom_meet_table(host.length).get(
                         project_progression(ln.elements[lo], host)
                     )
                     expected = None if rep is None else tuple(

@@ -10,10 +10,12 @@ from aplattice import progression as pr
 from aplattice import structure as st
 
 from helpers import (
+    coatom_meet_table,
     comodernism_by_scan,
     edge_labeling_from_text,
     element_set,
     from_set,
+    is_left_modular_coatom,
     left_modular_by_all_pairs,
     meet_subset,
 )
@@ -98,11 +100,28 @@ def test_meet_representation_examples(lat):
     with pytest.raises(ValueError):
         st.meet_of_coatoms_representation(lat(3), 0)
     with pytest.raises(ValueError):
-        st.coatom_meet_table(1)  # the table starts at n = 2
+        coatom_meet_table(1)  # the table starts at n = 2
+
+
+@pytest.mark.parametrize(
+    "case", ["negative", "wrapping to the bottom", "bool", "past the end"]
+)
+def test_meet_representation_rejects_bad_ids(lat, case):
+    # ids do not wrap through Python indexing: -1 would name the top (and
+    # answer None), -len(L) the bottom and True id 1
+    l7 = lat(7)
+    x = {
+        "negative": -1,
+        "wrapping to the bottom": -len(l7),
+        "bool": True,
+        "past the end": len(l7),
+    }[case]
+    with pytest.raises(ValueError, match="x must be"):
+        st.meet_of_coatoms_representation(l7, x)
 
 
 def test_meet_representation_matches_subset_search(lat):
-    # the table answer against a search over every coatom subset, on every
+    # the rule's answer against a search over every coatom subset, on every
     # non-top element of L(4..30)
     for n in range(4, 31):
         ln = lat(n)
@@ -216,7 +235,7 @@ def test_cover_criterion_matches_definition_on_l6(lat):
             if lo == hi:
                 continue
             for m in st.interval_coatoms(l6, lo, hi):
-                a = st.is_left_modular_coatom(l6, lo, hi, m)
+                a = is_left_modular_coatom(l6, lo, hi, m)
                 b = st.is_left_modular_in_interval(l6, lo, hi, m)
                 assert a == b, (lo, hi, m)
                 checked += 1
@@ -226,7 +245,7 @@ def test_cover_criterion_matches_definition_on_l6(lat):
 def test_interval_coatom_guards(lat):
     l5 = lat(5)
     with pytest.raises(ValueError):
-        st.is_left_modular_coatom(l5, 0, l5.top_id, 0)  # bottom is not a coatom
+        is_left_modular_coatom(l5, 0, l5.top_id, 0)  # bottom is not a coatom
     with pytest.raises(ValueError):
         st.is_left_modular_in_interval(l5, 1, l5.top_id, 0)  # m outside interval
 
@@ -280,7 +299,7 @@ def test_comodernism_failure_names_the_rejected_representative(
     assert not report.holds and report.counterexample == (lo, top)
     cands = st.interval_coatoms(l8, lo, top)
     assert cands and not any(
-        st.is_left_modular_coatom(l8, lo, top, m) for m in cands
+        is_left_modular_coatom(l8, lo, top, m) for m in cands
     )
     # the definition still finds one: the failure is the rejection alone
     assert any(st.is_left_modular_in_interval(l8, lo, top, m) for m in cands)
