@@ -9,9 +9,11 @@ present.
 Chain counts are rows (b(m, 1), .., b(m, m)), read as polynomials
 B_m(t) = sum of b(m, k) t^k: B_0 = 1 and B_m = t A_m, A_m = sum over i < m
 of p(m, i) B_i.  Differenced like the p(n, k) Moebius engine, with N = m-1,
-A_m = A_(m-1) + B_1 + B_N + sum over 1 <= j < N of (N//j) B_(j+1), summed in
-blocks of equal quotient; at one power of two wide enough for every count,
-each row is one integer (Kronecker substitution).  The order complex is
+B_m = B_N + t (B_1 + B_N + sum over 1 <= j < N of (N//j) B_(j+1)), summed
+in blocks of equal quotient; at one power of two wide enough for every
+count, each row is one integer (Kronecker substitution), made once and held
+once, as a prefix sum.  Less its b(m, 1) = 1, row m counts the faces of the
+order complex of L(m), B_m(1) - 1 in all.  The order complex is
 walked level by level as a count per vertex of the faces of one dimension
 that end there, one pass over the comparable pairs a level, so the f-vector
 and the Euler characteristic need no face tuple.  The tuples are decoded
@@ -22,9 +24,11 @@ simplex tree (Boissonnat and Maria, "The Simplex Tree", Algorithmica 2014).
 from __future__ import annotations
 
 import json
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, count
+from math import isqrt
 
 from . import cost
 from .lattice import Lattice, _coatom_meet
@@ -138,17 +142,20 @@ def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
         raise ValueError(f"dimension 0 lacks a vertex of range({vertex_count})")
 
 
-def _chain_values(n: int, shift: int) -> list[int]:
-    """B_0(t), .., B_n(t) at t = 2**shift, by the module docstring's recurrence."""
+def _chain_values(n: int, shift: int) -> Iterator[int]:
+    """B_0(t), .., B_n(t) at t = 2**shift, each yielded once; the recurrence
+    keeps only what it reads: B_0 .. B_(isqrt(n)+1), B_N and prefix sums."""
     t = 1 << shift
-    a = 1 + 2 * t  # A_2
-    values = [1, t, a << shift]  # B_0, B_1 and B_2 = t A_2
-    prefix = [0, values[2]]  # prefix[x] = B_2 + .. + B_(x+1), for x < N
+    values = [1, t, (1 + 2 * t) << shift]  # B_0, B_1 and B_2 = t (1 + 2t)
+    yield from values[: n + 1]
+    value = values[2]  # B_N
+    prefix = [0, value]  # prefix[x] = B_2 + .. + B_(x+1), for x < N
     for big in range(2, n):  # big is N = m - 1 for m = 3..n
-        a += values[1] + values[big] + _quotient_block_sum(values, prefix, big)
-        values.append(a << shift)
-        prefix.append(prefix[-1] + values[-1])
-    return values[: n + 1]
+        value += (t + value + _quotient_block_sum(values, prefix, big)) << shift
+        yield value
+        prefix.append(prefix[-1] + value)
+        if len(values) < isqrt(n) + 2:
+            values.append(value)
 
 
 def _slot_bytes(bound: int) -> int:
@@ -159,23 +166,25 @@ def _slot_bytes(bound: int) -> int:
 def chain_counts(n: int, *, last: bool = False) -> tuple:
     """The rows (b(m, 1), .., b(m, m)) for m = 0..n, or row n alone when
     `last`, where b(m, k) counts the chains of length k in L(m) that contain
-    both the empty progression and {1,..,m}; row 0 is empty.
+    both the empty progression and {1,..,m}; row 0 is empty.  Row m less
+    b(m, 1) counts the B_m(1) - 1 faces of the order complex of L(m).  Past
+    the work budget (the chains engine's terms) it raises BudgetError first.
 
-    The recurrence is evaluated once at t = 1, for the total B_n(1), which
-    bounds every b(m, k) with m <= n, and once at t = 2**(8w), with w bytes
-    per coefficient to spare, where each row is one integer; only the rows
-    asked for are unpacked, through to_bytes and from_bytes.
+    The recurrence runs at t = 1, for the largest total, B_n(1), which bounds
+    every b(m, k) with m <= n, and at t = 2**(8w), w bytes per coefficient
+    to spare, where each row is one integer, held only while it is unpacked.
     """
     valid_n(n, 1)
-    w = _slot_bytes(_chain_values(n, 0)[n])
+    cost.require(f"the chain counts of L({n})", cost.engine(n, "chains"))
+    w = _slot_bytes(max(_chain_values(n, 0)))
     packed = _chain_values(n, 8 * w)
 
-    def row(m: int) -> tuple[int, ...]:
-        data = packed[m].to_bytes((m + 1) * w, "little")  # slot k holds b(m, k)
+    def row(m: int, value: int) -> tuple[int, ...]:
+        data = value.to_bytes((m + 1) * w, "little")  # slot k holds b(m, k)
         slots = range(w, len(data), w)
         return tuple(int.from_bytes(data[i : i + w], "little") for i in slots)
 
-    return row(n) if last else tuple(map(row, range(n + 1)))
+    return row(n, deque(packed, 1).pop()) if last else tuple(map(row, count(), packed))
 
 
 def order_complex(lattice: Lattice) -> SimplicialComplex:

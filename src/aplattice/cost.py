@@ -9,9 +9,11 @@ face of L(13).  The largest admitted request of each kind took (one run
 unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 
 * elements(n), from the size identity: build(200), 99k, 0.57-0.62 s, 46 MB
-* faces(n), from chain_counts: order_complex(build(13)), 3.70M, 0.003-0.007 s,
-  15 MB; decoding its face tuples (homology, export) 1.1-1.5 s more, 410-416 MB
-* nonzeros(n), d + 1 per d-face: homology of L(11), 1.92M, 1.9-2.4 s, 123 MB
+* faces(n), B_n(1) - 1 off one t = 1 pass of the chain recurrence:
+  order_complex(build(13)), 3.70M, 0.003-0.007 s, 15 MB; decoding its face
+  tuples (homology, export) 1.1-1.5 s more, 410-416 MB
+* nonzeros(n), d + 1 per d-face, off the rows of one chain_counts: homology
+  of L(11), 1.92M, 1.9-2.4 s, 123 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
   0.7-0.9 s, 29 MB cold (check comodernistic 29..29), 0.08-0.12 s warm (a
@@ -28,9 +30,9 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
   1.3 s, 17 MB (table p, written one row at a time); 0.1 s, 17 MB (table
   size)
 * engine(n, name), terms: 2 n isqrt(n) for pnk (15875: 0.4-0.5 s, 17 MB),
-  n^3/6 for chains (288: 0.06-0.08 s, 24 MB), the build and sum |L(m)| over
-  m <= n for definition (142: 3.0 s, 45 MB), isqrt(n) trial divisions for
-  coatom
+  n^3/6 for chains and chain_counts (288: 0.12-0.16 s, 18 MB), the build
+  and the running sum of |L(m)| over m <= n for definition (142: 3.0 s,
+  45 MB), isqrt(n) trial divisions for coatom
 
 Every count grows with n, so an estimate stops at the first one past the
 budget (the elements at their n(n+1)/2 + 1 runs): refusing needs no more.
@@ -90,21 +92,24 @@ def elements(n: int) -> int:
     return runs if runs > BUDGET else lattice.size_formula(n)
 
 
-def _chains(n: int):
-    """b(m, k) for k >= 2 and m = 0..n: a chain of length d + 2 from the
-    bottom to the top is a d-face of the order complex."""
-    for m in range(valid_n(n) + 1):
-        yield complexes.chain_counts(m, last=True)[1:] if m else ()
+def _faces(n: int):
+    """Faces of the order complex of L(m), m = 0..n: every chain from the
+    bottom to the top but the cover pair, B_m(1) - 1."""
+    return (value - 1 for value in complexes._chain_values(valid_n(n), 0))
 
 
 def faces(n: int) -> int:
     """Faces of the order complex of L(n)."""
-    return _first_past(map(sum, _chains(n)))
+    return _first_past(_faces(n))
 
 
 def nonzeros(n: int) -> int:
-    """Non-zeros of its boundary maps, d + 1 per d-face."""
-    return _first_past(sum(map(mul, row, range(1, n + 1))) for row in _chains(n))
+    """Non-zeros of its boundary maps, d + 1 per d-face, read off the rows
+    up to the first m whose faces pass the budget (each has a non-zero)."""
+    last = next((m for m, f in enumerate(_faces(n)) if f > BUDGET), n)
+    with unbounded():  # these rows are few and short; no estimate is refused
+        rows = complexes.chain_counts(last) if last else ((),)
+    return _first_past(sum(map(mul, row, range(len(row)))) for row in rows)
 
 
 def _pairs(n: int):
@@ -164,4 +169,4 @@ def engine(n: int, name: str) -> int:
     if name != "definition":
         raise ValueError(f"unknown engine {name!r}")
     built = ELEMENT * elements(n)
-    return built if built > BUDGET else built + sum(map(elements, range(n + 1)))
+    return built if built > BUDGET else built + sum(lattice.sizes(n))

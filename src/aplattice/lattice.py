@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import add, floordiv
 
 from . import cost
-from .numtheory import factorize, prime_divisors, tau, valid_n
+from .numtheory import is_squarefree, prime_divisors, tau, valid_n
 from .progression import (
     EMPTY,
     Progression,
@@ -60,28 +60,19 @@ def _coatom_meet(m: int, fields: _Fields) -> tuple[_Fields, ...] | None:
     them and less m if {1,..,m-1} does: one set per element.  x's step is e;
     a singleton {a} is {1, m} less one end (e = m-1) or {1, a, m} less both
     (e = a-1), and EMPTY is {1, m} less both.  In L(1), EMPTY is the meet of
-    the one coatom EMPTY.
+    the one coatom EMPTY.  That set is every coatom above x.
     """
     base, step, length = fields
-    if m == 1:
-        return ((0, 0, 0),) if length == 0 else None
-    e, first, last = step, base, base + (length - 1) * step
-    if length == 0:
-        e, first, last = m - 1, m, 1
-    elif length == 1:  # a middle a other than (m+1)/2 fails the end test
-        e = m - 1 if base in (1, m) else base - 1
-    if (m - 1) % e or first not in (1, 1 + e) or last not in (m, m - e):
-        return None
-    factors = factorize(e)
-    if any(k > 1 for _, k in factors):
-        return None
-    run = 1 if m > 2 else 0  # at m = 2 the two runs are singletons
-    out = [(1, p, (m - 1) // p + 1) for p, _ in factors]
-    if first != 1:
-        out.append((2, run, m - 1))
-    if last != m:
-        out.append((1, run, m - 1))
-    return tuple(sorted(out, key=lambda f: (f[2], f[0], f[1]))) or None
+    if m > 1:
+        e, first, last = step, base, base + (length - 1) * step
+        if length == 0:
+            e, first, last = m - 1, m, 1
+        elif length == 1:  # a middle a other than (m+1)/2 fails the end test
+            e = m - 1 if base in (1, m) else base - 1
+        ends = first in (1, 1 + e) and last in (m, m - e)
+        if (m - 1) % e or not (ends and is_squarefree(e)):
+            return None
+    return tuple(c for c in coatom_progressions(m) if _leq_fields(fields, c)) or None
 
 
 def _valid_id(lattice: Lattice, i, name: str = "id") -> int:

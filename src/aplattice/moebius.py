@@ -16,7 +16,8 @@
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
   exactly k elements covered by y, and 0 when x is no such meet (Rota's
   cross-cut theorem).  The ideal below y is L(|y|) relabeled, so the value
-  is the rule ``lattice._coatom_meet`` of L(|y|) at x in y's coordinates.
+  is the rule ``lattice._coatom_meet`` of L(|y|) at x in y's coordinates;
+  M(n) is the rule of L(n) at the empty progression.
 
 All four agree, and agree with the classical mu(n-1) for n >= 2; the test
 suite enforces this.
@@ -25,20 +26,11 @@ suite enforces this.
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
 
 from . import cost
 from .complexes import chain_counts
-from .lattice import (
-    Lattice,
-    _coatom_meet,
-    _project_fields,
-    _valid_id,
-    build,
-    coatom_progressions,
-)
+from .lattice import Lattice, _coatom_meet, _project_fields, _valid_id, build
 from .numtheory import _quotient_block_sum
-from .progression import meet
 
 
 class MoebiusMethod(Enum):
@@ -114,11 +106,8 @@ def _bottom_top_chains(n: int) -> int:
 
 
 def _bottom_top_coatoms(n: int) -> int:
-    if n == 0:
-        return 1
-    cs = coatom_progressions(n)
-    bottom = reduce(meet, cs)
-    return (-1) ** len(cs) if bottom.is_empty else 0
+    rep = _coatom_meet(n, (0, 0, 0)) if n else ()  # L(0): bottom = top
+    return 0 if rep is None else (-1) ** len(rep)
 
 
 def mobius_bottom_top(n: int, method: MoebiusMethod) -> int:

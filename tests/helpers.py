@@ -1,14 +1,16 @@
 """Set-to-progression, relabeling, member-set, subset-meet, coatom-meet-table,
 cross-cut subset-fold, cover-criterion, comodernism-scan, all-pairs
-left-modularity, count-row Moebius and chain-row, Moebius-support,
-column-sweep unit stage and labeling-file helpers that only the tests use."""
+left-modularity, count-row Moebius and chain-row, per-m work estimate,
+Moebius-support, column-sweep unit stage and labeling-file helpers that only
+the tests use."""
 
 from collections.abc import Iterable
 from functools import reduce
 from itertools import combinations, islice
 from operator import mul
 
-from aplattice import structure
+from aplattice import cost, structure
+from aplattice.complexes import chain_counts
 from aplattice.lattice import Lattice, _embed_fields, _project_fields, build, count_rows
 from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors
 from aplattice.progression import EMPTY, Progression, _of_fields, leq, sort_key
@@ -181,6 +183,43 @@ def chain_counts_by_rows(n: int) -> tuple[tuple[int, ...], ...]:
             cols[k].append(b)
         rows.append(row)
     return tuple(rows)
+
+
+def _first_past_budget(counts: Iterable[int]) -> int:
+    """The first count past the work budget, or else the last count."""
+    for count in counts:
+        if count > cost.BUDGET:
+            break
+    return count
+
+
+def _face_rows(n: int):
+    """(b(m, 2), .., b(m, m)) for m = 0..n, one chain_counts run per m: a
+    chain of length d + 2 from the bottom to the top is a d-face."""
+    for m in range(n + 1):
+        yield chain_counts(m, last=True)[1:] if m else ()
+
+
+def faces_by_rows(n: int) -> int:
+    """Faces of the order complex of L(n), summed off one row per m: the
+    oracle for cost.faces."""
+    return _first_past_budget(map(sum, _face_rows(n)))
+
+
+def nonzeros_by_rows(n: int) -> int:
+    """Boundary non-zeros of that complex, d + 1 per d-face, one row per m:
+    the oracle for cost.nonzeros."""
+    rows = _face_rows(n)
+    return _first_past_budget(sum(map(mul, row, range(1, n + 1))) for row in rows)
+
+
+def definition_price_by_elements(n: int) -> int:
+    """The definition engine's terms: the build of L(n), then |L(m)| for each
+    m <= n by the size identity.  The oracle for cost.engine(n, "definition")."""
+    built = cost.ELEMENT * cost.elements(n)
+    if built > cost.BUDGET:
+        return built
+    return built + sum(cost.elements(m) for m in range(n + 1))
 
 
 def mobius_support(lattice: Lattice) -> tuple[tuple[int, int], ...]:

@@ -24,6 +24,7 @@ from aplattice import (
     order_complex,
     size_formula,
 )
+from helpers import definition_price_by_elements, faces_by_rows, nonzeros_by_rows
 
 
 def check_units(name, lo, hi):
@@ -54,6 +55,26 @@ def test_faces_and_nonzeros_match_the_order_complex(lat):
                 for col in boundary_matrix(c, d)
             )
             assert cost.nonzeros(n) == nonzeros, n
+
+
+@pytest.mark.parametrize("n", [*range(41), 100, 289, 10**5])
+def test_chain_estimates_match_the_per_m_oracles(n):
+    assert cost.faces(n) == faces_by_rows(n)
+    assert cost.nonzeros(n) == nonzeros_by_rows(n)
+    assert cost.engine(n, "definition") == definition_price_by_elements(n)
+
+
+def test_nonzeros_runs_the_chain_recurrence_at_most_three_times(monkeypatch):
+    # one t = 1 pass for the faces, then the two passes of one chain_counts
+    calls = []
+    run = complexes._chain_values
+    monkeypatch.setattr(
+        complexes, "_chain_values", lambda *args: calls.append(args) or run(*args)
+    )
+    for n in (0, 1, 2, 13, 14, 289, 10**5):
+        calls.clear()
+        cost.nonzeros(n)
+        assert 1 <= len(calls) <= 3, (n, calls)
 
 
 def test_pairs_and_triples_match_interval_scans(lat):
@@ -145,6 +166,9 @@ def test_library_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(lattice, "_canonical_fields", _never)
     with pytest.raises(cost.BudgetError, match="building L\\(5000\\)"):
         lattice.build(5000)
+    monkeypatch.setattr(complexes, "_chain_values", _never)
+    with pytest.raises(cost.BudgetError, match="chain counts of L\\(289\\)"):
+        chain_counts(289)
     monkeypatch.setattr(moebius, "_bottom_top_pnk", _never)
     with pytest.raises(cost.BudgetError, match="M\\(20000\\) by the pnk engine"):
         mobius_bottom_top(20000, MoebiusMethod.PNK_RECURRENCE)
