@@ -31,8 +31,12 @@ Conventions:
   Sci. 1957; Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
   homology based on efficient Smith normal form algorithms", 2003): the
   sparsest row holding a unit, in its shortest unit column, until no live
-  column holds +-1.  Dense: whatever block has no unit entry left goes
-  through minimal-pivot elimination on unbounded Python integers, so
+  column holds +-1.  A heap holds one key per row, never above the row's
+  live count: a row popped with more entries than its key is re-keyed and
+  pushed back, a row scanned without a unit is parked, with no key, until
+  an update touches it, and a row whose count a pivot lowers below its key
+  is re-keyed to that count.  Dense: whatever block has no unit entry left
+  goes through minimal-pivot elimination on unbounded Python integers, so
   results are exact for any input.
 * Clearing is exact.  Take the unit pivots (r_i, c_i) of the (d+1)-st map in
   elimination order: when picked, column c_i is the boundary b_i of some
@@ -128,32 +132,43 @@ def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
     The pivot order is global and fill-aware (Markowitz 1957; Dumas,
     Heckenbach, Saunders and Welker 2003; see the module docstring): the
     live row with the fewest entries that holds a unit is taken, in its
-    shortest unit column, from a heap of (count, row).  A row whose one live
-    entry is +-1 thus comes first; such a pivot updates no other column.  A
-    pivot pushes each row of its column whose count drops to 1, and one that
-    updates other columns pushes each row of its column; a row popped with a
-    count above its key is pushed back, and one without a unit is dropped
-    until an update changes it, which pushes it again.
+    shortest unit column, from a heap of (key, row).  Each row has at most
+    one key, `key[r]`, never above its live count, and a heap entry counts
+    only while it holds the row's key, so an entry left behind by a re-key
+    or a pivot is skipped when popped.  A row popped with a count above its
+    key is re-keyed to that count and pushed back.  A row scanned without a
+    unit, an emptied one too, is parked, its key dropped: only an update can
+    give it one, so a pivot that updates other columns re-keys and pushes
+    each parked row of its column.  After each pivot, a keyed row of its
+    column whose count fell below its key is re-keyed to the count and
+    pushed.  A row whose one live entry is +-1 thus comes first; such a
+    pivot updates no other column.
     """
     where: dict[int, set[int]] = {}  # row -> live columns with an entry there
     for c, col in enumerate(cols):
         for r in col:
             where.setdefault(r, set()).add(c)
-    heap = [(len(ks), r) for r, ks in where.items()]
+    key = {r: len(ks) for r, ks in where.items()}  # none for a parked row
+    heap = [(k, r) for r, k in key.items()]
     heapify(heap)
     pivots = []
     while heap:
         count, r = heappop(heap)
-        ks = where.get(r, ())
-        if not ks:
+        if key.get(r) != count:
             continue
-        if len(ks) > count:
+        ks = where[r]
+        if len(ks) > count:  # an update grew the row since it was keyed
+            key[r] = len(ks)
             heappush(heap, (len(ks), r))
             continue
-        units = [k for k in ks if cols[k][r] in (1, -1)]
-        if not units:
-            continue
-        c = min(units, key=lambda k: len(cols[k]))
+        c = -1
+        for k in ks:
+            v = cols[k][r]
+            if (v == 1 or v == -1) and (c < 0 or len(cols[k]) < len(cols[c])):
+                c = k
+        del key[r]
+        if c < 0:
+            continue  # parked
         col = cols[c]
         u = col.pop(r)
         fill = len(ks) > 1  # the pivot updates other columns
@@ -174,8 +189,10 @@ def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
         for i in col:
             live = where[i]
             live.discard(c)
-            if live and (fill or len(live) == 1):
-                heappush(heap, (len(live), i))
+            n = len(live)
+            if n and (n < key[i] if i in key else fill):
+                key[i] = n
+                heappush(heap, (n, i))
         col.clear()
         pivots.append(r)
     return pivots
@@ -308,10 +325,14 @@ class HomologyResult:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            str(d): {"free_rank": r, "torsion": list(t)}
-            for d, (r, t) in enumerate(zip(self.free_ranks, self.torsion))
-        }
+        """str(dimension) -> {"free_rank", "torsion"} for every dimension of
+        the complex, and for -1 when its rank is nonzero."""
+        out = {}
+        if self.rank_minus1:
+            out["-1"] = {"free_rank": self.rank_minus1, "torsion": []}
+        for d, (r, t) in enumerate(zip(self.free_ranks, self.torsion)):
+            out[str(d)] = {"free_rank": r, "torsion": list(t)}
+        return out
 
     def __str__(self):
         nz = self.nonzero()

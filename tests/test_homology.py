@@ -316,6 +316,7 @@ def test_homology_of_small_shapes():
     res = hm.reduced_homology(empty)
     assert res.rank_minus1 == 1 and res.free_ranks == ()
     assert res.nonzero() == {-1: (1, ())} and str(res) == "H~_-1 = Z"
+    assert res.as_dict() == {"-1": {"free_rank": 1, "torsion": []}}
     two_points = cx.SimplicialComplex(2, (((0,), (1,)),))
     assert hm.reduced_homology(two_points).nonzero() == {0: (1, ())}
 
@@ -556,6 +557,18 @@ def test_unit_stage_returns_to_a_row_an_update_gave_a_unit():
     assert hm.smith_normal_form(mat) == snf_by_sweep(mat) == (1, 1)
 
 
+def test_unit_stage_rekeys_a_row_whose_count_fell():
+    # keys: row 0 (a) 3, row 1 (b) 2, row 2 1.  The fill-free pivot on row 2
+    # drops a to 2 entries, below its key, so a is re-keyed to 2 and, tied
+    # with b, taken first; with a left at key 3, b would be taken first
+    mat = ({0: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 1: 3})
+    cols = [dict(col) for col in mat]
+    assert hm._eliminate_units(cols) == [2, 0]
+    assert cols == [{}, {}, {1: 2}]
+    assert_unit_postcondition(mat, 3, "re-key")
+    assert hm.smith_normal_form(mat) == snf_by_sweep(mat) == (1, 1, 2)
+
+
 def test_counter_stage_collapses_a_cascade_and_leaves_non_units():
     # row 3 frees column 2, which frees row 1 in column 0; rows 2 and 0 are
     # left as singletons of 2 in column 1, so both stay
@@ -622,6 +635,24 @@ def test_unit_stages_agree_on_cleared_order_complex_maps(order_complexes):
 def test_unit_stages_agree_on_cleared_crosscut_maps(lat):
     for n in range(4, 11):
         assert_unit_stages_agree(cx.crosscut_complex(lat(n)), ("crosscut", n))
+
+
+def half_filled_complexes():
+    """The input shape of the benchmark's torsion workload, scaled down:
+    every edge on 9-12 vertices and about half of all triangles."""
+    rng = random.Random(24)
+    for _ in range(30):
+        v = rng.randint(9, 12)
+        triangles = [t for t in combinations(range(v), 3) if rng.random() < 0.5]
+        yield two_complex(v, triangles, combinations(range(v), 2), rng)
+
+
+def test_unit_stages_agree_on_half_filled_complexes():
+    # fill in nearly every Markowitz pivot, and now and then a non-unit entry
+    # partway through
+    for c in half_filled_complexes():
+        assert hm.reduced_homology(c) == uncleared_homology(c), c.faces_by_dim
+        assert_unit_stages_agree(c, c.faces_by_dim)
 
 
 def test_unit_stages_agree_on_random_torsion_complexes():
