@@ -11,15 +11,32 @@ Conventions used throughout:
   one-point interval has no coatoms to offer);
 * which coatoms meet to an element is decided once, by the closed-form rule
   ``lattice._coatom_meet``; this module maps its triples to ids.
+
+Each exhaustive scan decides a candidate once, by an exact rule:
+
+* failure lists: a coatom c of [lo, hi] passes the cover criterion when each
+  member y not below c covers c ^ y.  Meets and covers are global, so the
+  failing y of the whole ideal of hi are listed once per c, and c passes on
+  [lo, hi] exactly when none of them lies above lo;
+* endpoint classes: in L(n), n >= 1, a join spans from the smaller first to
+  the larger last member and a meet is the intersection, so a complement of
+  x holds 1, and n, exactly when x does not.  L(0) keeps the plain scan: its
+  one element is its own complement;
+* word sweeps: every maximal chain of [lo, y] ends in a cover c -> y with c
+  in [lo, y], and ids ascend with size, so one ascending walk of the filter
+  of lo builds the label words of every [lo, y].
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import lt
 
 from . import cost
 from .lattice import Lattice, _coatom_meet, _embed_fields, _valid_id
-from .numtheory import is_squarefree, prime_divisors
+from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import Progression
 
 
@@ -88,31 +105,12 @@ def is_left_modular(lattice: Lattice, m: int) -> bool:
     return is_left_modular_in_interval(lattice, lattice.bottom_id, lattice.top_id, m)
 
 
-def interval_coatoms(lattice: Lattice, lo: int, hi: int) -> tuple[int, ...]:
-    """Elements covered by hi that lie above lo."""
-    return tuple(c for c in lattice.covers_down[hi] if lattice.leq_ids(lo, c))
-
-
-def _covers_its_meets(lattice: Lattice, members: tuple[int, ...], m: int) -> bool:
-    """The cover criterion: every member y not below m covers m ^ y."""
-    return all(
-        lattice.leq_ids(y, m) or lattice.covers(y, lattice.meet_ids(m, y))
-        for y in members
-    )
-
-
-def _first_left_modular_coatom(lattice: Lattice, lo: int, hi: int) -> int | None:
-    """The first coatom of [lo, hi] that passes the cover criterion, or None.
-
-    Coatoms are tried by ascending step, then id, which puts the two size
-    |hi|-1 runs first: for |hi| >= 3 they keep the step of hi, and every
-    other coatom of hi has a prime multiple of it.
-    """
-    members = lattice.interval(lo, hi)
-    candidates = sorted(
-        interval_coatoms(lattice, lo, hi), key=lambda c: (lattice.elements[c].step, c)
-    )
-    return next((m for m in candidates if _covers_its_meets(lattice, members, m)), None)
+def _cover_failures(lattice: Lattice, c: int, members) -> tuple[int, ...]:
+    """The members y not below c (c ^ y != y) that do not cover c ^ y: the
+    cover criterion for c fails on an interval exactly when it holds one."""
+    meets = map(lattice.meet_ids, repeat(c), members)
+    below = lattice.covers_down
+    return tuple(y for y, z in zip(members, meets) if z != y and z not in below[y])
 
 
 _WITNESSES: dict[int, tuple[dict, tuple | None]] = {}
@@ -121,22 +119,29 @@ _WITNESSES: dict[int, tuple[dict, tuple | None]] = {}
 def _representative_witnesses(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
     """The witness of every interval [x, R_m] with x below R_m = {1,..,m},
     as (base, step, length) triples: its first coatom passing the cover
-    criterion, by ascending step, then id (the two runs of size m-1 come
-    first).  Returns (witnesses, None), or the witnesses found so far and
-    the first x whose interval has none.  R_m embeds by the identity, so its
-    ideal in any L(n), n >= m, is L(m) with the same triples in the same
-    order: the result depends on m alone and is memoised in ``_WITNESSES``.
+    criterion, by ascending step (the two runs of size m-1 keep the step of
+    R_m, every other coatom has a prime multiple of it), then id, read from
+    one failure list per coatom.  Returns (witnesses, None), or the
+    witnesses found so far and the first x whose interval has none.  R_m
+    embeds by the identity, so its ideal in any L(n), n >= m, is L(m) with
+    the same triples in the same order: the result depends on m alone and
+    is memoised in ``_WITNESSES``.
     """
     if m not in _WITNESSES:
-        fields = lattice._fields
+        fields, leq = lattice._fields, lattice.leq_ids
         r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
+        members = lattice.ideal(r_m)
+        by_step = sorted(lattice.covers_down[r_m], key=lambda c: (fields[c][1], c))
+        failures = [(c, _cover_failures(lattice, c, members)) for c in by_step]
         witnesses, failing = {}, None
-        for lo in lattice.ideal(r_m)[:-1]:
-            witness = _first_left_modular_coatom(lattice, lo, r_m)
-            if witness is None:
+        for lo in members[:-1]:
+            for c, bad in failures:
+                if leq(lo, c) and not any(leq(lo, y) for y in bad):
+                    witnesses[fields[lo]] = fields[c]
+                    break
+            else:
                 failing = fields[lo]
                 break
-            witnesses[fields[lo]] = fields[witness]
         _WITNESSES[m] = witnesses, failing
     return _WITNESSES[m]
 
@@ -197,19 +202,33 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
 # complements
 
 
-def _complement_ids(lattice: Lattice, x: int):
-    """The ids y with x v y = top and x ^ y = bottom, ascending, lazily."""
+def _opposite_classes(lattice: Lattice) -> list:
+    """For each id x, ascending, the ids y that hold 1 exactly when x does
+    not, and n exactly when x does not: the only complements x can have.
+    Every id in L(0), whose one element is its own complement."""
+    n = lattice.n
+    if not n:
+        return [range(len(lattice))]
+    ends = [(b == 1, b + (k - 1) * s == n) for b, s, k in lattice._fields]
+    classes = {}
+    for y, key in enumerate(ends):
+        classes.setdefault(key, []).append(y)
+    return [classes.get((not first, not last), ()) for first, last in ends]
+
+
+def _complement_ids(lattice: Lattice, x: int, candidates):
+    """The candidate ids y with x v y = top and x ^ y = bottom, lazily."""
     top, bottom = lattice.top_id, lattice.bottom_id
     return (
         y
-        for y in range(len(lattice.elements))
+        for y in candidates
         if lattice.join_ids(x, y) == top and lattice.meet_ids(x, y) == bottom
     )
 
 
 def complements_of(lattice: Lattice, x: int) -> tuple[int, ...]:
-    """All y with x v y = top and x ^ y = bottom."""
-    return tuple(_complement_ids(lattice, x))
+    """All y with x v y = top and x ^ y = bottom, ascending."""
+    return tuple(_complement_ids(lattice, x, _opposite_classes(lattice)[x]))
 
 
 def is_complemented(lattice: Lattice) -> bool:
@@ -218,8 +237,8 @@ def is_complemented(lattice: Lattice) -> bool:
     if lattice.n < 2:
         raise ValueError("complementation is considered for n >= 2")
     return all(
-        next(_complement_ids(lattice, x), None) is not None
-        for x in range(len(lattice.elements))
+        next(_complement_ids(lattice, x, candidates), None) is not None
+        for x, candidates in enumerate(_opposite_classes(lattice))
     )
 
 
@@ -240,7 +259,10 @@ def semicomplement_witness(lattice: Lattice):
     else:
         witness = Progression(1 + step, step, p - 1)
     wid = lattice.id_of[witness]
-    for y in range(len(lattice.elements)):
+    # the witness holds neither 1 nor n, so an upper semicomplement holds
+    # both: it is {1, 1+d, .., n} for a divisor d of n-1
+    for d in divisors(n - 1):
+        y = lattice.id_of[(1, d, (n - 1) // d + 1)]
         if lattice.join_ids(wid, y) == lattice.top_id and y != lattice.top_id:
             raise AssertionError(
                 f"{witness} has an upper semicomplement other than the top in L({n})"
@@ -281,47 +303,44 @@ class LabelingVerdict:
     is_er: bool
     is_el: bool | None  # None when only the ER property was examined
     rising_failures: tuple  # (lo, hi, number of strictly rising maximal chains)
-    lex_failures: tuple  # (lo, hi, rising word, smaller competing word)
+    lex_failures: tuple  # (lo, hi, rising word, smallest competing word)
     ties: tuple  # (lo, hi, word shared by several maximal chains)
 
 
 def _is_rising(word: tuple[int, ...]) -> bool:
-    return all(a < b for a, b in zip(word, word[1:]))
+    return all(map(lt, word, word[1:]))
 
 
 def _scan_labeling(labeling: EdgeLabeling, check_lex: bool):
-    """Lists the maximal chains of every interval: past the work budget (one
-    unit per chain step and per interval member) it raises cost.BudgetError
-    first."""
+    """Builds the label words of every interval [lo, hi] in one upward sweep
+    of the filter of each lo, and reports by ascending (hi, lo): past the
+    work budget (one unit per chain step and per interval member) it raises
+    cost.BudgetError first."""
     lattice = labeling.lattice
     n = lattice.n
     cost.require(f"the labeling scan of L({n})", cost.chain_steps(n) + cost.triples(n))
-    rising_failures = []
-    lex_failures = []
-    ties = []
-    size = len(lattice.elements)
-    for hi in range(size):
-        for lo in lattice.ideal(hi):
-            if lo == hi:
-                continue
-            chains = lattice.maximal_chains(lo, hi)
-            words = [labeling.word(c) for c in chains]
-            seen = {}
-            for w in words:
-                seen[w] = seen.get(w, 0) + 1
-            for w, cnt in sorted(seen.items()):
+    labels, covers_down = labeling.labels, lattice.covers_down
+    rising_failures, lex_failures, ties = [], [], []
+    for lo in range(len(lattice.elements)):
+        words = {lo: [()]}  # words[y]: the label words of [lo, y]
+        for hi in lattice.filter(lo)[1:]:
+            words[hi] = hi_words = [
+                w + (labels[(c, hi)],)
+                for c in covers_down[hi]
+                if c in words
+                for w in words[c]
+            ]
+            for w, cnt in sorted(Counter(hi_words).items()):
                 if cnt > 1:
                     ties.append((lo, hi, w))
-            rising = [w for w in words if _is_rising(w)]
+            rising = [w for w in hi_words if _is_rising(w)]
             if len(rising) != 1:
                 rising_failures.append((lo, hi, len(rising)))
-                continue
-            if check_lex:
-                for w in words:
-                    # tuples compare lexicographically, a prefix first
-                    if w < rising[0]:
-                        lex_failures.append((lo, hi, rising[0], w))
-                        break
+            elif check_lex and min(hi_words) < rising[0]:
+                # tuples compare lexicographically, a prefix first
+                lex_failures.append((lo, hi, rising[0], min(hi_words)))
+    for found in (rising_failures, lex_failures, ties):
+        found.sort(key=lambda t: (t[1], t[0]))  # stable: ties keep word order
     is_er = not rising_failures
     is_el = (is_er and not lex_failures) if check_lex else None
     return LabelingVerdict(
@@ -337,7 +356,8 @@ def verify_er_labeling(labeling: EdgeLabeling) -> LabelingVerdict:
 
 def verify_el_labeling(labeling: EdgeLabeling) -> LabelingVerdict:
     """ER, plus the rising chain's label word must lexicographically precede
-    the word of every other maximal chain of its interval.
+    the word of every other maximal chain of its interval.  A failing
+    interval is reported with the smallest word of its maximal chains.
 
     Duplicate label words are reported in ``ties`` and never resolved here.
     """

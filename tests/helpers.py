@@ -1,20 +1,20 @@
 """Set-to-progression, relabeling, member-set, subset-meet, coatom-meet-table,
-cross-cut subset-fold, cover-criterion, comodernism-scan, all-pairs
-left-modularity, count-row Moebius and chain-row, per-m work estimate,
-Moebius-support, column-sweep unit stage and labeling-file helpers that only
-the tests use."""
+cross-cut subset-fold, interval-coatom, cover-criterion, comodernism-scan,
+all-pairs left-modularity, complement-scan, count-row Moebius and chain-row,
+per-m work estimate, Moebius-support, column-sweep unit stage, chain-listing
+labeling and labeling-file helpers that only the tests use."""
 
 from collections.abc import Iterable
 from functools import reduce
 from itertools import combinations, islice
 from operator import mul
 
-from aplattice import cost, structure
+from aplattice import cost
 from aplattice.complexes import chain_counts
 from aplattice.lattice import Lattice, _embed_fields, _project_fields, build, count_rows
 from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors
 from aplattice.progression import EMPTY, Progression, _of_fields, leq, sort_key
-from aplattice.structure import EdgeLabeling, coatoms, interval_coatoms
+from aplattice.structure import EdgeLabeling, LabelingVerdict, coatoms
 
 
 class NotAProgressionError(ValueError):
@@ -148,14 +148,22 @@ def crosscut_by_subsets(lattice: Lattice) -> tuple[tuple[tuple[int, ...], ...], 
     return tuple(faces_by_dim)
 
 
+def interval_coatoms(lattice: Lattice, lo: int, hi: int) -> tuple[int, ...]:
+    """Elements covered by hi that lie above lo."""
+    return tuple(c for c in lattice.covers_down[hi] if lattice.leq_ids(lo, c))
+
+
 def is_left_modular_coatom(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
     """Cover-based criterion for a coatom m of [lo, hi]: m is left-modular in
-    the interval iff every member y not below m covers m ^ y.  Reads
-    structure._covers_its_meets at each call, so a patched criterion is the
-    one applied.  Agrees with the definitional test wherever both run."""
+    the interval iff every member y not below m covers m ^ y, tested on each
+    member in turn.  Agrees with the definitional test wherever both run,
+    and shares no code with the failure lists of structure.is_comodernistic."""
     if m not in interval_coatoms(lattice, lo, hi):
         raise ValueError("m must be a coatom of the interval")
-    return structure._covers_its_meets(lattice, lattice.interval(lo, hi), m)
+    return all(
+        lattice.leq_ids(y, m) or lattice.covers(y, lattice.meet_ids(m, y))
+        for y in lattice.interval(lo, hi)
+    )
 
 
 def pnk_by_rows(n: int) -> list[int]:
@@ -322,6 +330,46 @@ def left_modular_by_all_pairs(lattice: Lattice, lo: int, hi: int, m: int) -> boo
             if lattice.meet_ids(x_join_m, y) != lattice.join_ids(x, m_meet_y):
                 return False
     return True
+
+
+def complements_by_scan(lattice: Lattice, x: int):
+    """Every y with x v y = top and x ^ y = bottom, ascending, lazily: a join
+    and a meet with every element of the lattice.  The oracle for
+    structure.complements_of and structure.is_complemented."""
+    top, bottom = lattice.top_id, lattice.bottom_id
+    return (
+        y
+        for y in range(len(lattice))
+        if lattice.join_ids(x, y) == top and lattice.meet_ids(x, y) == bottom
+    )
+
+
+def labeling_by_chains(labeling: EdgeLabeling, check_lex: bool) -> LabelingVerdict:
+    """The verdict of structure.verify_el_labeling (check_lex) or
+    verify_er_labeling by listing the maximal chains of every interval
+    [lo, hi], lo < hi, by ascending (hi, lo), and their label words.  A lex
+    failure names the smallest competing word.  The oracle for the word
+    sweep."""
+    lattice = labeling.lattice
+    rising_failures, lex_failures, ties = [], [], []
+    for hi in range(len(lattice)):
+        for lo in lattice.ideal(hi)[:-1]:
+            words = [labeling.word(c) for c in lattice.maximal_chains(lo, hi)]
+            for w in sorted(set(words)):
+                if words.count(w) > 1:
+                    ties.append((lo, hi, w))
+            rising = [w for w in words if all(a < b for a, b in zip(w, w[1:]))]
+            if len(rising) != 1:
+                rising_failures.append((lo, hi, len(rising)))
+                continue
+            smaller = [w for w in words if w < rising[0]]
+            if check_lex and smaller:
+                lex_failures.append((lo, hi, rising[0], min(smaller)))
+    is_er = not rising_failures
+    is_el = (is_er and not lex_failures) if check_lex else None
+    return LabelingVerdict(
+        is_er, is_el, tuple(rising_failures), tuple(lex_failures), tuple(ties)
+    )
 
 
 def edge_labeling_from_text(lattice: Lattice, text: str) -> EdgeLabeling:

@@ -122,7 +122,7 @@ def test_check_comodernistic(capsys, monkeypatch, cold_witnesses):
     assert code == 0
     assert out.count("PASS") == 6
     # a representative with no witness fails the check and is named
-    monkeypatch.setattr(structure, "_first_left_modular_coatom", lambda *args: None)
+    monkeypatch.setattr(structure, "_cover_failures", lambda lattice, c, members: members)
     cold_witnesses()  # 0..5 memoised L(1); the patched search must run
     code, out, _ = run(capsys, "check", "comodernistic", "0..1")
     assert code == 1

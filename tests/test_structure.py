@@ -12,10 +12,13 @@ from aplattice import structure as st
 from helpers import (
     coatom_meet_table,
     comodernism_by_scan,
+    complements_by_scan,
     edge_labeling_from_text,
     element_set,
     from_set,
+    interval_coatoms,
     is_left_modular_coatom,
+    labeling_by_chains,
     left_modular_by_all_pairs,
     meet_subset,
 )
@@ -234,7 +237,7 @@ def test_cover_criterion_matches_definition_on_l6(lat):
         for lo in l6.ideal(hi):
             if lo == hi:
                 continue
-            for m in st.interval_coatoms(l6, lo, hi):
+            for m in interval_coatoms(l6, lo, hi):
                 a = is_left_modular_coatom(l6, lo, hi, m)
                 b = st.is_left_modular_in_interval(l6, lo, hi, m)
                 assert a == b, (lo, hi, m)
@@ -264,7 +267,7 @@ def test_comodernistic_witnesses_are_valid(lat):
     l6 = lat(6)
     report = st.is_comodernistic(l6)
     for (lo, hi), m in report.witnesses.items():
-        assert m in st.interval_coatoms(l6, lo, hi)
+        assert m in interval_coatoms(l6, lo, hi)
         assert st.is_left_modular_in_interval(l6, lo, hi, m), (lo, hi, m)
 
 
@@ -276,30 +279,35 @@ def test_comodernistic_witnesses_match_the_per_interval_scan(lat):
         assert report.witnesses == comodernism_by_scan(lat(n)), n
 
 
-def _reject_2_under_1_to_5(monkeypatch):
-    """Patch the cover criterion to fail on [{2}, {1,..,5}] alone, in
-    whichever lattice the search runs."""
-    criterion = st._covers_its_meets
-    rejected = ((2, 0, 1), (1, 1, 5))
+def _reject_2_under_1_to_3(monkeypatch):
+    """Patch the failure lists so that the two runs {1,2} and {2,3} of
+    {1,2,3} fail on the member {2}, in whichever lattice the search runs:
+    [{2}, {1,2,3}] is then the first interval left with no witness, as
+    {1,3} still serves [{}, {1,2,3}]."""
+    failures = st._cover_failures
+    runs = ((1, 1, 2), (2, 1, 2))
 
-    def rejecting(lattice, members, m):
-        ends = (lattice._fields[members[0]], lattice._fields[members[-1]])
-        return ends != rejected and criterion(lattice, members, m)
+    def rejecting(lattice, c, members):
+        extra = (lattice.id_of[(2, 0, 1)],) if lattice._fields[c] in runs else ()
+        return failures(lattice, c, members) + extra
 
-    monkeypatch.setattr(st, "_covers_its_meets", rejecting)
+    monkeypatch.setattr(st, "_cover_failures", rejecting)
 
 
 def test_comodernism_failure_names_the_rejected_representative(
     lat, monkeypatch, cold_witnesses
 ):
     l8 = lat(8)
-    lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 5)]  # [{2}, {1,..,5}]
-    _reject_2_under_1_to_5(monkeypatch)
+    lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 3)]  # [{2}, {1,2,3}]
+    _reject_2_under_1_to_3(monkeypatch)
     report = st.is_comodernistic(l8)
     assert not report.holds and report.counterexample == (lo, top)
-    cands = st.interval_coatoms(l8, lo, top)
-    assert cands and not any(
-        is_left_modular_coatom(l8, lo, top, m) for m in cands
+    # every candidate has a (patched) failure inside the interval
+    cands = interval_coatoms(l8, lo, top)
+    ideal = l8.ideal(top)
+    assert cands and all(
+        any(l8.leq_ids(lo, y) for y in st._cover_failures(l8, m, ideal))
+        for m in cands
     )
     # the definition still finds one: the failure is the rejection alone
     assert any(st.is_left_modular_in_interval(l8, lo, top, m) for m in cands)
@@ -316,17 +324,18 @@ def test_comodernism_memo_warm_matches_the_scan(lat, cold_witnesses):
 def test_comodernism_memo_names_a_cached_failure_in_each_lattice(
     lat, monkeypatch, cold_witnesses
 ):
-    _reject_2_under_1_to_5(monkeypatch)
+    _reject_2_under_1_to_3(monkeypatch)
     l6, l8 = lat(6), lat(8)
     assert st.is_comodernistic(l6).counterexample == (
         l6.id_of[(2, 0, 1)],
-        l6.id_of[(1, 1, 5)],
+        l6.id_of[(1, 1, 3)],
     )
-    assert st._representative_witnesses(l6, 5)[1] == (2, 0, 1)  # a triple, not an id
+    assert st._representative_witnesses(l6, 3)[1] == (2, 0, 1)  # a triple, not an id
+    monkeypatch.setattr(st, "_cover_failures", _never)
     report = st.is_comodernistic(l8)  # the failure is read from the memo
     assert not report.holds
-    assert report.counterexample == (l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 5)])
-    assert report.counterexample != (l6.id_of[(2, 0, 1)], l6.id_of[(1, 1, 5)])
+    assert report.counterexample == (l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 3)])
+    assert report.counterexample != (l6.id_of[(2, 0, 1)], l6.id_of[(1, 1, 3)])
 
 
 def test_comodernism_memo_holds_triples_not_ids(lat):
@@ -346,11 +355,24 @@ def test_comodernism_memo_holds_triples_not_ids(lat):
         assert witnesses == expected, m
 
 
-def test_comodernistic_bound(lat, monkeypatch):
+def test_failure_list_is_empty_iff_the_coatom_is_left_modular(lat):
+    # over the whole of L(m), m = 2..16, against the definition
+    verdicts = []
+    for m in range(2, 17):
+        lm = lat(m)
+        members = lm.ideal(lm.top_id)
+        for c in st.coatoms(lm):
+            verdict = st.is_left_modular(lm, c)
+            assert (not st._cover_failures(lm, c, members)) == verdict, (m, c)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_comodernistic_bound(lat, monkeypatch, cold_witnesses):
     # one unit per triple lo <= y <= hi: L(29) is the last in budget
     assert cost.triples(29) <= cost.BUDGET
     l30 = lat(30)
-    monkeypatch.setattr(st, "interval_coatoms", _never)
+    monkeypatch.setattr(st, "_cover_failures", _never)
     with pytest.raises(cost.BudgetError):
         st.is_comodernistic(l30)
 
@@ -399,7 +421,29 @@ def test_complement_scan_matches_listing(lat):
         assert st.is_complemented(lat(n)) == listed, n
 
 
+def test_complements_match_the_full_scan(lat):
+    # a join and a meet with every element, for every element of L(0..24)
+    for n in range(25):
+        ln = lat(n)
+        for x in range(len(ln)):
+            assert st.complements_of(ln, x) == tuple(complements_by_scan(ln, x)), (n, x)
+
+
+def test_is_complemented_matches_the_full_scan(lat):
+    for n in range(2, 31):
+        ln = lat(n)
+        scanned = all(
+            next(complements_by_scan(ln, x), None) is not None for x in range(len(ln))
+        )
+        assert st.is_complemented(ln) == scanned, n
+
+
 def test_complements_examples(lat):
+    # L(0): its one element is top, bottom and its own complement, which no
+    # endpoint class holds; in L(1), 1 = n and {} and {1} complement each other
+    assert st.complements_of(lat(0), 0) == (0,)
+    assert st.complements_of(lat(1), 0) == (1,)
+    assert st.complements_of(lat(1), 1) == (0,)
     l2 = lat(2)
     one = l2.id_of[from_set({1})]
     two = l2.id_of[from_set({2})]
@@ -419,12 +463,19 @@ def test_semicomplement_witnesses(lat):
 
 
 def test_semicomplement_witness_checked_exhaustively(lat):
-    # direct restatement of the claim for n = 5: only the top joins to the top
-    l5 = lat(5)
-    w = l5.id_of[from_set({3})]
-    for y in range(len(l5)):
-        if l5.join_ids(w, y) == l5.top_id:
-            assert y == l5.top_id
+    # direct restatement of the claim, by a join with every element: only the
+    # top joins the witness to the top, for every n <= 50 with n-1 not
+    # squarefree
+    checked = 0
+    for n in range(2, 51):
+        if nt.is_squarefree(n - 1):
+            continue
+        ln = lat(n)
+        w = ln.id_of[st.semicomplement_witness(ln)]
+        joins = [y for y in range(len(ln)) if ln.join_ids(w, y) == ln.top_id]
+        assert joins == [ln.top_id], n
+        checked += 1
+    assert checked == 18  # n-1 = 4, 8, 9, 12, .., 45, 48, 49
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +483,16 @@ def test_semicomplement_witness_checked_exhaustively(lat):
 
 
 def added_element_labeling(lattice):
+    """Each cover edge labeled by the least element it adds, the only one
+    for n <= 3 (a cover such as {1,4,7} < {1,..,7} adds several)."""
     labels = {}
     for hi in range(len(lattice.elements)):
         for lo in lattice.covers_down[hi]:
             added = set(lattice.elements[hi].elements()) - set(
                 lattice.elements[lo].elements()
             )
-            assert len(added) == 1
-            labels[(lo, hi)] = added.pop()
+            assert len(added) == 1 or lattice.n > 3
+            labels[(lo, hi)] = min(added)
     return st.EdgeLabeling(lattice, labels)
 
 
@@ -467,6 +520,45 @@ def test_added_element_labeling_on_l3_is_el(lat):
     verdict = st.verify_el_labeling(st.EdgeLabeling(l3, labels))
     assert verdict.is_er and not verdict.is_el
     assert verdict.lex_failures[0] == (bottom, one_two, (1, 2), (1, 1))
+
+
+def test_lex_failure_names_the_smallest_competing_word(lat):
+    # the added-element labeling of L(3), with the edges {} -> {3} and
+    # {3} -> {1,3} relabeled 0 and 3: in [{}, {1,2,3}] the rising word
+    # (1, 2, 3) follows (0, 3, 2) and (0, 2, 1), in that chain order
+    l3 = lat(3)
+    labels = dict(added_element_labeling(l3).labels)
+    sets = ((), (3,), (1, 3), (1, 2, 3))
+    bottom, three, one_three, top = (l3.id_of[from_set(s)] for s in sets)
+    labels[(bottom, three)] = 0
+    labels[(three, one_three)] = 3
+    labeling = st.EdgeLabeling(l3, labels)
+    words = [labeling.word(c) for c in l3.maximal_chains(bottom, top)]
+    assert [w for w in words if w < (1, 2, 3)] == [(0, 3, 2), (0, 2, 1)]
+    verdict = st.verify_el_labeling(labeling)
+    assert verdict.lex_failures == ((bottom, top, (1, 2, 3), (0, 2, 1)),)
+    assert verdict == labeling_by_chains(labeling, check_lex=True)
+
+
+def test_word_sweep_matches_the_chain_listing(lat):
+    # every field of both verdicts on L(2..7), for the constant, the
+    # added-element and seeded random labelings with labels 0..3
+    rng = random.Random(2024)
+    lex_seen = 0
+    for n in range(2, 8):
+        ln = lat(n)
+        edges = [(lo, hi) for hi in range(len(ln)) for lo in ln.covers_down[hi]]
+        labelings = [constant_labeling(ln), added_element_labeling(ln)]
+        labelings += [
+            st.EdgeLabeling(ln, {e: rng.randrange(4) for e in edges}) for _ in range(3)
+        ]
+        for labeling in labelings:
+            er = st.verify_er_labeling(labeling)
+            assert er == labeling_by_chains(labeling, check_lex=False), n
+            el = st.verify_el_labeling(labeling)
+            assert el == labeling_by_chains(labeling, check_lex=True), n
+            lex_seen += len(el.lex_failures)
+    assert lex_seen
 
 
 def test_constant_labeling_on_l4_is_not_er(lat):
@@ -525,6 +617,6 @@ def test_labeling_bound(lat, monkeypatch):
     # one unit per chain step and per triple: L(14) is the last in budget
     assert cost.chain_steps(14) + cost.triples(14) <= cost.BUDGET
     labeling = constant_labeling(lat(15))
-    monkeypatch.setattr(lt.Lattice, "maximal_chains", _never)
+    monkeypatch.setattr(lt.Lattice, "filter", _never)
     with pytest.raises(cost.BudgetError):
         st.verify_er_labeling(labeling)
