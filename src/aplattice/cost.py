@@ -16,10 +16,9 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
   of L(11), 1.92M, 1.9-2.4 s, 123 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
-  0.7-0.9 s, 29 MB cold (check comodernistic 29..29), 0.08-0.12 s warm (a
-  second call in the same process); an upper bound, as the scan searches
-  only the intervals [x, {1,..,m}], once per m and process, and carries
-  their witnesses to the rest, so a range costs less than its summed triples
+  0.17-0.23 s, 16-17 MB (check comodernistic 29..29); an upper bound, as
+  the scan searches only the intervals [x, {1,..,m}], once per m and
+  process, and looks every other witness up when it is read
 * k(k-1)/2 member pairs of an interval of k elements, priced in
   ``structure``: left-modularity of a run coatom in the whole L(40), 3.71M,
   0.018 s, 15-16 MB; an upper bound, as the test walks only the comparable

@@ -9,20 +9,21 @@ its id; the queries read ``_fields``, the triples as exact plain tuples.
 Cover relations are built per element through the ideal relabeling: the ideal
 below an element y of size m is isomorphic to L(m) by sending the i-th member
 of y to i+1, and under that relabeling the elements covered by y are exactly
-the coatoms of L(m), which have an explicit description (two size m-1 runs
-plus the prime-step progressions through 1 and m).  A brute-force checker in
-the test suite validates the shortcut.
+the coatoms of L(m): two size m-1 runs plus the prime-step progressions
+through 1 and m.  So (a, r, k) covers (a + (b-1)r, s r, l) for each coatom
+(b, s, l) of L(k), and {a} covers EMPTY.  A brute-force checker in the test
+suite validates the shortcut.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import repeat
 from operator import add, floordiv
 
 from . import cost
 from .numtheory import is_squarefree, prime_divisors, tau, valid_n
 from .progression import (
-    EMPTY,
     Progression,
     _Fields,
     _join_fields,
@@ -30,7 +31,6 @@ from .progression import (
     _meet_fields,
     _of_fields,
     render,
-    sort_key,
 )
 
 def coatom_progressions(n: int) -> tuple[Progression, ...]:
@@ -41,14 +41,16 @@ def coatom_progressions(n: int) -> tuple[Progression, ...]:
     itself prime that single progression is {1, n}).  At n <= 2 the runs
     are singletons, so those cases are listed explicitly.
     """
-    if valid_n(n, 1) == 1:
-        return (EMPTY,)
-    if n == 2:
-        return (Progression(1, 0, 1), Progression(2, 0, 1))
-    out = [Progression(1, 1, n - 1), Progression(2, 1, n - 1)]
-    for p in prime_divisors(n - 1):
-        out.append(Progression(1, p, (n - 1) // p + 1))
-    return tuple(sorted(out, key=sort_key))
+    return tuple(map(_of_fields, _coatom_fields(n)))
+
+
+def _coatom_fields(n: int) -> tuple[_Fields, ...]:
+    """``coatom_progressions(n)`` as plain (base, step, length) triples."""
+    if valid_n(n, 1) <= 2:
+        return ((0, 0, 0),) if n == 1 else ((1, 0, 1), (2, 0, 1))
+    out = [(1, 1, n - 1), (2, 1, n - 1)]
+    out += [(1, p, (n - 1) // p + 1) for p in prime_divisors(n - 1)]
+    return tuple(sorted(out, key=lambda f: (f[2], f[0], f[1])))
 
 
 def _coatom_meet(m: int, fields: _Fields) -> tuple[_Fields, ...] | None:
@@ -72,7 +74,7 @@ def _coatom_meet(m: int, fields: _Fields) -> tuple[_Fields, ...] | None:
         ends = first in (1, 1 + e) and last in (m, m - e)
         if (m - 1) % e or not (ends and is_squarefree(e)):
             return None
-    return tuple(c for c in coatom_progressions(m) if _leq_fields(fields, c)) or None
+    return tuple(c for c in _coatom_fields(m) if _leq_fields(fields, c)) or None
 
 
 def _valid_id(lattice: Lattice, i, name: str = "id") -> int:
@@ -117,12 +119,31 @@ def _project_fields(p: _Fields, host: _Fields) -> _Fields:
     return ((base - host[0]) // host[1] + 1, step // host[1], length)
 
 
+class _Elements(Sequence):
+    """The elements of a lattice by id, each Progression made on access."""
+
+    def __init__(self, fields: tuple[_Fields, ...]):
+        self._fields = fields
+
+    def __len__(self):
+        return len(self._fields)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_of_fields, self._fields[i]))
+        return _of_fields(self._fields[i])
+
+    def __iter__(self):
+        return map(_of_fields, self._fields)
+
+
 class Lattice:
     """An immutable, fully materialised L(n).
 
     Attributes:
         n: ambient interval size.
-        elements: tuple of Progression, canonical (size, base, step) order.
+        elements: read-only sequence of Progression in canonical (size, base,
+            step) order, each made on access: a build makes none.
         id_of: (base, step, length) triple, or the equal Progression -> id.
         covers_down[i]: ids of the elements covered by element i, ascending
             by construction: the coatoms of L(|i|) embedded into i (see ``ideal``).
@@ -139,14 +160,14 @@ class Lattice:
         self.n = n
         # exact tuples: CPython unpacks ``a, r, k = p`` fast only for those
         self._fields = fields
-        # eager: a cached_property made the comodernism scan 15 % slower
-        self.elements = tuple(map(_of_fields, fields))
+        self.elements = _Elements(fields)
         self.id_of = index = {f: i for i, f in enumerate(fields)}
         self.bottom_id = 0
         self.top_id = len(fields) - 1
-        coatoms = [()] + [coatom_progressions(m) for m in range(1, n + 1)]
-        self.covers_down = tuple(
-            tuple(index[_embed_fields(c, f)] for c in coatoms[f[2]]) for f in fields
+        coatoms = [()] * 2 + [_coatom_fields(k) for k in range(2, n + 1)]
+        self.covers_down = ((),) + ((0,),) * n + tuple(  # ids 1..n: singletons
+            tuple([index[(a + (b - 1) * r, s * r, l)] for b, s, l in coatoms[k]])
+            for a, r, k in fields[n + 1 :]
         )
 
     def __len__(self):
@@ -240,18 +261,13 @@ class Lattice:
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
         for i, p in enumerate(self.elements):
             lines.append(f'  e{i} [label="{render(p, self.n)}"];')
-        for hi in range(len(self.elements)):
-            for lo in self.covers_down[hi]:
-                lines.append(f"  e{lo} -> e{hi};")
+        for hi, down in enumerate(self.covers_down):
+            lines += (f"  e{lo} -> e{hi};" for lo in down)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        edges = []
-        for hi in range(len(self.elements)):
-            for lo in self.covers_down[hi]:
-                edges.append([lo, hi])
-        edges.sort()
+        edges = sorted([lo, hi] for hi, c in enumerate(self.covers_down) for lo in c)
         return {
             "n": self.n,
             "elements": [list(p.elements()) for p in self.elements],

@@ -81,11 +81,6 @@ class Progression(namedtuple("Progression", "base step length")):
 EMPTY = Progression(0, 0, 0)
 
 
-def sort_key(p: Progression) -> tuple[int, int, int]:
-    """(size, base, step): the canonical element order of the lattice layer."""
-    return (p.length, p.base, p.step)
-
-
 def _of_fields(fields: _Fields) -> Progression:
     return EMPTY if fields[2] == 0 else Progression(*fields)
 

@@ -8,7 +8,8 @@ Conventions used throughout:
   notions reuse the global cover structure;
 * "coatom of [lo, hi]" means an element covered by hi that lies above lo;
 * comodernism is checked over intervals with at least two elements (a
-  one-point interval has no coatoms to offer);
+  one-point interval has no coatoms to offer), searched on the
+  representatives [x, {1,..,m}] alone; any other witness is looked up;
 * which coatoms meet to an element is decided once, by the closed-form rule
   ``lattice._coatom_meet``; this module maps its triples to ids.
 
@@ -30,14 +31,17 @@ Each exhaustive scan decides a candidate once, by an exact rule:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import repeat
 from operator import lt
+from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 from . import cost
-from .lattice import Lattice, _coatom_meet, _embed_fields, _valid_id
+from .lattice import Lattice, _coatom_meet, _embed_fields, _project_fields, _valid_id
 from .numtheory import divisors, is_squarefree, prime_divisors
-from .progression import Progression
+from .progression import Progression, _leq_fields
 
 
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
@@ -146,11 +150,37 @@ def _representative_witnesses(lattice: Lattice, m: int) -> tuple[dict, tuple | N
     return _WITNESSES[m]
 
 
+class _Witnesses(Mapping):
+    """(lo, hi) -> witness id for every lo < hi, read from the witness of
+    [proj(lo), R_|hi|] in ``witness_of[|hi|]``; keys by ascending hi, lo."""
+
+    def __init__(self, lattice: Lattice, witness_of: list):
+        self._lattice, self._witness_of = lattice, witness_of
+
+    def __getitem__(self, key):
+        fields = self._lattice._fields
+        try:
+            lo, hi = key
+            low, host = fields[lo], fields[hi]
+            if 0 <= lo < hi and _leq_fields(low, host):
+                w = self._witness_of[host[2]][_project_fields(low, host)]
+                return self._lattice.id_of[_embed_fields(w, host)]
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        ideal = self._lattice.ideal
+        return ((lo, hi) for hi in range(len(self._lattice)) for lo in ideal(hi)[:-1])
+
+    def __len__(self):  # L(|hi|) less its top, for each hi
+        return sum(len(self._witness_of[k]) for _, _, k in self._lattice._fields)
+
+
 @dataclass
 class ComodernismReport:
     holds: bool
-    # one qualifying left-modular coatom per interval (lo, hi) with lo < hi
-    witnesses: dict = field(default_factory=dict)
+    witnesses: Mapping  # read-only (lo, hi) -> a witness, for all lo < hi
     counterexample: tuple | None = None
 
 
@@ -161,45 +191,35 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
 
     The ideal below hi is L(|hi|) relabeled (``lattice._embed_fields`` and its
     inverse ``_project_fields``), so [lo, hi] is isomorphic to [proj(lo),
-    {1,..,|hi|}].  The check runs in two phases:
-
-    * representatives: for each m = 1..n, the witnesses of the intervals
-      [x, R_m] below R_m = {1,..,m} are read from
-      ``_representative_witnesses(lattice, m)``, which searches them in the
-      given lattice (R_m embeds by the identity, so its ideal is L(m) with
-      the same triples).  The search is memoised per m, so a range of n, or
-      a later call, searches each type once per process;
-    * fill: for each hi, every representative [x, R_|hi|] and its witness
-      are embedded into hi, which gives [lo, hi] with lo below hi and its
-      witness.  The embedding keeps size and is increasing in base and step,
-      so it is the first qualifying coatom of [lo, hi] in the same candidate
-      order.
+    R_|hi|], R_m = {1,..,m}.  R_m embeds by the identity, so its ideal is
+    L(m) with the same triples: ``_representative_witnesses`` searches the
+    witnesses of every [x, R_m] in the given lattice, once per m and
+    process.  ``witnesses[(lo, hi)]`` then looks up the witness of
+    [proj(lo), R_|hi|] and embeds it back into hi.  The embedding keeps size
+    and is increasing in base and step, so that is the first qualifying
+    coatom of [lo, hi] in the same candidate order.  No pair is listed or
+    stored: the length is the sum over hi of |L(|hi|)| - 1.
 
     A failure stops the scan, and ``counterexample`` names the failing
     representative [x, R_m], as ids of the given lattice.
     """
     cost.require(f"the comodernism scan of L({lattice.n})", cost.triples(lattice.n))
-    report = ComodernismReport(True)
-    index = lattice.id_of
     # witness_of[m][x]: the witness fields of [x, R_m], in L(m) coordinates
     witness_of = [{}]
     for m in range(1, lattice.n + 1):
         witnesses, failing = _representative_witnesses(lattice, m)
         if failing is not None:
             r_m = (1, 1, m) if m > 1 else (1, 0, 1)
-            report.holds = False
-            report.counterexample = (index[failing], index[r_m])
-            return report
+            ids = lattice.id_of[failing], lattice.id_of[r_m]
+            return ComodernismReport(False, MappingProxyType({}), ids)
         witness_of.append(witnesses)
-    for hi, host in enumerate(lattice._fields):
-        for x, w in witness_of[host[2]].items():
-            lo, witness = _embed_fields(x, host), _embed_fields(w, host)
-            report.witnesses[(index[lo], hi)] = index[witness]
-    return report
+    return ComodernismReport(True, _Witnesses(lattice, witness_of))
 
 
 # ---------------------------------------------------------------------------
 # complements
+
+_CLASSES: WeakKeyDictionary = WeakKeyDictionary()  # lattice -> its _opposite_classes
 
 
 def _opposite_classes(lattice: Lattice) -> list:
@@ -228,7 +248,9 @@ def _complement_ids(lattice: Lattice, x: int, candidates):
 
 def complements_of(lattice: Lattice, x: int) -> tuple[int, ...]:
     """All y with x v y = top and x ^ y = bottom, ascending."""
-    return tuple(_complement_ids(lattice, x, _opposite_classes(lattice)[x]))
+    if lattice not in _CLASSES:
+        _CLASSES[lattice] = _opposite_classes(lattice)
+    return tuple(_complement_ids(lattice, x, _CLASSES[lattice][x]))
 
 
 def is_complemented(lattice: Lattice) -> bool:
@@ -278,11 +300,7 @@ class EdgeLabeling:
     """An integer label on every cover edge (lower id, upper id) of a lattice."""
 
     def __init__(self, lattice: Lattice, labels: dict):
-        edges = {
-            (lo, hi)
-            for hi in range(len(lattice.elements))
-            for lo in lattice.covers_down[hi]
-        }
+        edges = {(lo, hi) for hi, down in enumerate(lattice.covers_down) for lo in down}
         given = set(labels)
         if given != edges:
             missing = sorted(edges - given)[:5]
@@ -321,7 +339,7 @@ def _scan_labeling(labeling: EdgeLabeling, check_lex: bool):
     cost.require(f"the labeling scan of L({n})", cost.chain_steps(n) + cost.triples(n))
     labels, covers_down = labeling.labels, lattice.covers_down
     rising_failures, lex_failures, ties = [], [], []
-    for lo in range(len(lattice.elements)):
+    for lo in range(len(lattice)):
         words = {lo: [()]}  # words[y]: the label words of [lo, y]
         for hi in lattice.filter(lo)[1:]:
             words[hi] = hi_words = [

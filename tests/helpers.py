@@ -1,7 +1,8 @@
-"""Set-to-progression, relabeling, member-set, subset-meet, coatom-meet-table,
-cross-cut subset-fold, interval-coatom, cover-criterion, comodernism-scan,
-all-pairs left-modularity, complement-scan, count-row Moebius and chain-row,
-per-m work estimate, Moebius-support, column-sweep unit stage, chain-listing
+"""Set-to-progression, canonical-order key, relabeling, member-set,
+cover-embedding, subset-meet, coatom-meet-table, cross-cut subset-fold,
+interval-coatom, cover-criterion, comodernism-scan, witness-fill, all-pairs
+left-modularity, complement-scan, count-row Moebius and chain-row, per-m
+work estimate, Moebius-support, column-sweep unit stage, chain-listing
 labeling and labeling-file helpers that only the tests use."""
 
 from collections.abc import Iterable
@@ -11,10 +12,22 @@ from operator import mul
 
 from aplattice import cost
 from aplattice.complexes import chain_counts
-from aplattice.lattice import Lattice, _embed_fields, _project_fields, build, count_rows
+from aplattice.lattice import (
+    Lattice,
+    _embed_fields,
+    _project_fields,
+    build,
+    coatom_progressions,
+    count_rows,
+)
 from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors
-from aplattice.progression import EMPTY, Progression, _of_fields, leq, sort_key
-from aplattice.structure import EdgeLabeling, LabelingVerdict, coatoms
+from aplattice.progression import EMPTY, Progression, _of_fields, leq
+from aplattice.structure import (
+    EdgeLabeling,
+    LabelingVerdict,
+    _representative_witnesses,
+    coatoms,
+)
 
 
 class NotAProgressionError(ValueError):
@@ -41,6 +54,11 @@ def from_set(elements: Iterable[int]) -> Progression:
     return Progression(xs[0], step, len(xs))
 
 
+def sort_key(p: Progression) -> tuple[int, int, int]:
+    """(size, base, step): the canonical element order of the lattice layer."""
+    return (p.length, p.base, p.step)
+
+
 def element_set(lattice: Lattice, i: int) -> frozenset[int]:
     return frozenset(lattice.elements[i].elements())
 
@@ -57,6 +75,30 @@ def project_progression(p: Progression, host: Progression) -> Progression:
     if not leq(p, host):
         raise ValueError(f"{p} is not contained in {host}")
     return _of_fields(_project_fields(p, host))
+
+
+def covers_by_embedding(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
+    """covers_down by embedding each coatom Progression of L(|y|) into y,
+    one ``_embed_fields`` call per cover: the oracle for the closed-form
+    covers of Lattice."""
+    coatoms = [()] + [coatom_progressions(m) for m in range(1, lattice.n + 1)]
+    return tuple(
+        tuple(lattice.id_of[_embed_fields(c, f)] for c in coatoms[f[2]])
+        for f in lattice._fields
+    )
+
+
+def covers_by_member_sets(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
+    """covers_down from member sets alone: x is covered by y when its set is
+    a proper subset of y's and no element's set lies strictly between."""
+    sets = [element_set(lattice, i) for i in range(len(lattice))]
+    out = []
+    for y, top in enumerate(sets):
+        below = [x for x, s in enumerate(sets) if s < top]
+        out.append(
+            tuple(x for x in below if not any(sets[x] < sets[z] for z in below))
+        )
+    return tuple(out)
 
 
 def meet_subset(lattice: Lattice, target: int, candidates):
@@ -314,6 +356,20 @@ def comodernism_by_scan(lattice: Lattice) -> dict:
                 (m for m in cands if is_left_modular_coatom(lattice, lo, hi, m)), None
             )
     return witnesses
+
+
+def witnesses_by_fill(lattice: Lattice) -> dict:
+    """The witness of every interval (lo, hi), lo < hi, as a dict filled by
+    ascending hi: each representative [x, R_|hi|] and its memoised witness
+    embedded into hi, in the order of the memo.  The oracle for the keys,
+    their order and the values of is_comodernistic's witness lookup."""
+    index, out = lattice.id_of, {}
+    for hi, host in enumerate(lattice._fields):
+        if host[2]:
+            witnesses, _ = _representative_witnesses(lattice, host[2])
+            for x, w in witnesses.items():
+                out[(index[_embed_fields(x, host)], hi)] = index[_embed_fields(w, host)]
+    return out
 
 
 def left_modular_by_all_pairs(lattice: Lattice, lo: int, hi: int, m: int) -> bool:

@@ -9,11 +9,14 @@ from aplattice import progression as pr
 
 from helpers import (
     coatom_meet_table,
+    covers_by_embedding,
+    covers_by_member_sets,
     element_set,
     embed_progression,
     from_set,
     ideal_isomorphism,
     project_progression,
+    sort_key,
 )
 
 
@@ -38,17 +41,64 @@ def test_build_rejects_bad_n():
 
 
 def test_build_derives_coatoms_once_per_length(monkeypatch):
-    calls, original = [], lt.coatom_progressions
+    calls, original = [], lt._coatom_fields
 
     def counted(m):
         calls.append(m)
         return original(m)
 
-    monkeypatch.setattr(lt, "coatom_progressions", counted)
+    monkeypatch.setattr(lt, "_coatom_fields", counted)
     for n in (0, 1, 9):
         calls.clear()
         lt.build(n)
         assert sorted(calls) == sorted(set(calls)) and len(calls) <= n
+    assert calls  # L(9) reads the coatoms of its lengths 2..9
+
+
+def test_build_makes_no_progression(monkeypatch):
+    made, new = [], pr.Progression.__new__
+
+    def counted(cls, *fields):
+        made.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(pr.Progression, "__new__", staticmethod(counted))
+    ln = lt.build(30)
+    assert made == []
+    # each element is made when it is read, and only then; EMPTY is shared
+    assert ln.elements[0] is pr.EMPTY and made == []
+    assert ln.elements[-1] == (1, 1, 30) and made == [(1, 1, 30)]
+
+
+def test_elements_is_a_read_only_sequence(lat):
+    ln = lat(6)
+    els, fields = ln.elements, list(lt._canonical_fields(6))
+    assert len(els) == len(ln) == len(fields)
+    assert els[0] is pr.EMPTY
+    for i in (1, 7, len(ln) - 1, -1, -len(ln)):
+        assert type(els[i]) is pr.Progression and els[i] == fields[i], i
+    for cut in (slice(2, 9), slice(None, None, -3), slice(-4, None)):
+        assert els[cut] == tuple(fields[cut])
+        assert all(type(p) is pr.Progression for p in els[cut])
+    assert list(els) == fields and all(type(p) is pr.Progression for p in els)
+    assert list(reversed(els)) == fields[::-1]
+    assert els.index(fields[5]) == 5 and fields[5] in els
+    for bad in (len(ln), -len(ln) - 1):
+        with pytest.raises(IndexError):
+            els[bad]
+    with pytest.raises(TypeError):
+        els[0] = pr.EMPTY
+
+
+def test_covers_match_the_embedding_route(lat):
+    # the closed form against one _embed_fields call per cover
+    for n in range(61):
+        assert lat(n).covers_down == covers_by_embedding(lat(n)), n
+
+
+def test_covers_match_member_sets(lat):
+    for n in range(11):
+        assert lat(n).covers_down == covers_by_member_sets(lat(n)), n
 
 
 def test_element_order_and_ids(lat):
@@ -57,7 +107,7 @@ def test_element_order_and_ids(lat):
         assert ln.elements[0] is pr.EMPTY or ln.elements[0] == pr.EMPTY
         if n >= 1:
             assert ln.elements[ln.top_id] == from_set(range(1, n + 1))
-        keys = [pr.sort_key(p) for p in ln.elements]
+        keys = [sort_key(p) for p in ln.elements]
         assert keys == sorted(keys)
         assert all(ln.id_of[p] == i for i, p in enumerate(ln.elements))
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -21,6 +23,7 @@ from helpers import (
     labeling_by_chains,
     left_modular_by_all_pairs,
     meet_subset,
+    witnesses_by_fill,
 )
 
 
@@ -279,6 +282,52 @@ def test_comodernistic_witnesses_match_the_per_interval_scan(lat):
         assert report.witnesses == comodernism_by_scan(lat(n)), n
 
 
+def test_witness_map_counts_the_strict_pairs(lat):
+    # the length is summed per hi, never by listing the pairs
+    for n in range(23):
+        report = st.is_comodernistic(lat(n))
+        assert len(report.witnesses) == cost.pairs(n) - len(lat(n)), n
+    assert len(report.witnesses) == 33_943
+
+
+def test_witness_map_keys_and_order_match_the_fill(lat):
+    # the lookup against the dict the scan used to fill, key for key in order
+    for n in range(17):
+        witnesses = st.is_comodernistic(lat(n)).witnesses
+        filled = witnesses_by_fill(lat(n))
+        assert list(witnesses) == list(filled), n
+        assert [witnesses[key] for key in filled] == list(filled.values()), n
+
+
+def test_witness_lookup_rejects_every_non_interval(lat):
+    l6 = lat(6)
+    witnesses = st.is_comodernistic(l6).witnesses
+    i1, i2, i12 = l6.id_of[(1, 0, 1)], l6.id_of[(2, 0, 1)], l6.id_of[(1, 1, 2)]
+    i13 = l6.id_of[(1, 2, 2)]
+    assert witnesses[(i1, i12)] in l6.covers_down[i12]
+    bad = [
+        (i12, i12),  # lo = hi
+        (0, 0),
+        (i2, i13),  # incomparable, lo < hi as ids
+        (i12, i13),  # incomparable, same size
+        (i12, i1),  # hi below lo
+        (-1, l6.top_id),
+        (0, len(l6)),
+        (0, -1),
+        (0,),
+        (0, 1, 2),
+        ("a", "b"),
+        (0.0, 1.0),
+        None,
+    ]
+    for key in bad:
+        with pytest.raises(KeyError):
+            witnesses[key]
+        assert key not in witnesses and witnesses.get(key) is None, key
+    with pytest.raises(TypeError):
+        witnesses[(i1, i12)] = i1
+
+
 def _reject_2_under_1_to_3(monkeypatch):
     """Patch the failure lists so that the two runs {1,2} and {2,3} of
     {1,2,3} fail on the member {2}, in whichever lattice the search runs:
@@ -302,6 +351,9 @@ def test_comodernism_failure_names_the_rejected_representative(
     _reject_2_under_1_to_3(monkeypatch)
     report = st.is_comodernistic(l8)
     assert not report.holds and report.counterexample == (lo, top)
+    assert len(report.witnesses) == 0 and list(report.witnesses) == []
+    with pytest.raises(TypeError):
+        report.witnesses[(lo, top)] = lo  # read-only, as on success
     # every candidate has a (patched) failure inside the interval
     cands = interval_coatoms(l8, lo, top)
     ideal = l8.ideal(top)
@@ -427,6 +479,26 @@ def test_complements_match_the_full_scan(lat):
         ln = lat(n)
         for x in range(len(ln)):
             assert st.complements_of(ln, x) == tuple(complements_by_scan(ln, x)), (n, x)
+
+
+def test_complements_build_the_endpoint_classes_once_per_lattice(monkeypatch):
+    calls, original = [], st._opposite_classes
+
+    def counted(lattice):
+        calls.append(lattice.n)
+        return original(lattice)
+
+    monkeypatch.setattr(st, "_opposite_classes", counted)
+    l9 = lt.build(9)
+    listed = [st.complements_of(l9, x) for x in range(len(l9))]
+    assert calls == [9] and listed[0] == (l9.top_id,)
+    assert st.complements_of(lt.build(9), 0) == (l9.top_id,) and calls == [9, 9]
+    # the classes go with their lattice: the cache keeps none alive
+    held, freed = len(st._CLASSES), weakref.ref(l9)
+    assert l9 in st._CLASSES
+    del l9, listed
+    gc.collect()
+    assert freed() is None and len(st._CLASSES) == held - 1
 
 
 def test_is_complemented_matches_the_full_scan(lat):
