@@ -33,7 +33,6 @@ from math import isqrt
 from . import cost
 from .lattice import Lattice, _coatom_meet
 from .numtheory import _quotient_block_sum, valid_n
-from .structure import coatoms
 
 _Faces = tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
 
@@ -252,7 +251,7 @@ def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
     n = lattice.n
     if n < 4:
         raise ValueError("the cross-cut complex is built for n >= 4")
-    cs = coatoms(lattice)
+    cs = lattice.covers_down[lattice.top_id]
     k = len(cs)
     sizes = range(1, k if _coatom_meet(n, (0, 0, 0)) else k + 1)
     return SimplicialComplex(

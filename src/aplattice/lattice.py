@@ -29,6 +29,7 @@ from .progression import (
     _join_fields,
     _leq_fields,
     _meet_fields,
+    _members,
     _of_fields,
     render,
 )
@@ -259,7 +260,7 @@ class Lattice:
     def to_dot(self) -> str:
         """Hasse diagram in DOT form: one node per element, one edge per cover."""
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        for i, p in enumerate(self.elements):
+        for i, p in enumerate(self._fields):
             lines.append(f'  e{i} [label="{render(p, self.n)}"];')
         for hi, down in enumerate(self.covers_down):
             lines += (f"  e{lo} -> e{hi};" for lo in down)
@@ -270,7 +271,7 @@ class Lattice:
         edges = sorted([lo, hi] for hi, c in enumerate(self.covers_down) for lo in c)
         return {
             "n": self.n,
-            "elements": [list(p.elements()) for p in self.elements],
+            "elements": [list(_members(p)) for p in self._fields],
             "cover_edges": edges,
         }
 

@@ -69,16 +69,22 @@ class Progression(namedtuple("Progression", "base step length")):
 
     def elements(self) -> tuple[int, ...]:
         """The members in increasing order; empty tuple for EMPTY."""
-        return tuple(self.base + i * self.step for i in range(self.length))
+        return _members(self)
 
     def __contains__(self, x: int) -> bool:
         return _leq_fields((x, 0, 1), self)  # {x} <= self
 
     def __str__(self):
-        return "{" + ",".join(str(x) for x in self.elements()) + "}"
+        return "{" + ",".join(map(str, _members(self))) + "}"
 
 
 EMPTY = Progression(0, 0, 0)
+
+
+def _members(p: _Fields) -> tuple[int, ...]:
+    """The members of a canonical triple in increasing order."""
+    base, step, length = p
+    return tuple(range(base, base + length * step, step)) if step else (base,) * length
 
 
 def _of_fields(fields: _Fields) -> Progression:
@@ -177,10 +183,9 @@ def join_in_ambient(p: Progression, q: Progression) -> Progression:
     return _of_fields(_join_fields(p, q))
 
 
-def render(p: Progression, n: int) -> str:
-    """Compact digit-string form ("1234", "14") for n <= 9, braces otherwise."""
-    if p.is_empty:
-        return "{}"
-    if n <= 9:
-        return "".join(str(x) for x in p.elements())
-    return str(p)
+def render(p: _Fields, n: int) -> str:
+    """Digits ("1234", "14") for n <= 9, braces otherwise; p may be a triple."""
+    members = _members(p)
+    if members and n <= 9:
+        return "".join(map(str, members))
+    return "{" + ",".join(map(str, members)) + "}"

@@ -19,6 +19,10 @@ Each exhaustive scan decides a candidate once, by an exact rule:
   member y not below c covers c ^ y.  Meets and covers are global, so the
   failing y of the whole ideal of hi are listed once per c, and c passes on
   [lo, hi] exactly when none of them lies above lo;
+* cover pairs: m in [lo, hi] is left-modular there exactly when no cover
+  x -> y into a y on its failure list fails: a failing pair moves up to a
+  failing cover pair, only a listed y tops one (its x lies above lo), and
+  for a coatom every listed y does (proofs at ``_cover_failures``);
 * endpoint classes: in L(n), n >= 1, a join spans from the smaller first to
   the larger last member and a meet is the intersection, so a complement of
   x holds 1, and n, exactly when x does not.  L(0) keeps the plain scan: its
@@ -78,40 +82,41 @@ def meet_of_coatoms_representation(lattice: Lattice, x: int):
 
 
 def is_left_modular_in_interval(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
-    """Definitional test: (x v m) ^ y == x v (m ^ y) for all x <= y in [lo, hi].
-
-    y walks only the filter of x in the interval, and two kinds of pair are
-    skipped, as both sides are equal there: x <= m (x v m = m and x <= m ^ y,
-    so both are m ^ y) and m <= y (x v m <= y and m ^ y = m, so both are
-    x v m).  Past the work budget (one unit per pair of members, more than
-    the pairs visited) it raises cost.BudgetError first.
-    """
+    """(x v m) ^ y == x v (m ^ y) for all x <= y in [lo, hi], tested exactly
+    on the covers of the members ``_cover_failures`` lists for m.  Past the
+    work budget (one unit per pair of members) it raises cost.BudgetError."""
     members = lattice.interval(lo, hi)
     if m not in members:
         raise ValueError("m must belong to the interval")
     pairs = len(members) * (len(members) - 1) // 2
     cost.require(f"the left-modularity test on {len(members):,} elements", pairs)
-    for x in members:
-        if lattice.leq_ids(x, m):
-            continue
-        x_join_m = lattice.join_ids(x, m)
-        for y in lattice.interval(x, hi):
-            if lattice.leq_ids(m, y):
-                continue
-            m_meet_y = lattice.meet_ids(m, y)
-            if lattice.meet_ids(x_join_m, y) != lattice.join_ids(x, m_meet_y):
-                return False
-    return True
+    meet, join = lattice.meet_ids, lattice.join_ids
+    return not any(
+        meet(join(x, m), y) != join(x, meet(m, y))
+        for y in _cover_failures(lattice, m, members)
+        for x in lattice.covers_down[y]
+    )
 
 
 def is_left_modular(lattice: Lattice, m: int) -> bool:
-    """Definitional left-modularity of m in the whole lattice."""
+    """Left-modularity of m in the whole lattice."""
     return is_left_modular_in_interval(lattice, lattice.bottom_id, lattice.top_id, m)
 
 
 def _cover_failures(lattice: Lattice, c: int, members) -> tuple[int, ...]:
     """The members y not below c (c ^ y != y) that do not cover c ^ y: the
-    cover criterion for c fails on an interval exactly when it holds one."""
+    cover criterion for c fails on an interval exactly when it holds one.
+    Call x <= y in [lo, hi] strict when x v (c ^ y) < (x v c) ^ y; c in
+    [lo, hi] is left-modular there exactly when no listed y has a strict
+    cover x -> y:
+
+    1. x' = x v (c ^ y) has (x' v c) ^ y = (x v c) ^ y = w, so if x <= y is
+       strict, any x' -> x1 <= w is a strict cover pair (c ^ x1 <= x');
+    2. only a listed y has one: x v (c ^ y) = y makes both sides y, and
+       x = c ^ y makes both x, so a strict x -> y has c ^ y < x (so x >= lo);
+    3. for a coatom c every listed y has one: c ^ y < x -> y puts x outside
+       c, so (x v c) ^ y = hi ^ y = y != x.  This is the cover criterion.
+    """
     meets = map(lattice.meet_ids, repeat(c), members)
     below = lattice.covers_down
     return tuple(y for y, z in zip(members, meets) if z != y and z not in below[y])
@@ -276,10 +281,7 @@ def semicomplement_witness(lattice: Lattice):
         return None
     p = next(q for q in prime_divisors(n - 1) if (n - 1) % (q * q) == 0)
     step = (n - 1) // p
-    if p == 2:
-        witness = Progression(1 + step, 0, 1)
-    else:
-        witness = Progression(1 + step, step, p - 1)
+    witness = Progression(1 + step, step if p > 2 else 0, p - 1)
     wid = lattice.id_of[witness]
     # the witness holds neither 1 nor n, so an upper semicomplement holds
     # both: it is {1, 1+d, .., n} for a divisor d of n-1

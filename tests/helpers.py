@@ -5,6 +5,7 @@ left-modularity, complement-scan, count-row Moebius and chain-row, per-m
 work estimate, Moebius-support, column-sweep unit stage, chain-listing
 labeling and labeling-file helpers that only the tests use."""
 
+from collections import defaultdict
 from collections.abc import Iterable
 from functools import reduce
 from itertools import combinations, islice
@@ -300,19 +301,21 @@ def eliminate_units_by_sweep(cols: list[dict[int, int]]) -> list[int]:
     """The unit stage by column sweeps: each column in turn pivots on the
     unit in its shortest row, until a sweep finds no unit.  Same contract as
     homology._eliminate_units; the oracle for its global pivot order."""
-    where: dict[int, set[int]] = {}  # row -> live columns with an entry there
+    where: defaultdict[int, set[int]] = defaultdict(set)  # row -> live columns there
     for c, col in enumerate(cols):
         for r in col:
-            where.setdefault(r, set()).add(c)
+            where[r].add(c)
     pivots = []
     progress = True
     while progress:
         progress = False
         for c, col in enumerate(cols):
-            units = [r for r, v in col.items() if v == 1 or v == -1]
-            if not units:
+            r, size = None, 0  # the first unit of the column in a shortest row
+            for i, v in col.items():
+                if (v == 1 or v == -1) and (r is None or len(where[i]) < size):
+                    r, size = i, len(where[i])
+            if r is None:
                 continue
-            r = min(units, key=lambda i: len(where[i]))
             u = col.pop(r)
             for k in where.pop(r):
                 if k == c:

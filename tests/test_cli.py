@@ -94,6 +94,15 @@ def test_mobius_json(capsys):
     assert all(v["passed"] for v in blob["verdicts"])
 
 
+@pytest.mark.parametrize("n, value", [(0, 1), (1, -1)])
+def test_mobius_below_two(capsys, n, value):
+    code, out, _ = run(capsys, "mobius", str(n), "--json")
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert all(v["passed"] for v in verdicts)
+    assert verdicts[-1]["detail"] == f"value {value}, expected {value}"
+
+
 def test_mobius_requires_n(capsys):
     code, _, err = run(capsys, "mobius")
     assert code == 2
@@ -109,6 +118,13 @@ def test_check_coatoms(capsys):
     code, out, _ = run(capsys, "check", "coatoms", "1..12")
     assert code == 0
     assert out.count("PASS") == 12
+
+
+@pytest.mark.parametrize("name, n", [("euler", 5), ("coatoms", 7)])
+def test_check_single_n_is_the_range_n_to_n(capsys, name, n):
+    code, out, _ = run(capsys, "check", name, str(n))
+    assert code == 0 and out.count("PASS") >= 1
+    assert run(capsys, "check", name, f"{n}..{n}")[:2] == (code, out)
 
 
 def test_check_complemented(capsys):

@@ -346,6 +346,32 @@ def test_json_export_shape(lat):
     json.dumps(blob)  # serialisable
 
 
+def test_exports_render_from_the_triples(monkeypatch):
+    # no Progression is made; the members of each element are the x in
+    # {1,..,n} that the containment kernel puts in its triple
+    made, new = [], pr.Progression.__new__
+
+    def counted(cls, *fields):
+        made.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(pr.Progression, "__new__", staticmethod(counted))
+    for n in (0, 6, 9, 10, 12):
+        ln = lt.build(n)
+        members = [
+            [x for x in range(1, n + 1) if pr._leq_fields((x, 0, 1), f)]
+            for f in ln._fields
+        ]
+        dot, blob = ln.to_dot(), ln.to_json_dict()
+        assert made == [], n
+        assert blob["elements"] == members, n
+        labels = [line.split('"')[1] for line in dot.splitlines() if "label=" in line]
+        assert labels == [
+            "".join(map(str, m)) if m and n <= 9 else "{" + ",".join(map(str, m)) + "}"
+            for m in members
+        ], n
+
+
 def test_embed_project_round_trip(lat):
     l8 = lat(8)
     for host in l8.elements:

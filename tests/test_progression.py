@@ -157,4 +157,9 @@ def test_render_styles():
     assert pr.render(from_set({1, 4}), 9) == "14"
     assert pr.render(from_set({1, 10}), 10) == "{1,10}"
     assert pr.render(EMPTY, 5) == "{}"
+    # a plain triple renders as its Progression does
+    for fields in [(1, 1, 4), (1, 3, 2), (1, 9, 2), (3, 0, 1), (0, 0, 0)]:
+        for n in (9, 10):
+            assert pr.render(fields, n) == pr.render(pr.Progression(*fields), n)
+    assert pr.render((3, 0, 1), 12) == "{3}" and pr.render((0, 0, 0), 12) == "{}"
     assert str(from_set({2, 5, 8})) == "{2,5,8}"
