@@ -26,10 +26,8 @@ from .lattice import (
     Lattice,
     build,
     coatom_progressions,
-    count_progressions_enumerated,
     count_progressions_formula,
     count_rows,
-    gf_coefficients,
     size_formula,
 )
 from .moebius import (

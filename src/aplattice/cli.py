@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 
@@ -27,11 +26,11 @@ from .numtheory import classical_mobius, is_squarefree, omega, valid_n
 _METHOD_NAMES = {m.value: m for m in MoebiusMethod}
 
 
-@dataclass
 class RunReport:
-    command: str
-    parameters: dict
-    verdicts: list = field(default_factory=list)  # (name, passed, detail)
+    def __init__(self, command: str, parameters: dict):
+        self.command = command
+        self.parameters = parameters
+        self.verdicts = []  # (name, passed, detail)
 
     def record(self, name: str, passed: bool, detail: str = "") -> None:
         self.verdicts.append((name, bool(passed), detail))

@@ -52,8 +52,8 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
@@ -303,16 +303,15 @@ def smith_normal_form(
     )
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(
+    namedtuple("HomologyResult", "free_ranks torsion rank_minus1", defaults=(0,))
+):
     """Reduced integral homology: one free rank and one torsion tuple per
     dimension of the complex from 0 up.  The rank in dimension -1 is nonzero
     only for the complex with no vertices at all.
     """
 
-    free_ranks: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
-    rank_minus1: int = 0
+    __slots__ = ()
 
     def nonzero(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         """dimension -> (free rank, torsion) restricted to nontrivial groups."""

@@ -349,43 +349,3 @@ def _count_rows(n_max: int):
         ends = map(floordiv, repeat(m - 1), range(1, m - 1))
         row = (1, m, *map(add, row[2:m], ends), 1)
         yield row
-
-
-def count_progressions_enumerated(lattice: Lattice, k: int) -> int:
-    """The number of size-k elements, by direct scan of a built lattice."""
-    valid_n(k, name="k")
-    return sum(1 for f in lattice._fields if f[2] == k)
-
-
-def gf_coefficients(max_n: int, max_k: int) -> list[list[int]]:
-    """Coefficient table of the bivariate generating function of the counts.
-
-    Expands (1/(1-z)^2) * (1 - z + zq + sum_{k>=2} (zq)^k / (1 - z^{k-1}))
-    as an exact truncated power series; entry [n][k] is the number of
-    progressions of size k in {1,..,n}.
-    """
-    valid_n(max_n, name="max_n")
-    valid_n(max_k, name="max_k")
-    # inner factor: 1 - z + zq + sum_{k>=2} z^{k + j(k-1)} q^k over j >= 0
-    inner = [[0] * (max_k + 1) for _ in range(max_n + 1)]
-    inner[0][0] += 1
-    if max_n >= 1:
-        inner[1][0] -= 1
-        if max_k >= 1:
-            inner[1][1] += 1
-    for k in range(2, min(max_k, max_n) + 1):
-        e = k
-        while e <= max_n:
-            inner[e][k] += 1
-            e += k - 1
-    # multiply by 1/(1-z)^2 = sum_m (m+1) z^m
-    out = [[0] * (max_k + 1) for _ in range(max_n + 1)]
-    for n in range(max_n + 1):
-        row = out[n]
-        for m in range(n + 1):
-            w = m + 1
-            src = inner[n - m]
-            for k in range(max_k + 1):
-                if src[k]:
-                    row[k] += w * src[k]
-    return out

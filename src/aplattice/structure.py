@@ -34,9 +34,8 @@ Each exhaustive scan decides a candidate once, by an exact rule:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import repeat
 from operator import lt
 from types import MappingProxyType
@@ -182,11 +181,10 @@ class _Witnesses(Mapping):
         return sum(len(self._witness_of[k]) for _, _, k in self._lattice._fields)
 
 
-@dataclass
-class ComodernismReport:
-    holds: bool
-    witnesses: Mapping  # read-only (lo, hi) -> a witness, for all lo < hi
-    counterexample: tuple | None = None
+# witnesses: read-only (lo, hi) -> a witness, for all lo < hi
+ComodernismReport = namedtuple(
+    "ComodernismReport", "holds witnesses counterexample", defaults=(None,)
+)
 
 
 def is_comodernistic(lattice: Lattice) -> ComodernismReport:
@@ -318,13 +316,13 @@ class EdgeLabeling:
         return tuple(self.labels[(a, b)] for a, b in zip(chain, chain[1:]))
 
 
-@dataclass
-class LabelingVerdict:
-    is_er: bool
-    is_el: bool | None  # None when only the ER property was examined
-    rising_failures: tuple  # (lo, hi, number of strictly rising maximal chains)
-    lex_failures: tuple  # (lo, hi, rising word, smallest competing word)
-    ties: tuple  # (lo, hi, word shared by several maximal chains)
+# is_el: None when only the ER property was examined
+# rising_failures: (lo, hi, number of strictly rising maximal chains)
+# lex_failures: (lo, hi, rising word, smallest competing word)
+# ties: (lo, hi, word shared by several maximal chains)
+LabelingVerdict = namedtuple(
+    "LabelingVerdict", "is_er is_el rising_failures lex_failures ties"
+)
 
 
 def _is_rising(word: tuple[int, ...]) -> bool:

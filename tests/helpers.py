@@ -1,9 +1,10 @@
 """Set-to-progression, canonical-order key, relabeling, member-set,
 cover-embedding, subset-meet, coatom-meet-table, cross-cut subset-fold,
-interval-coatom, cover-criterion, comodernism-scan, witness-fill, all-pairs
-left-modularity, complement-scan, count-row Moebius and chain-row, per-m
-work estimate, Moebius-support, column-sweep unit stage, chain-listing
-labeling and labeling-file helpers that only the tests use."""
+interval-coatom, cover-criterion, size-k scan, count generating-function,
+comodernism-scan, witness-fill, all-pairs left-modularity, complement-scan,
+count-row Moebius and chain-row, per-m work estimate, Moebius-support,
+column-sweep unit stage, chain-listing labeling and labeling-file helpers
+that only the tests use."""
 
 from collections import defaultdict
 from collections.abc import Iterable
@@ -21,7 +22,7 @@ from aplattice.lattice import (
     coatom_progressions,
     count_rows,
 )
-from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors
+from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors, valid_n
 from aplattice.progression import EMPTY, Progression, _of_fields, leq
 from aplattice.structure import (
     EdgeLabeling,
@@ -207,6 +208,48 @@ def is_left_modular_coatom(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
         lattice.leq_ids(y, m) or lattice.covers(y, lattice.meet_ids(m, y))
         for y in lattice.interval(lo, hi)
     )
+
+
+def count_progressions_enumerated(lattice: Lattice, k: int) -> int:
+    """The number of size-k elements, by direct scan of a built lattice: an
+    oracle of count_progressions_formula."""
+    valid_n(k, name="k")
+    return sum(1 for f in lattice._fields if f[2] == k)
+
+
+def gf_coefficients(max_n: int, max_k: int) -> list[list[int]]:
+    """Coefficient table of the bivariate generating function of the counts.
+
+    Expands (1/(1-z)^2) * (1 - z + zq + sum_{k>=2} (zq)^k / (1 - z^{k-1}))
+    as an exact truncated power series; entry [n][k] is the number of
+    progressions of size k in {1,..,n}: an oracle of count_progressions_formula
+    and count_rows.
+    """
+    valid_n(max_n, name="max_n")
+    valid_n(max_k, name="max_k")
+    # inner factor: 1 - z + zq + sum_{k>=2} z^{k + j(k-1)} q^k over j >= 0
+    inner = [[0] * (max_k + 1) for _ in range(max_n + 1)]
+    inner[0][0] += 1
+    if max_n >= 1:
+        inner[1][0] -= 1
+        if max_k >= 1:
+            inner[1][1] += 1
+    for k in range(2, min(max_k, max_n) + 1):
+        e = k
+        while e <= max_n:
+            inner[e][k] += 1
+            e += k - 1
+    # multiply by 1/(1-z)^2 = sum_m (m+1) z^m
+    out = [[0] * (max_k + 1) for _ in range(max_n + 1)]
+    for n in range(max_n + 1):
+        row = out[n]
+        for m in range(n + 1):
+            w = m + 1
+            src = inner[n - m]
+            for k in range(max_k + 1):
+                if src[k]:
+                    row[k] += w * src[k]
+    return out
 
 
 def pnk_by_rows(n: int) -> list[int]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,36 @@ def check_units(name, lo, hi):
 
 def _never(*args, **kwargs):
     raise AssertionError("work started on a refused request")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # with bytecode cached they took about half of `import aplattice` (6.5-7.2
+    # of 13-14 ms on a 2-vCPU x86-64 VM), which every command pays; a fresh
+    # interpreter sees what the import loads
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, aplattice, aplattice.cli; "
+        "print(*sorted({'dataclasses', 'inspect'}.intersection(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == []
+
+
+def test_run_report_fields_and_a_fresh_verdict_list():
+    first = cli.RunReport("check", {"name": "euler"})
+    second = cli.RunReport(parameters={}, command="mobius")
+    assert list(vars(first)) == ["command", "parameters", "verdicts"]
+    assert (second.command, second.parameters, second.verdicts) == ("mobius", {}, [])
+    first.record("euler n=2", 1)
+    assert first.verdicts == [("euler n=2", True, "")] and second.verdicts == []
+    assert first.passed and second.passed
 
 
 def test_table_p_golden_row(capsys):

@@ -12,10 +12,8 @@ from aplattice import (
     coatoms,
     complexes,
     cost,
-    count_progressions_enumerated,
     count_progressions_formula,
     count_rows,
-    gf_coefficients,
     homology,
     is_left_modular,
     lattice,
@@ -24,7 +22,13 @@ from aplattice import (
     order_complex,
     size_formula,
 )
-from helpers import definition_price_by_elements, faces_by_rows, nonzeros_by_rows
+from helpers import (
+    count_progressions_enumerated,
+    definition_price_by_elements,
+    faces_by_rows,
+    gf_coefficients,
+    nonzeros_by_rows,
+)
 
 
 def check_units(name, lo, hi):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -259,17 +260,20 @@ def assert_boundary_squares_to_zero(complex, label):
 @pytest.fixture(scope="module")
 def order_complexes(lat):
     """n -> (the order complex of L(n), its reduced_homology, and the
-    (d, cleared faces, divisors) of each map reduced_homology reduced, from
+    (d, cleared map, divisors) of each map reduced_homology reduced, from
     the top down) for n = 2..11, built once for the module; the faces stay
-    decoded.  A map's divisors are the units of its counter collapses, then
-    the divisors smith_normal_form found for the columns left."""
+    decoded.  A cleared map is a copy of the columns boundary_matrix built,
+    taken before the counter collapses empty some of them in place.  A map's
+    divisors are the units of its counter collapses, then the divisors
+    smith_normal_form found for the columns left."""
     boundary, peel = hm.boundary_matrix, hm._peel_units
     snf = hm.smith_normal_form
     maps = []
 
     def recorded_boundary(complex, d, cleared=frozenset()):
-        maps.append((d, cleared))
-        return boundary(complex, d, cleared)
+        cols = boundary(complex, d, cleared)
+        maps.append((d, tuple(map(dict, cols))))
+        return cols
 
     def recorded_peel(cols, nrows):
         pivots = peel(cols, nrows)
@@ -278,8 +282,8 @@ def order_complexes(lat):
 
     def recorded_snf(columns, unit_rows=None):
         divisors = snf(columns, unit_rows)
-        d, cleared, units = maps[-1]
-        maps[-1] = (d, cleared, units + divisors)
+        d, mat, units = maps[-1]
+        maps[-1] = (d, mat, units + divisors)
         return divisors
 
     out = {}
@@ -477,6 +481,56 @@ def test_homology_result_rendering():
     assert res.as_dict()["1"] == {"free_rank": 1, "torsion": []}
 
 
+def test_homology_result_is_a_frozen_named_tuple():
+    assert hm.HomologyResult._fields == ("free_ranks", "torsion", "rank_minus1")
+    assert hm.HomologyResult._field_defaults == {"rank_minus1": 0}
+    res = hm.HomologyResult(torsion=((), (3,)), free_ranks=(1, 0))
+    same = hm.HomologyResult((1, 0), ((), (3,)), 0)
+    assert res == same == ((1, 0), ((), (3,)), 0)
+    assert hash(res) == hash(same)
+    assert res != hm.HomologyResult((1, 0), ((), (3,)), 1)
+    free_ranks, torsion, rank_minus1 = res
+    assert (free_ranks, torsion, rank_minus1) == ((1, 0), ((), (3,)), 0)
+    assert repr(res) == (
+        "HomologyResult(free_ranks=(1, 0), torsion=((), (3,)), rank_minus1=0)"
+    )
+    for name in (*res._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(res, name, 1)
+
+
+def test_homology_result_text_of_the_fixtures(order_complexes):
+    # str() and the key order of as_dict() as the library has always written
+    # them, on the order complexes, RP^2 and the pseudo-projective planes
+    folkman = {
+        2: "H~_0 = Z", 3: "H~_1 = Z", 4: "H~_1 = Z", 6: "H~_1 = Z",
+        7: "H~_2 = Z", 8: "H~_1 = Z", 11: "H~_2 = Z",
+    }
+    for n in range(2, 12):
+        c, res, _ = order_complexes[n]
+        text = folkman.get(n, "all reduced homology groups trivial")
+        assert str(res) == text, n
+        blob = {
+            str(d): {"free_rank": int(text == f"H~_{d} = Z"), "torsion": []}
+            for d in range(c.dim + 1)
+        }
+        assert json.dumps(res.as_dict()) == json.dumps(blob), n
+    planes = [(RP2, 2)] + [
+        (two_complex(size, triangles), k)
+        for k in range(1, 6)
+        for triangles, size in [pseudo_projective_plane(k, [0, 1, 2], 3)]
+    ]
+    for c, k in planes:
+        res = hm.reduced_homology(c)
+        text = f"H~_1 = Z/{k}" if k > 1 else "all reduced homology groups trivial"
+        assert str(res) == text, k
+        assert json.dumps(res.as_dict()) == json.dumps({
+            "0": {"free_rank": 0, "torsion": []},
+            "1": {"free_rank": 0, "torsion": [k] if k > 1 else []},
+            "2": {"free_rank": 0, "torsion": []},
+        })
+
+
 def snf_by_sweep(mat):
     """smith_normal_form with the column-sweep unit stage of the tests."""
     with pytest.MonkeyPatch.context() as mp:
@@ -626,8 +680,7 @@ def test_unit_stages_agree_on_cleared_order_complex_maps(order_complexes):
         c, _, maps = order_complexes[n]
         fvec = c.f_vector()
         assert [d for d, _, _ in maps] == list(reversed(range(c.dim + 1))), n
-        for d, cleared, divisors in maps:
-            mat = hm.boundary_matrix(c, d, cleared)
+        for d, mat, divisors in maps:
             assert snf_by_sweep(mat) == divisors, (n, d)
             assert_unit_postcondition(mat, fvec[d - 1] if d else 1, ("order", n, d))
 

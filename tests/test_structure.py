@@ -299,6 +299,19 @@ def test_comodernistic_witnesses_are_valid(lat):
         assert st.is_left_modular_in_interval(l6, lo, hi, m), (lo, hi, m)
 
 
+def test_comodernism_report_is_a_frozen_named_tuple(lat):
+    assert st.ComodernismReport._fields == ("holds", "witnesses", "counterexample")
+    assert st.ComodernismReport._field_defaults == {"counterexample": None}
+    report = st.ComodernismReport(witnesses={}, holds=True)
+    assert report == st.ComodernismReport(True, {}, None) == (True, {}, None)
+    holds, witnesses, counterexample = st.is_comodernistic(lat(4))
+    assert holds and counterexample is None
+    assert witnesses[(0, lat(4).top_id)] in st.coatoms(lat(4))
+    for name in (*report._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+
+
 def test_comodernistic_witnesses_match_the_per_interval_scan(lat):
     # the witnesses carried from [x, {1..m}] equal a search in every interval
     for n in range(17):
@@ -657,6 +670,20 @@ def test_word_sweep_matches_the_chain_listing(lat):
             assert el == labeling_by_chains(labeling, check_lex=True), n
             lex_seen += len(el.lex_failures)
     assert lex_seen
+
+
+def test_labeling_verdict_is_a_frozen_named_tuple(lat):
+    fields = ("is_er", "is_el", "rising_failures", "lex_failures", "ties")
+    assert st.LabelingVerdict._fields == fields
+    assert st.LabelingVerdict._field_defaults == {}
+    verdict = st.verify_er_labeling(added_element_labeling(lat(3)))
+    assert verdict == st.LabelingVerdict(
+        is_er=True, is_el=None, rising_failures=(), lex_failures=(), ties=()
+    )
+    assert verdict == (True, None, (), (), ())
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(verdict, name, None)
 
 
 def test_constant_labeling_on_l4_is_not_er(lat):
