@@ -223,7 +223,7 @@ def _euler(n: int) -> tuple[bool, str]:
 _CHECKS = {
     "theorem1": (_theorem1, 0, lambda n: _engines(n, _METHOD_NAMES)),
     "coatoms": (_coatoms, 1, lambda n: _lattice_units(n) + cost.pairs(n)),
-    "comodernistic": (_comodernistic, 0, lambda n: _lattice_units(n) + cost.triples(n)),
+    "comodernistic": (_comodernistic, 0, lambda n: _lattice_units(n) + cost.comodernism(n)),
     "complemented": (
         _complemented, 2, lambda n: (cost.ELEMENT + 4 * n) * cost.elements(n)
     ),

@@ -15,10 +15,10 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 * nonzeros(n), d + 1 per d-face, off the rows of one chain_counts: homology
   of L(11), 1.92M, 1.9-2.4 s, 123 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
-* triples(n), lo <= y <= hi, from count_rows: comodernism of L(29), 3.80M,
-  0.17-0.23 s, 16-17 MB (check comodernistic 29..29); an upper bound, as
-  the scan searches only the intervals [x, {1,..,m}], once per m and
-  process, and looks every other witness up when it is read
+* comodernism(n), the members its premises walk per m <= n: |L(m)| -
+  |L(m-1)|, tau(m-1) and tau(e) for each e | m-1, e > 1; fewer than the
+  elements built, so builds bound check comodernistic 0..55, 0.5-0.9 s
+* triples(n), lo <= y <= hi, from count_rows, priced into the labeling scan
 * k(k-1)/2 member pairs of an interval of k elements, priced in
   ``structure``: left-modularity of a run coatom in the whole L(40), 3.71M,
   0.008 s, 16 MB; an upper bound, as the test makes one meet per member
@@ -45,7 +45,7 @@ from math import isqrt
 from operator import mul
 
 from . import complexes, lattice
-from .numtheory import valid_n
+from .numtheory import divisors, tau, valid_n
 
 BUDGET = 4_000_000
 ELEMENT = 40  # units per element; lower admits export lattice-json past n = 200
@@ -129,6 +129,13 @@ def pairs(n: int) -> int:
 def triples(n: int) -> int:
     """lo <= y <= hi in L(n): the sum of p(n, m) P(m)."""
     return _first_past(sum(map(mul, row, by_m)) for row, by_m in _pairs(n))
+
+
+def comodernism(n: int) -> int:
+    run = elements(n) - 1
+    if run > BUDGET:
+        return run
+    return run + sum(tau(e) for k in range(1, n) for e in (k, *divisors(k)[1:]))
 
 
 def _chain_steps(n: int):

@@ -8,8 +8,8 @@ Conventions used throughout:
   notions reuse the global cover structure;
 * "coatom of [lo, hi]" means an element covered by hi that lies above lo;
 * comodernism is checked over intervals with at least two elements (a
-  one-point interval has no coatoms to offer), searched on the
-  representatives [x, {1,..,m}] alone; any other witness is looked up;
+  one-point interval has no coatoms to offer), on [x, R_m], R_m = {1,..,m},
+  alone, by a rule whose premises are checked; other witnesses are looked up;
 * which coatoms meet to an element is decided once, by the closed-form rule
   ``lattice._coatom_meet``; this module maps its triples to ids.
 
@@ -17,8 +17,8 @@ Each exhaustive scan decides a candidate once, by an exact rule:
 
 * failure lists: a coatom c of [lo, hi] passes the cover criterion when each
   member y not below c covers c ^ y.  Meets and covers are global, so the
-  failing y of the whole ideal of hi are listed once per c, and c passes on
-  [lo, hi] exactly when none of them lies above lo;
+  failing y of a set of members are listed once per c, and c passes on
+  each [lo, hi] inside that set exactly when none of them lies above lo;
 * cover pairs: m in [lo, hi] is left-modular there exactly when no cover
   x -> y into a y on its failure list fails: a failing pair moves up to a
   failing cover pair, only a listed y tops one (its x lies above lo), and
@@ -42,9 +42,10 @@ from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from . import cost
-from .lattice import Lattice, _coatom_meet, _embed_fields, _project_fields, _valid_id
+from .lattice import Lattice, _coatom_meet, _embed_fields, _project_fields
+from .lattice import _valid_id, sizes
 from .numtheory import divisors, is_squarefree, prime_divisors
-from .progression import Progression, _leq_fields
+from .progression import Progression, _Fields, _leq_fields
 
 
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
@@ -121,45 +122,32 @@ def _cover_failures(lattice: Lattice, c: int, members) -> tuple[int, ...]:
     return tuple(y for y, z in zip(members, meets) if z != y and z not in below[y])
 
 
-_WITNESSES: dict[int, tuple[dict, tuple | None]] = {}
+def _witness(m: int, x: _Fields) -> _Fields:
+    """The witness of [x, R_m], x < R_m, a triple of L(m) (the rule at
+    ``is_comodernistic``): the first coatom above x by step, then base."""
+    base, step, length = x
+    if m == 1:
+        return (0, 0, 0)
+    if base > 1 or base + (length - 1) * step < m:  # x lies in a run
+        return (1 if base + (length - 1) * step < m else 2, 1 if m > 2 else 0, m - 1)
+    p = prime_divisors(step)[0]
+    return (1, p, (m - 1) // p + 1)
 
 
-def _representative_witnesses(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
-    """The witness of every interval [x, R_m] with x below R_m = {1,..,m},
-    as (base, step, length) triples: its first coatom passing the cover
-    criterion, by ascending step (the two runs of size m-1 keep the step of
-    R_m, every other coatom has a prime multiple of it), then id, read from
-    one failure list per coatom.  Returns (witnesses, None), or the
-    witnesses found so far and the first x whose interval has none.  R_m
-    embeds by the identity, so its ideal in any L(n), n >= m, is L(m) with
-    the same triples in the same order: the result depends on m alone and
-    is memoised in ``_WITNESSES``.
-    """
-    if m not in _WITNESSES:
-        fields, leq = lattice._fields, lattice.leq_ids
-        r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
-        members = lattice.ideal(r_m)
-        by_step = sorted(lattice.covers_down[r_m], key=lambda c: (fields[c][1], c))
-        failures = [(c, _cover_failures(lattice, c, members)) for c in by_step]
-        witnesses, failing = {}, None
-        for lo in members[:-1]:
-            for c, bad in failures:
-                if leq(lo, c) and not any(leq(lo, y) for y in bad):
-                    witnesses[fields[lo]] = fields[c]
-                    break
-            else:
-                failing = fields[lo]
-                break
-        _WITNESSES[m] = witnesses, failing
-    return _WITNESSES[m]
+def _premises(lattice: Lattice, m: int, r_m: int):
+    """(x, witness, members) of each premise at m by ascending x, as ids."""
+    id_of = lattice.id_of
+    firsts = [((0, 0, 0), (m, 0, 1))] + ([((m, 0, 1), (1, m - 1, 2))] if m > 1 else [])
+    x_es = [(1, e, (m - 1) // e + 1) for e in divisors(m - 1)[:0:-1]] if m > 1 else []
+    for x, least in [*firsts, *zip(x_es, x_es)]:
+        yield id_of[x], id_of[_witness(m, x)], lattice.interval(id_of[least], r_m)
 
 
 class _Witnesses(Mapping):
-    """(lo, hi) -> witness id for every lo < hi, read from the witness of
-    [proj(lo), R_|hi|] in ``witness_of[|hi|]``; keys by ascending hi, lo."""
+    """(lo, hi) -> the witness id of each lo < hi; keys by ascending hi, lo."""
 
-    def __init__(self, lattice: Lattice, witness_of: list):
-        self._lattice, self._witness_of = lattice, witness_of
+    def __init__(self, lattice: Lattice):
+        self._lattice = lattice
 
     def __getitem__(self, key):
         fields = self._lattice._fields
@@ -167,7 +155,7 @@ class _Witnesses(Mapping):
             lo, hi = key
             low, host = fields[lo], fields[hi]
             if 0 <= lo < hi and _leq_fields(low, host):
-                w = self._witness_of[host[2]][_project_fields(low, host)]
+                w = _witness(host[2], _project_fields(low, host))
                 return self._lattice.id_of[_embed_fields(w, host)]
         except (TypeError, ValueError, IndexError):
             pass
@@ -178,7 +166,8 @@ class _Witnesses(Mapping):
         return ((lo, hi) for hi in range(len(self._lattice)) for lo in ideal(hi)[:-1])
 
     def __len__(self):  # L(|hi|) less its top, for each hi
-        return sum(len(self._witness_of[k]) for _, _, k in self._lattice._fields)
+        size = sizes(self._lattice.n)
+        return sum(size[k] - 1 for _, _, k in self._lattice._fields)
 
 
 # witnesses: read-only (lo, hi) -> a witness, for all lo < hi
@@ -189,34 +178,37 @@ ComodernismReport = namedtuple(
 
 def is_comodernistic(lattice: Lattice) -> ComodernismReport:
     """Exhaustive check that every interval with at least two elements has a
-    left-modular coatom.  Past the work budget (one unit per triple
-    lo <= y <= hi) it raises cost.BudgetError first.
+    left-modular coatom.  Past the work budget (``cost.comodernism``, one
+    unit per member the premises walk) it raises cost.BudgetError first.
 
-    The ideal below hi is L(|hi|) relabeled (``lattice._embed_fields`` and its
-    inverse ``_project_fields``), so [lo, hi] is isomorphic to [proj(lo),
-    R_|hi|], R_m = {1,..,m}.  R_m embeds by the identity, so its ideal is
-    L(m) with the same triples: ``_representative_witnesses`` searches the
-    witnesses of every [x, R_m] in the given lattice, once per m and
-    process.  ``witnesses[(lo, hi)]`` then looks up the witness of
-    [proj(lo), R_|hi|] and embeds it back into hi.  The embedding keeps size
-    and is increasing in base and step, so that is the first qualifying
-    coatom of [lo, hi] in the same candidate order.  No pair is listed or
-    stored: the length is the sum over hi of |L(|hi|)| - 1.
+    [lo, hi] is [proj(lo), R_|hi|], R_m = {1,..,m}, relabeled by the ideal
+    embedding (``_project_fields``, inverse ``_embed_fields``), which carries
+    the witness across.  That of [x, R_m] is its first coatom by step, then
+    base: EMPTY at m = 1, else the run {1,..,m-1} if x lies in it, else the
+    run {2,..,m} if x lies in it, else {1, 1+p, .., m}, p the least prime of
+    e, as x is then x_e = {1, 1+e, .., m}, e | m-1.  Runs come first as step
+    1 is below every prime step, the order of the tests' per-interval
+    search.  For each m <= n, a premise checks a witness by the cover
+    criterion on the members outside it of the intervals it serves, all
+    above one x:
 
-    A failure stops the scan, and ``counterexample`` names the failing
-    representative [x, R_m], as ids of the given lattice.
+    * {1,..,m-1} serves EMPTY: it walks the members holding m;
+    * {2,..,m} serves x holding m, above {m}: each y outside it holds 1 and
+      m, so it walks [{1, m}, R_m];
+    * [x_e, R_m] holds the {1, 1+d, .., m}, d | e, a larger d lower: the
+      dual of the divisor lattice of e, distributive, so every element is
+      left-modular there; its witness is checked all the same.
+
+    A premise fails exactly when [x, R_m] does, and x ascends (x_e by
+    descending e): ``counterexample`` names the first failure, by ids.
     """
-    cost.require(f"the comodernism scan of L({lattice.n})", cost.triples(lattice.n))
-    # witness_of[m][x]: the witness fields of [x, R_m], in L(m) coordinates
-    witness_of = [{}]
+    cost.require(f"comodernism of L({lattice.n})", cost.comodernism(lattice.n))
     for m in range(1, lattice.n + 1):
-        witnesses, failing = _representative_witnesses(lattice, m)
-        if failing is not None:
-            r_m = (1, 1, m) if m > 1 else (1, 0, 1)
-            ids = lattice.id_of[failing], lattice.id_of[r_m]
-            return ComodernismReport(False, MappingProxyType({}), ids)
-        witness_of.append(witnesses)
-    return ComodernismReport(True, _Witnesses(lattice, witness_of))
+        r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
+        for x, c, members in _premises(lattice, m, r_m):
+            if _cover_failures(lattice, c, members):
+                return ComodernismReport(False, MappingProxyType({}), (x, r_m))
+    return ComodernismReport(True, _Witnesses(lattice))
 
 
 # ---------------------------------------------------------------------------

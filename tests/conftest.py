@@ -1,7 +1,6 @@
 import pytest
 
 from aplattice import build
-from aplattice.structure import _WITNESSES
 
 
 @pytest.fixture(scope="session")
@@ -16,12 +15,3 @@ def lat():
 
     return get
 
-
-@pytest.fixture
-def cold_witnesses():
-    """Empties the comodernism memo before and after the test, so that a
-    patched search is reached and no result it found stays cached.  The
-    value empties it again, for a patch made after a warming call."""
-    _WITNESSES.clear()
-    yield _WITNESSES.clear
-    _WITNESSES.clear()

@@ -1,10 +1,10 @@
 """Set-to-progression, canonical-order key, relabeling, member-set,
 cover-embedding, subset-meet, coatom-meet-table, cross-cut subset-fold,
 interval-coatom, cover-criterion, size-k scan, count generating-function,
-comodernism-scan, witness-fill, all-pairs left-modularity, complement-scan,
-count-row Moebius and chain-row, per-m work estimate, Moebius-support,
-column-sweep unit stage, chain-listing labeling and labeling-file helpers
-that only the tests use."""
+comodernism-scan, representative witness search, witness-fill, all-pairs
+left-modularity, complement-scan, count-row Moebius and chain-row, per-m
+work estimate, Moebius-support, column-sweep unit stage, chain-listing
+labeling and labeling-file helpers that only the tests use."""
 
 from collections import defaultdict
 from collections.abc import Iterable
@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import combinations, islice
 from operator import mul
 
-from aplattice import cost
+from aplattice import cost, structure
 from aplattice.complexes import chain_counts
 from aplattice.lattice import (
     Lattice,
@@ -27,7 +27,6 @@ from aplattice.progression import EMPTY, Progression, _of_fields, leq
 from aplattice.structure import (
     EdgeLabeling,
     LabelingVerdict,
-    _representative_witnesses,
     coatoms,
 )
 
@@ -404,16 +403,42 @@ def comodernism_by_scan(lattice: Lattice) -> dict:
     return witnesses
 
 
+def witnesses_by_search(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
+    """The witness of every interval [x, R_m] with x below R_m = {1,..,m},
+    as (base, step, length) triples: its first coatom passing the cover
+    criterion, by ascending step (the two runs of size m-1 keep the step of
+    R_m, every other coatom has a prime multiple of it), then id, read from
+    one failure list per coatom over the whole ideal of R_m.  Returns
+    (witnesses, None), or the witnesses found so far and the first x whose
+    interval has none.  The oracle for structure._witness, which names the
+    same witness without a search."""
+    fields, leq = lattice._fields, lattice.leq_ids
+    r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
+    members = lattice.ideal(r_m)
+    by_step = sorted(lattice.covers_down[r_m], key=lambda c: (fields[c][1], c))
+    failures = [(c, structure._cover_failures(lattice, c, members)) for c in by_step]
+    witnesses = {}
+    for lo in members[:-1]:
+        for c, bad in failures:
+            if leq(lo, c) and not any(leq(lo, y) for y in bad):
+                witnesses[fields[lo]] = fields[c]
+                break
+        else:
+            return witnesses, fields[lo]
+    return witnesses, None
+
+
 def witnesses_by_fill(lattice: Lattice) -> dict:
     """The witness of every interval (lo, hi), lo < hi, as a dict filled by
-    ascending hi: each representative [x, R_|hi|] and its memoised witness
-    embedded into hi, in the order of the memo.  The oracle for the keys,
+    ascending hi: each representative [x, R_|hi|] and its searched witness
+    embedded into hi, in the order of the search.  The oracle for the keys,
     their order and the values of is_comodernistic's witness lookup."""
-    index, out = lattice.id_of, {}
+    index, out, searched = lattice.id_of, {}, {}
     for hi, host in enumerate(lattice._fields):
         if host[2]:
-            witnesses, _ = _representative_witnesses(lattice, host[2])
-            for x, w in witnesses.items():
+            if host[2] not in searched:
+                searched[host[2]] = witnesses_by_search(lattice, host[2])[0]
+            for x, w in searched[host[2]].items():
                 out[(index[_embed_fields(x, host)], hi)] = index[_embed_fields(w, host)]
     return out
 

@@ -166,13 +166,12 @@ def test_check_complemented(capsys):
     assert "semicomplement witness" in out
 
 
-def test_check_comodernistic(capsys, monkeypatch, cold_witnesses):
+def test_check_comodernistic(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "comodernistic", "0..5")
     assert code == 0
     assert out.count("PASS") == 6
-    # a representative with no witness fails the check and is named
+    # a representative whose witness fails the check is named
     monkeypatch.setattr(structure, "_cover_failures", lambda lattice, c, members: members)
-    cold_witnesses()  # 0..5 memoised L(1); the patched search must run
     code, out, _ = run(capsys, "check", "comodernistic", "0..1")
     assert code == 1
     assert out.count("PASS") == 1
@@ -180,10 +179,11 @@ def test_check_comodernistic(capsys, monkeypatch, cold_witnesses):
 
 
 def test_check_comodernistic_bound(capsys, monkeypatch):
-    assert check_units("comodernistic", 0, 22) <= cost.BUDGET
+    # the builds of 0..55 and the members the premises walk
+    assert check_units("comodernistic", 0, 55) == 3_996_914 <= cost.BUDGET
     monkeypatch.setattr(structure, "is_comodernistic", _never)
-    code, _, err = run(capsys, "check", "comodernistic", "0..23")
-    assert code == 2 and "budget" in err
+    code, _, err = run(capsys, "check", "comodernistic", "0..56")
+    assert code == 2 and "4,237,121" in err
 
 
 def test_check_euler_json(capsys):

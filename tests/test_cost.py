@@ -109,6 +109,7 @@ def test_estimates_past_the_budget_are_lower_bounds():
     assert cost.faces(13) <= cost.BUDGET < cost.faces(14) == cost.faces(10**9)
     assert cost.faces(10**9) == sum(chain_counts(14)[14][1:])
     assert cost.triples(30) == cost.triples(10**9) > cost.BUDGET
+    assert cost.comodernism(10**9) == cost.elements(10**9) - 1
     n = 10**9
     assert cost.elements(n) == n * (n + 1) // 2 + 1
 
@@ -256,6 +257,7 @@ SIZED = [
     cost.row_terms,
     lambda n: cost.engine(n, "definition"),
     lambda k: count_progressions_enumerated(lattice.build(4), k),
+    cost.comodernism,
 ]
 
 

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from helpers import (
     left_modular_by_all_pairs,
     meet_subset,
     witnesses_by_fill,
+    witnesses_by_search,
 )
 
 
@@ -368,9 +370,8 @@ def test_witness_lookup_rejects_every_non_interval(lat):
 
 def _reject_2_under_1_to_3(monkeypatch):
     """Patch the failure lists so that the two runs {1,2} and {2,3} of
-    {1,2,3} fail on the member {2}, in whichever lattice the search runs:
-    [{2}, {1,2,3}] is then the first interval left with no witness, as
-    {1,3} still serves [{}, {1,2,3}]."""
+    {1,2,3} fail on the member {2}, in whichever lattice and over whichever
+    members they are checked."""
     failures = st._cover_failures
     runs = ((1, 1, 2), (2, 1, 2))
 
@@ -381,61 +382,62 @@ def _reject_2_under_1_to_3(monkeypatch):
     monkeypatch.setattr(st, "_cover_failures", rejecting)
 
 
-def test_comodernism_failure_names_the_rejected_representative(
-    lat, monkeypatch, cold_witnesses
-):
+def test_comodernism_failure_names_the_rejected_representative(lat, monkeypatch):
+    # the rule names {1,2} for [{}, {1,2,3}], the first representative of
+    # m = 3, and does not move on to {1,3} as the search does
     l8 = lat(8)
-    lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 3)]  # [{2}, {1,2,3}]
+    lo, top = 0, l8.id_of[(1, 1, 3)]
     _reject_2_under_1_to_3(monkeypatch)
     report = st.is_comodernistic(l8)
     assert not report.holds and report.counterexample == (lo, top)
     assert len(report.witnesses) == 0 and list(report.witnesses) == []
     with pytest.raises(TypeError):
         report.witnesses[(lo, top)] = lo  # read-only, as on success
-    # every candidate has a (patched) failure inside the interval
+    witness = l8.id_of[st._witness(3, l8._fields[lo])]
+    assert l8._fields[witness] == (1, 1, 2)
+    assert st._cover_failures(l8, witness, l8.interval(lo, top))
+    # the left-modularity test still passes it: the failure is the rejection
+    # alone, as {2} adds no strict cover pair to the lists it is injected in
+    assert st.is_left_modular_in_interval(l8, lo, top, witness)
+
+
+def test_search_oracle_moves_past_the_rejected_runs(lat, monkeypatch):
+    # the search tries {1,3} after the runs: [{}, {1,2,3}] keeps a witness,
+    # and [{2}, {1,2,3}] is the first interval left with none
+    l8 = lat(8)
+    _reject_2_under_1_to_3(monkeypatch)
+    assert witnesses_by_search(l8, 2)[1] is None
+    witnesses, failing = witnesses_by_search(l8, 3)
+    assert failing == (2, 0, 1)  # a triple, not an id
+    assert witnesses == {(0, 0, 0): (1, 2, 2), (1, 0, 1): (1, 1, 2)}
+    # every candidate of [{2}, {1,2,3}] has a (patched) failure inside it
+    lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 3)]
     cands = interval_coatoms(l8, lo, top)
     ideal = l8.ideal(top)
     assert cands and all(
         any(l8.leq_ids(lo, y) for y in st._cover_failures(l8, m, ideal))
         for m in cands
     )
-    # the left-modularity test still finds one: the failure is the rejection
-    # alone, as {2} adds no strict cover pair to the lists it is injected in
-    assert any(st.is_left_modular_in_interval(l8, lo, top, m) for m in cands)
 
 
-def test_comodernism_memo_warm_matches_the_scan(lat, cold_witnesses):
-    # L(16) searches every type; each smaller lattice then reads the memo only
-    for n in range(16, -1, -1):
-        report = st.is_comodernistic(lat(n))
-        assert report.holds and report.counterexample is None, n
-        assert report.witnesses == comodernism_by_scan(lat(n)), n
+def test_rule_matches_the_search_witness_for_witness(lat):
+    # every [x, {1,..,m}], m <= 40, in L(40) coordinates
+    l40 = lat(40)
+    size = lt.sizes(40)
+    for m in range(1, 41):
+        witnesses, failing = witnesses_by_search(l40, m)
+        assert failing is None and len(witnesses) == size[m] - 1, m
+        for x, w in witnesses.items():
+            assert st._witness(m, x) == w, (m, x)
 
 
-def test_comodernism_memo_names_a_cached_failure_in_each_lattice(
-    lat, monkeypatch, cold_witnesses
-):
-    _reject_2_under_1_to_3(monkeypatch)
-    l6, l8 = lat(6), lat(8)
-    assert st.is_comodernistic(l6).counterexample == (
-        l6.id_of[(2, 0, 1)],
-        l6.id_of[(1, 1, 3)],
-    )
-    assert st._representative_witnesses(l6, 3)[1] == (2, 0, 1)  # a triple, not an id
-    monkeypatch.setattr(st, "_cover_failures", _never)
-    report = st.is_comodernistic(l8)  # the failure is read from the memo
-    assert not report.holds
-    assert report.counterexample == (l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 3)])
-    assert report.counterexample != (l6.id_of[(2, 0, 1)], l6.id_of[(1, 1, 3)])
-
-
-def test_comodernism_memo_holds_triples_not_ids(lat):
-    # the memo of m equals the per-interval scan of [x, {1,..,m}] inside L(12)
+def test_search_oracle_holds_triples_that_match_the_scan(lat):
+    # the search of m equals the per-interval scan of [x, {1,..,m}] in L(12)
     l12 = lat(12)
     fields = l12._fields
     scan = comodernism_by_scan(l12)
     for m in range(1, 13):
-        witnesses, failing = st._representative_witnesses(l12, m)
+        witnesses, failing = witnesses_by_search(l12, m)
         assert failing is None, m
         for x, w in witnesses.items():
             for t in (x, w):
@@ -444,6 +446,72 @@ def test_comodernism_memo_holds_triples_not_ids(lat):
         r_m = l12.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
         expected = {fields[lo]: fields[w] for (lo, hi), w in scan.items() if hi == r_m}
         assert witnesses == expected, m
+
+
+def test_premises_hold_and_walk_what_the_estimate_counts(lat, monkeypatch):
+    # no premise fails up to L(40), so no representative is decided one by
+    # one; the members walked are cost.comodernism(n) exactly
+    failures, walked = st._cover_failures, []
+
+    def counting(lattice, c, members):
+        walked.append(len(members))
+        found = failures(lattice, c, members)
+        assert not found, (lattice.n, c, found)
+        return found
+
+    monkeypatch.setattr(st, "_cover_failures", counting)
+    for n in (*range(13), 40):
+        walked.clear()
+        assert st.is_comodernistic(lat(n)).holds, n
+        assert sum(walked) == cost.comodernism(n), n
+
+
+def _inject(monkeypatch, coatom, member, lowest=None):
+    """Patch the failure lists so that the coatom triple fails on the member
+    triple, whenever that member is among those checked (and the lowest of
+    them is the triple `lowest`, if given)."""
+    failures = st._cover_failures
+
+    def injected(lattice, c, members):
+        found = failures(lattice, c, members)
+        y = lattice.id_of[member]
+        if lattice._fields[c] == coatom and y in members:
+            if lowest is None or lattice._fields[members[0]] == lowest:
+                return found + (y,)
+        return found
+
+    monkeypatch.setattr(st, "_cover_failures", injected)
+
+
+@pytest.mark.parametrize(
+    "m, es", [(7, (2,)), (7, (3,)), (7, (6,)), (9, (8,)), (13, (4,)), (13, (2, 4, 12))]
+)
+def test_a_divisor_interval_failure_names_that_interval(lat, monkeypatch, m, es):
+    # failures of the prime-step witness on [x_e, R_m] alone, e = m-1 among
+    # them (the interval above {1, m}); of several, the least x_e is named
+    l16 = lat(16)
+    x = {e: (1, e, (m - 1) // e + 1) for e in es}
+    for e in es:
+        p = nt.prime_divisors(e)[0]
+        _inject(monkeypatch, (1, p, (m - 1) // p + 1), (1, 1, m), lowest=x[e])
+    report = st.is_comodernistic(l16)
+    assert not report.holds
+    assert report.counterexample == (l16.id_of[x[max(es)]], l16.id_of[(1, 1, m)])
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12])
+@pytest.mark.parametrize("base", [1, 2])
+def test_a_run_failure_names_the_first_interval_it_serves(lat, monkeypatch, base, m):
+    # {1,..,m-1} fails on {m}, which holds no 1, so only the members holding
+    # m (the end it lacks) show it, and [{}, R_m] is named; {2,..,m} fails on
+    # {1, m}, and [{m}, R_m], the first interval it serves, is named
+    l12 = lat(12)
+    run = (base, 1 if m > 2 else 0, m - 1)
+    member, x = ((m, 0, 1), (0, 0, 0)) if base == 1 else ((1, m - 1, 2), (m, 0, 1))
+    _inject(monkeypatch, run, member)
+    report = st.is_comodernistic(l12)
+    assert not report.holds
+    assert report.counterexample == (l12.id_of[x], l12.id_of[(1, 1, m)])
 
 
 def test_failure_list_is_empty_iff_the_coatom_is_left_modular(lat):
@@ -459,13 +527,16 @@ def test_failure_list_is_empty_iff_the_coatom_is_left_modular(lat):
     assert True in verdicts and False in verdicts
 
 
-def test_comodernistic_bound(lat, monkeypatch, cold_witnesses):
-    # one unit per triple lo <= y <= hi: L(29) is the last in budget
-    assert cost.triples(29) <= cost.BUDGET
-    l30 = lat(30)
-    monkeypatch.setattr(st, "_cover_failures", _never)
-    with pytest.raises(cost.BudgetError):
-        st.is_comodernistic(l30)
+def test_comodernistic_bound(lat, monkeypatch):
+    # the premises walk fewer members than the build makes elements, so every
+    # lattice the build admits is admitted: L(200) is the last of them
+    for n in (*range(201), 10**9):
+        assert cost.comodernism(n) < cost.ELEMENT * cost.elements(n), n
+    assert cost.comodernism(200) == 103_852
+    assert cost.comodernism(1091) <= cost.BUDGET < cost.comodernism(1092) == 4_005_924
+    monkeypatch.setattr(st, "_premises", _never)
+    with pytest.raises(cost.BudgetError, match="comodernism of L\\(1092\\)"):
+        st.is_comodernistic(SimpleNamespace(n=1092))
 
 
 def test_witnesses_in_endpoint_pinning_intervals_have_prime_step(lat):
