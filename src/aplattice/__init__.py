@@ -56,6 +56,7 @@ from .structure import (
     EdgeLabeling,
     LabelingVerdict,
     coatoms,
+    comodernism_witness,
     complements_of,
     is_comodernistic,
     is_complemented,

@@ -183,7 +183,7 @@ def _coatoms(n: int) -> tuple[bool, str]:
 def _comodernistic(n: int) -> tuple[bool, str]:
     result = structure.is_comodernistic(build(n))
     if result.holds:
-        return True, f"{len(result.witnesses)} intervals witnessed"
+        return True, f"{result.intervals} intervals witnessed"
     return False, f"counterexample interval {result.counterexample}"
 
 

@@ -183,9 +183,6 @@ class Lattice:
     def leq_ids(self, i: int, j: int) -> bool:
         return _leq_fields(self._fields[i], self._fields[j])
 
-    def covers(self, upper: int, lower: int) -> bool:
-        return lower in self.covers_down[upper]
-
     def meet_ids(self, i: int, j: int) -> int:
         return self.id_of[_meet_fields(self._fields[i], self._fields[j])]
 

@@ -8,8 +8,8 @@ Conventions used throughout:
   notions reuse the global cover structure;
 * "coatom of [lo, hi]" means an element covered by hi that lies above lo;
 * comodernism is checked over intervals with at least two elements (a
-  one-point interval has no coatoms to offer), on [x, R_m], R_m = {1,..,m},
-  alone, by a rule whose premises are checked; other witnesses are looked up;
+  one-point interval has no coatoms to offer), each a relabeled copy of some
+  [x, R_m], R_m = {1,..,m}: the premises of those alone are checked;
 * which coatoms meet to an element is decided once, by the closed-form rule
   ``lattice._coatom_meet``; this module maps its triples to ids.
 
@@ -35,17 +35,14 @@ Each exhaustive scan decides a candidate once, by an exact rule:
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Mapping
 from itertools import repeat
 from operator import lt
-from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from . import cost
-from .lattice import Lattice, _coatom_meet, _embed_fields, _project_fields
-from .lattice import _valid_id, sizes
+from .lattice import Lattice, _coatom_meet, _valid_id, sizes
 from .numtheory import divisors, is_squarefree, prime_divisors
-from .progression import Progression, _Fields, _leq_fields
+from .progression import Progression, _leq_fields
 
 
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
@@ -85,8 +82,9 @@ def is_left_modular_in_interval(lattice: Lattice, lo: int, hi: int, m: int) -> b
     """(x v m) ^ y == x v (m ^ y) for all x <= y in [lo, hi], tested exactly
     on the covers of the members ``_cover_failures`` lists for m.  Past the
     work budget (one unit per pair of members) it raises cost.BudgetError."""
+    lo, hi = _valid_id(lattice, lo, "lo"), _valid_id(lattice, hi, "hi")
     members = lattice.interval(lo, hi)
-    if m not in members:
+    if _valid_id(lattice, m, "m") not in members:
         raise ValueError("m must belong to the interval")
     pairs = len(members) * (len(members) - 1) // 2
     cost.require(f"the left-modularity test on {len(members):,} elements", pairs)
@@ -122,16 +120,21 @@ def _cover_failures(lattice: Lattice, c: int, members) -> tuple[int, ...]:
     return tuple(y for y, z in zip(members, meets) if z != y and z not in below[y])
 
 
-def _witness(m: int, x: _Fields) -> _Fields:
-    """The witness of [x, R_m], x < R_m, a triple of L(m) (the rule at
-    ``is_comodernistic``): the first coatom above x by step, then base."""
-    base, step, length = x
-    if m == 1:
-        return (0, 0, 0)
-    if base > 1 or base + (length - 1) * step < m:  # x lies in a run
-        return (1 if base + (length - 1) * step < m else 2, 1 if m > 2 else 0, m - 1)
-    p = prime_divisors(step)[0]
-    return (1, p, (m - 1) // p + 1)
+def _first_coatom(lattice: Lattice, lo: int, hi: int) -> int:
+    """The witness of [lo, hi], lo < hi: its first coatom by step, then base."""
+    fields = lattice._fields
+    above = [c for c in lattice.covers_down[hi] if _leq_fields(fields[lo], fields[c])]
+    return min(above, key=lambda c: (fields[c][1], fields[c][0]))
+
+
+def comodernism_witness(lattice: Lattice, lo: int, hi: int) -> int:
+    """The left-modular coatom that ``is_comodernistic`` checks for [lo, hi]:
+    its first coatom by step, then base.  ValueError unless lo and hi are
+    ids of the lattice with lo < hi."""
+    lo, hi = _valid_id(lattice, lo, "lo"), _valid_id(lattice, hi, "hi")
+    if lo == hi or not lattice.leq_ids(lo, hi):
+        raise ValueError(f"a witness needs lo < hi, got ids {lo}, {hi}")
+    return _first_coatom(lattice, lo, hi)
 
 
 def _premises(lattice: Lattice, m: int, r_m: int):
@@ -140,39 +143,13 @@ def _premises(lattice: Lattice, m: int, r_m: int):
     firsts = [((0, 0, 0), (m, 0, 1))] + ([((m, 0, 1), (1, m - 1, 2))] if m > 1 else [])
     x_es = [(1, e, (m - 1) // e + 1) for e in divisors(m - 1)[:0:-1]] if m > 1 else []
     for x, least in [*firsts, *zip(x_es, x_es)]:
-        yield id_of[x], id_of[_witness(m, x)], lattice.interval(id_of[least], r_m)
+        x = id_of[x]
+        yield x, _first_coatom(lattice, x, r_m), lattice.interval(id_of[least], r_m)
 
 
-class _Witnesses(Mapping):
-    """(lo, hi) -> the witness id of each lo < hi; keys by ascending hi, lo."""
-
-    def __init__(self, lattice: Lattice):
-        self._lattice = lattice
-
-    def __getitem__(self, key):
-        fields = self._lattice._fields
-        try:
-            lo, hi = key
-            low, host = fields[lo], fields[hi]
-            if 0 <= lo < hi and _leq_fields(low, host):
-                w = _witness(host[2], _project_fields(low, host))
-                return self._lattice.id_of[_embed_fields(w, host)]
-        except (TypeError, ValueError, IndexError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self):
-        ideal = self._lattice.ideal
-        return ((lo, hi) for hi in range(len(self._lattice)) for lo in ideal(hi)[:-1])
-
-    def __len__(self):  # L(|hi|) less its top, for each hi
-        size = sizes(self._lattice.n)
-        return sum(size[k] - 1 for _, _, k in self._lattice._fields)
-
-
-# witnesses: read-only (lo, hi) -> a witness, for all lo < hi
+# intervals: how many have at least two elements, each with a witness
 ComodernismReport = namedtuple(
-    "ComodernismReport", "holds witnesses counterexample", defaults=(None,)
+    "ComodernismReport", "holds intervals counterexample", defaults=(None,)
 )
 
 
@@ -181,14 +158,15 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
     left-modular coatom.  Past the work budget (``cost.comodernism``, one
     unit per member the premises walk) it raises cost.BudgetError first.
 
-    [lo, hi] is [proj(lo), R_|hi|], R_m = {1,..,m}, relabeled by the ideal
-    embedding (``_project_fields``, inverse ``_embed_fields``), which carries
-    the witness across.  That of [x, R_m] is its first coatom by step, then
-    base: EMPTY at m = 1, else the run {1,..,m-1} if x lies in it, else the
-    run {2,..,m} if x lies in it, else {1, 1+p, .., m}, p the least prime of
-    e, as x is then x_e = {1, 1+e, .., m}, e | m-1.  Runs come first as step
-    1 is below every prime step, the order of the tests' per-interval
-    search.  For each m <= n, a premise checks a witness by the cover
+    The witness of [lo, hi] is its first coatom by step, then base
+    (``comodernism_witness``).  The ideal below hi is L(|hi|) relabeled
+    (``Lattice.ideal``), which keeps containment and the step and base
+    orders, so [lo, hi] is a copy of some [x, R_m], m = |hi|, R_m = {1,..,m},
+    witness for witness.  Runs come first, as step 1 is below every prime
+    step: the witness of [x, R_m] is EMPTY at m = 1, else the run
+    {1,..,m-1} if x lies in it, else the run {2,..,m} if x lies in it, else
+    {1, 1+p, .., m}, p the least prime of e, as x is then x_e = {1, 1+e, ..,
+    m}, e | m-1.  For each m <= n, a premise checks a witness by the cover
     criterion on the members outside it of the intervals it serves, all
     above one x:
 
@@ -201,14 +179,18 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
 
     A premise fails exactly when [x, R_m] does, and x ascends (x_e by
     descending e): ``counterexample`` names the first failure, by ids.
+    ``intervals`` counts the intervals with at least two elements, failing
+    or not: |L(|hi|)| - 1 for each hi.
     """
     cost.require(f"comodernism of L({lattice.n})", cost.comodernism(lattice.n))
+    size = sizes(lattice.n)
+    intervals = sum(size[k] - 1 for _, _, k in lattice._fields)
     for m in range(1, lattice.n + 1):
         r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
         for x, c, members in _premises(lattice, m, r_m):
             if _cover_failures(lattice, c, members):
-                return ComodernismReport(False, MappingProxyType({}), (x, r_m))
-    return ComodernismReport(True, _Witnesses(lattice))
+                return ComodernismReport(False, intervals, (x, r_m))
+    return ComodernismReport(True, intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +225,7 @@ def _complement_ids(lattice: Lattice, x: int, candidates):
 
 def complements_of(lattice: Lattice, x: int) -> tuple[int, ...]:
     """All y with x v y = top and x ^ y = bottom, ascending."""
+    _valid_id(lattice, x, "x")
     if lattice not in _CLASSES:
         _CLASSES[lattice] = _opposite_classes(lattice)
     return tuple(_complement_ids(lattice, x, _CLASSES[lattice][x]))
@@ -303,9 +286,6 @@ class EdgeLabeling:
             )
         self.lattice = lattice
         self.labels = dict(labels)
-
-    def word(self, chain: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.labels[(a, b)] for a, b in zip(chain, chain[1:]))
 
 
 # is_el: None when only the ER property was examined

@@ -1,10 +1,11 @@
-"""Set-to-progression, canonical-order key, relabeling, member-set,
-cover-embedding, subset-meet, coatom-meet-table, cross-cut subset-fold,
-interval-coatom, cover-criterion, size-k scan, count generating-function,
-comodernism-scan, representative witness search, witness-fill, all-pairs
-left-modularity, complement-scan, count-row Moebius and chain-row, per-m
-work estimate, Moebius-support, column-sweep unit stage, chain-listing
-labeling and labeling-file helpers that only the tests use."""
+"""Set-to-progression, canonical-order key, relabeling, member-set, cover
+test, cover-embedding, subset-meet, coatom-meet-table, cross-cut
+subset-fold, interval-coatom, cover-criterion, size-k scan, count
+generating-function, comodernism-scan, closed-form witness, representative
+witness search, witness-fill, all-pairs left-modularity, complement-scan,
+count-row Moebius and chain-row, per-m work estimate, Moebius-support,
+column-sweep unit stage, label-word, chain-listing labeling and
+labeling-file helpers that only the tests use."""
 
 from collections import defaultdict
 from collections.abc import Iterable
@@ -76,6 +77,11 @@ def project_progression(p: Progression, host: Progression) -> Progression:
     if not leq(p, host):
         raise ValueError(f"{p} is not contained in {host}")
     return _of_fields(_project_fields(p, host))
+
+
+def covers(lattice: Lattice, upper: int, lower: int) -> bool:
+    """Whether the element upper covers the element lower."""
+    return lower in lattice.covers_down[upper]
 
 
 def covers_by_embedding(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
@@ -204,7 +210,7 @@ def is_left_modular_coatom(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
     if m not in interval_coatoms(lattice, lo, hi):
         raise ValueError("m must be a coatom of the interval")
     return all(
-        lattice.leq_ids(y, m) or lattice.covers(y, lattice.meet_ids(m, y))
+        lattice.leq_ids(y, m) or covers(lattice, y, lattice.meet_ids(m, y))
         for y in lattice.interval(lo, hi)
     )
 
@@ -403,6 +409,21 @@ def comodernism_by_scan(lattice: Lattice) -> dict:
     return witnesses
 
 
+def witness_closed_form(m: int, x: tuple) -> tuple:
+    """The witness of [x, R_m], x < R_m = {1,..,m}, as a triple of L(m), by
+    cases: EMPTY at m = 1, else the run {1,..,m-1} if x lies in it, else the
+    run {2,..,m} if x lies in it, else {1, 1+p, .., m}, p the least prime of
+    the step e of x = {1, 1+e, .., m}.  The oracle, with the search, for
+    structure.comodernism_witness on [x, R_m]."""
+    base, step, length = x
+    if m == 1:
+        return (0, 0, 0)
+    if base > 1 or base + (length - 1) * step < m:  # x lies in a run
+        return (1 if base + (length - 1) * step < m else 2, 1 if m > 2 else 0, m - 1)
+    p = prime_divisors(step)[0]
+    return (1, p, (m - 1) // p + 1)
+
+
 def witnesses_by_search(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
     """The witness of every interval [x, R_m] with x below R_m = {1,..,m},
     as (base, step, length) triples: its first coatom passing the cover
@@ -410,8 +431,9 @@ def witnesses_by_search(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
     R_m, every other coatom has a prime multiple of it), then id, read from
     one failure list per coatom over the whole ideal of R_m.  Returns
     (witnesses, None), or the witnesses found so far and the first x whose
-    interval has none.  The oracle for structure._witness, which names the
-    same witness without a search."""
+    interval has none.  The oracle for witness_closed_form and
+    structure.comodernism_witness, which name the same witness without a
+    search."""
     fields, leq = lattice._fields, lattice.leq_ids
     r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
     members = lattice.ideal(r_m)
@@ -431,8 +453,8 @@ def witnesses_by_search(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
 def witnesses_by_fill(lattice: Lattice) -> dict:
     """The witness of every interval (lo, hi), lo < hi, as a dict filled by
     ascending hi: each representative [x, R_|hi|] and its searched witness
-    embedded into hi, in the order of the search.  The oracle for the keys,
-    their order and the values of is_comodernistic's witness lookup."""
+    embedded into hi, in the order of the search.  The oracle for the values
+    of structure.comodernism_witness."""
     index, out, searched = lattice.id_of, {}, {}
     for hi, host in enumerate(lattice._fields):
         if host[2]:
@@ -471,6 +493,11 @@ def complements_by_scan(lattice: Lattice, x: int):
     )
 
 
+def label_word(labeling: EdgeLabeling, chain: tuple[int, ...]) -> tuple[int, ...]:
+    """The labels of the cover steps of a chain of ids, bottom up."""
+    return tuple(labeling.labels[(a, b)] for a, b in zip(chain, chain[1:]))
+
+
 def labeling_by_chains(labeling: EdgeLabeling, check_lex: bool) -> LabelingVerdict:
     """The verdict of structure.verify_el_labeling (check_lex) or
     verify_er_labeling by listing the maximal chains of every interval
@@ -481,7 +508,7 @@ def labeling_by_chains(labeling: EdgeLabeling, check_lex: bool) -> LabelingVerdi
     rising_failures, lex_failures, ties = [], [], []
     for hi in range(len(lattice)):
         for lo in lattice.ideal(hi)[:-1]:
-            words = [labeling.word(c) for c in lattice.maximal_chains(lo, hi)]
+            words = [label_word(labeling, c) for c in lattice.maximal_chains(lo, hi)]
             for w in sorted(set(words)):
                 if words.count(w) > 1:
                     ties.append((lo, hi, w))

@@ -68,6 +68,15 @@ def test_chain_estimates_match_the_per_m_oracles(n):
     assert cost.engine(n, "definition") == definition_price_by_elements(n)
 
 
+def test_nonzeros_reads_rows_inside_the_budget():
+    # the rows up to the first m past the budget (m = 14) are priced far
+    # inside it, so no estimate is refused outside cost.unbounded()
+    assert not cost._unbounded.get()
+    assert cost.nonzeros(11) == 1_918_041
+    for n in (12, 13, 14, 300):
+        assert cost.nonzeros(n) == 7_203_431, n
+
+
 def test_nonzeros_runs_the_chain_recurrence_at_most_three_times(monkeypatch):
     # one t = 1 pass for the faces, then the two passes of one chain_counts
     calls = []

@@ -6,7 +6,7 @@ import pytest
 from aplattice import progression as pr
 from aplattice.progression import EMPTY, Progression
 
-from helpers import NotAProgressionError, from_set
+from helpers import NotAProgressionError, covers, from_set
 
 
 def test_canonical_form_rules():
@@ -104,8 +104,8 @@ def test_leq_is_containment():
 def test_covers_in_l4(lat):
     l4 = lat(4)
     i1234, i12, i1 = (l4.id_of[from_set(s)] for s in ({1, 2, 3, 4}, {1, 2}, {1}))
-    assert not l4.covers(i1234, i12)
-    assert l4.covers(i12, i1)
+    assert not covers(l4, i1234, i12)
+    assert covers(l4, i12, i1)
     assert from_set({5}) not in l4.id_of
 
 

@@ -21,9 +21,11 @@ from helpers import (
     from_set,
     interval_coatoms,
     is_left_modular_coatom,
+    label_word,
     labeling_by_chains,
     left_modular_by_all_pairs,
     meet_subset,
+    witness_closed_form,
     witnesses_by_fill,
     witnesses_by_search,
 )
@@ -290,61 +292,70 @@ def test_comodernistic_small(lat):
         proper_intervals = sum(
             1 for hi in range(len(lat(n))) for lo in lat(n).ideal(hi) if lo != hi
         )
-        assert len(report.witnesses) == proper_intervals
+        assert report.intervals == proper_intervals
+
+
+def strict_pairs(lattice):
+    """Every (lo, hi) with lo < hi, by ascending hi, then lo."""
+    return [(lo, hi) for hi in range(len(lattice)) for lo in lattice.ideal(hi)[:-1]]
 
 
 def test_comodernistic_witnesses_are_valid(lat):
     l6 = lat(6)
-    report = st.is_comodernistic(l6)
-    for (lo, hi), m in report.witnesses.items():
+    for lo, hi in strict_pairs(l6):
+        m = st.comodernism_witness(l6, lo, hi)
         assert m in interval_coatoms(l6, lo, hi)
         assert st.is_left_modular_in_interval(l6, lo, hi, m), (lo, hi, m)
 
 
 def test_comodernism_report_is_a_frozen_named_tuple(lat):
-    assert st.ComodernismReport._fields == ("holds", "witnesses", "counterexample")
+    assert st.ComodernismReport._fields == ("holds", "intervals", "counterexample")
     assert st.ComodernismReport._field_defaults == {"counterexample": None}
-    report = st.ComodernismReport(witnesses={}, holds=True)
-    assert report == st.ComodernismReport(True, {}, None) == (True, {}, None)
-    holds, witnesses, counterexample = st.is_comodernistic(lat(4))
-    assert holds and counterexample is None
-    assert witnesses[(0, lat(4).top_id)] in st.coatoms(lat(4))
+    report = st.ComodernismReport(intervals=0, holds=True)
+    assert report == st.ComodernismReport(True, 0, None) == (True, 0, None)
+    holds, intervals, counterexample = st.is_comodernistic(lat(4))
+    assert holds and counterexample is None and intervals == 49
+    assert st.comodernism_witness(lat(4), 0, lat(4).top_id) in st.coatoms(lat(4))
     for name in (*report._fields, "other"):
         with pytest.raises(AttributeError):
             setattr(report, name, None)
 
 
 def test_comodernistic_witnesses_match_the_per_interval_scan(lat):
-    # the witnesses carried from [x, {1..m}] equal a search in every interval
+    # the first coatom by step, then base, equals a search in every interval
     for n in range(17):
-        report = st.is_comodernistic(lat(n))
+        ln = lat(n)
+        report = st.is_comodernistic(ln)
         assert report.holds and report.counterexample is None, n
-        assert report.witnesses == comodernism_by_scan(lat(n)), n
+        witnesses = {key: st.comodernism_witness(ln, *key) for key in strict_pairs(ln)}
+        assert witnesses == comodernism_by_scan(ln), n
 
 
 def test_witness_map_counts_the_strict_pairs(lat):
-    # the length is summed per hi, never by listing the pairs
-    for n in range(23):
+    # the count is summed per hi, never by listing the pairs
+    for n in (*range(23), 40):
         report = st.is_comodernistic(lat(n))
-        assert len(report.witnesses) == cost.pairs(n) - len(lat(n)), n
-    assert len(report.witnesses) == 33_943
+        assert report.intervals == cost.pairs(n) - len(lat(n)), n
+        if n == 22:
+            assert report.intervals == 33_943
+    assert report.intervals == 403_498
 
 
 def test_witness_map_keys_and_order_match_the_fill(lat):
-    # the lookup against the dict the scan used to fill, key for key in order
+    # the definition against the dict the scan used to fill, key for key
     for n in range(17):
-        witnesses = st.is_comodernistic(lat(n)).witnesses
-        filled = witnesses_by_fill(lat(n))
-        assert list(witnesses) == list(filled), n
-        assert [witnesses[key] for key in filled] == list(filled.values()), n
+        ln = lat(n)
+        filled = witnesses_by_fill(ln)
+        assert sorted(filled) == sorted(strict_pairs(ln)), n
+        for (lo, hi), w in filled.items():
+            assert st.comodernism_witness(ln, lo, hi) == w, (n, lo, hi)
 
 
 def test_witness_lookup_rejects_every_non_interval(lat):
     l6 = lat(6)
-    witnesses = st.is_comodernistic(l6).witnesses
     i1, i2, i12 = l6.id_of[(1, 0, 1)], l6.id_of[(2, 0, 1)], l6.id_of[(1, 1, 2)]
     i13 = l6.id_of[(1, 2, 2)]
-    assert witnesses[(i1, i12)] in l6.covers_down[i12]
+    assert st.comodernism_witness(l6, i1, i12) in l6.covers_down[i12]
     bad = [
         (i12, i12),  # lo = hi
         (0, 0),
@@ -354,18 +365,36 @@ def test_witness_lookup_rejects_every_non_interval(lat):
         (-1, l6.top_id),
         (0, len(l6)),
         (0, -1),
-        (0,),
-        (0, 1, 2),
         ("a", "b"),
         (0.0, 1.0),
-        None,
+        (None, None),
+        (False, True),
     ]
-    for key in bad:
-        with pytest.raises(KeyError):
-            witnesses[key]
-        assert key not in witnesses and witnesses.get(key) is None, key
-    with pytest.raises(TypeError):
-        witnesses[(i1, i12)] = i1
+    for lo, hi in bad:
+        with pytest.raises(ValueError):
+            st.comodernism_witness(l6, lo, hi)
+
+
+@pytest.mark.parametrize("bad", [-1, "len", True, 1.0])
+def test_structure_entry_points_reject_a_non_id(lat, bad):
+    l5 = lat(5)
+    bad = len(l5) if bad == "len" else bad
+    top, c = l5.top_id, st.coatoms(l5)[0]
+    calls = [
+        lambda: st.complements_of(l5, bad),
+        lambda: st.is_left_modular(l5, bad),
+        lambda: st.is_left_modular_in_interval(l5, bad, top, top),
+        lambda: st.is_left_modular_in_interval(l5, 0, bad, 0),
+        lambda: st.is_left_modular_in_interval(l5, 0, top, bad),
+        lambda: st.comodernism_witness(l5, bad, top),
+        lambda: st.comodernism_witness(l5, 0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    # the same entry points take a plain id
+    assert st.complements_of(l5, 0) == (top,)
+    assert st.is_left_modular_in_interval(l5, 0, top, c) == st.is_left_modular(l5, c)
 
 
 def _reject_2_under_1_to_3(monkeypatch):
@@ -390,10 +419,8 @@ def test_comodernism_failure_names_the_rejected_representative(lat, monkeypatch)
     _reject_2_under_1_to_3(monkeypatch)
     report = st.is_comodernistic(l8)
     assert not report.holds and report.counterexample == (lo, top)
-    assert len(report.witnesses) == 0 and list(report.witnesses) == []
-    with pytest.raises(TypeError):
-        report.witnesses[(lo, top)] = lo  # read-only, as on success
-    witness = l8.id_of[st._witness(3, l8._fields[lo])]
+    assert report.intervals == cost.pairs(8) - len(l8)  # counted, failing or not
+    witness = st.comodernism_witness(l8, lo, top)
     assert l8._fields[witness] == (1, 1, 2)
     assert st._cover_failures(l8, witness, l8.interval(lo, top))
     # the left-modularity test still passes it: the failure is the rejection
@@ -421,14 +448,18 @@ def test_search_oracle_moves_past_the_rejected_runs(lat, monkeypatch):
 
 
 def test_rule_matches_the_search_witness_for_witness(lat):
-    # every [x, {1,..,m}], m <= 40, in L(40) coordinates
+    # every [x, {1,..,m}], m <= 40, in L(40) coordinates: the first coatom
+    # read off the covers, and the closed form by cases
     l40 = lat(40)
     size = lt.sizes(40)
+    fields, id_of = l40._fields, l40.id_of
     for m in range(1, 41):
+        r_m = id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
         witnesses, failing = witnesses_by_search(l40, m)
         assert failing is None and len(witnesses) == size[m] - 1, m
         for x, w in witnesses.items():
-            assert st._witness(m, x) == w, (m, x)
+            assert fields[st.comodernism_witness(l40, id_of[x], r_m)] == w, (m, x)
+            assert witness_closed_form(m, x) == w, (m, x)
 
 
 def test_search_oracle_holds_triples_that_match_the_scan(lat):
@@ -544,8 +575,9 @@ def test_witnesses_in_endpoint_pinning_intervals_have_prime_step(lat):
     # covered element remains, so the witness must be a prime-step progression
     for n in (6, 7, 8):
         ln = lat(n)
-        report = st.is_comodernistic(ln)
-        for (lo, hi), m in report.witnesses.items():
+        assert st.is_comodernistic(ln).holds, n
+        for lo, hi in strict_pairs(ln):
+            m = st.comodernism_witness(ln, lo, hi)
             host = ln.elements[hi]
             low = ln.elements[lo]
             if low.is_empty or host.length < 4:
@@ -715,7 +747,7 @@ def test_lex_failure_names_the_smallest_competing_word(lat):
     labels[(bottom, three)] = 0
     labels[(three, one_three)] = 3
     labeling = st.EdgeLabeling(l3, labels)
-    words = [labeling.word(c) for c in l3.maximal_chains(bottom, top)]
+    words = [label_word(labeling, c) for c in l3.maximal_chains(bottom, top)]
     assert [w for w in words if w < (1, 2, 3)] == [(0, 3, 2), (0, 2, 1)]
     verdict = st.verify_el_labeling(labeling)
     assert verdict.lex_failures == ((bottom, top, (1, 2, 3), (0, 2, 1)),)
