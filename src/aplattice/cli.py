@@ -4,9 +4,10 @@ Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 a usage error, input
 the library refuses, or a request over the work budget.  The command line
 only parses, prices and prints: each request is estimated once, through
 ``cost``, before any work; ``--force`` runs an over-budget request after one
-warning.  A check is a verdict of one n; ``cmd_check`` runs it over the
-requested range, clamped up to the check's least n.  All output is
-deterministic for fixed arguments.
+warning.  A check gives the verdict of every n of the requested range,
+clamped up to the check's least n: most decide one n at a time, while
+comodernism reads every n off one walk of the range's last lattice.  All
+output is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 
 from . import complexes, cost, homology, moebius, structure
-from .lattice import build, count_rows, sizes
+from .lattice import build, count_rows, interval_counts, sizes
 from .moebius import MoebiusMethod
 from .numtheory import classical_mobius, is_squarefree, omega, valid_n
 
@@ -180,11 +181,24 @@ def _coatoms(n: int) -> tuple[bool, str]:
     return ok, detail
 
 
-def _comodernistic(n: int) -> tuple[bool, str]:
-    result = structure.is_comodernistic(build(n))
-    if result.holds:
-        return True, f"{result.intervals} intervals witnessed"
-    return False, f"counterexample interval {result.counterexample}"
+def _comodernistic(ns: range):
+    """The verdicts of every n of the range off one premise walk of L(b), b
+    its last n.  The premises of m are those of L(m), the same triples in
+    every L(n), n >= m, and are walked by ascending m: so L(n) fails exactly
+    when L(b) fails at some m0 <= n, at the same triples, which L(n) names
+    by its own ids (a failure builds each such L(n)).  ``intervals`` of each
+    n comes in closed form."""
+    lat = build(ns[-1])
+    counterexample = structure.is_comodernistic(lat).counterexample or ()
+    failed = [lat._fields[i] for i in counterexample]  # [x, R_m0] as triples
+    m0 = failed[1][2] if failed else ns[-1] + 1
+    counts = interval_counts(ns[-1])
+    for n in ns:
+        if n < m0:
+            yield True, f"{counts[n]} intervals witnessed"
+        else:
+            ids = build(n).id_of
+            yield False, f"counterexample interval {tuple(ids[f] for f in failed)}"
 
 
 def _complemented(n: int) -> tuple[bool, str]:
@@ -216,19 +230,38 @@ def _euler(n: int) -> tuple[bool, str]:
     return chi == alt == mu, detail
 
 
-# name -> (verdict of one n, least n, work units of one n).  The coatom
+def _each_n(verdict, least: int, units_of):
+    """The table entry of a check decided one n at a time: its verdicts over a
+    range, lazily, and its estimate summed over the range up to the first n
+    past the budget (refusing needs no more)."""
+
+    def units(ns: range) -> int:
+        total = 0
+        for n in ns:
+            total += units_of(n)
+            if total > cost.BUDGET:
+                break
+        return total
+
+    return partial(map, verdict), least, units
+
+
+# name -> (verdicts of a range, least n, work units of a range).  The coatom
 # brute force lists the interval up to the top of every element; the
 # complement scan meets a complement within about 2n candidates per element
-# (counted up to n = 150), a join and a meet each.
+# (counted up to n = 150), a join and a meet each.  Comodernism builds and
+# walks the last n alone.
 _CHECKS = {
-    "theorem1": (_theorem1, 0, lambda n: _engines(n, _METHOD_NAMES)),
-    "coatoms": (_coatoms, 1, lambda n: _lattice_units(n) + cost.pairs(n)),
-    "comodernistic": (_comodernistic, 0, lambda n: _lattice_units(n) + cost.comodernism(n)),
-    "complemented": (
+    "theorem1": _each_n(_theorem1, 0, lambda n: _engines(n, _METHOD_NAMES)),
+    "coatoms": _each_n(_coatoms, 1, lambda n: _lattice_units(n) + cost.pairs(n)),
+    "comodernistic": (
+        _comodernistic, 0, lambda ns: _lattice_units(ns[-1]) + cost.comodernism(ns[-1])
+    ),
+    "complemented": _each_n(
         _complemented, 2, lambda n: (cost.ELEMENT + 4 * n) * cost.elements(n)
     ),
-    "folkman": (_folkman, 4, _complex_units),
-    "euler": (
+    "folkman": _each_n(_folkman, 4, _complex_units),
+    "euler": _each_n(
         _euler,
         2,
         lambda n: _lattice_units(n) + cost.faces(n) + _engines(n, ("pnk", "chains")),
@@ -237,20 +270,15 @@ _CHECKS = {
 
 
 def cmd_check(name: str, range_text: str, as_json: bool) -> int:
-    verdict, least, units_of = _CHECKS[name]
+    verdicts, least, units_of = _CHECKS[name]
     lo, hi = _parse_range(range_text)
     ns = range(max(lo, least), hi + 1)
     if not ns:
         raise ValueError(f"range {lo}..{hi} leaves nothing to check for {name!r}")
-    units = 0
-    for n in ns:  # stop once the budget is passed
-        units += units_of(n)
-        if units > cost.BUDGET:
-            break
-    _admit(f"check {name} {lo}..{hi}", units)
+    _admit(f"check {name} {lo}..{hi}", units_of(ns))
     report = RunReport("check", {"name": name, "range": [lo, hi]})
-    for n in ns:
-        report.record(f"{name} n={n}", *verdict(n))
+    for n, verdict in zip(ns, verdicts(ns)):
+        report.record(f"{name} n={n}", *verdict)
     sys.stdout.write(report.to_json() if as_json else report.to_text())
     return 0 if report.passed else 1
 

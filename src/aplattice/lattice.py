@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import repeat
-from operator import add, floordiv
+from operator import add, floordiv, mul
 
 from . import cost
 from .numtheory import is_squarefree, prime_divisors, tau, valid_n
@@ -155,6 +155,9 @@ class Lattice:
     Progression nor a member set, and no quadratic tables are kept.  Ideals,
     filters and intervals are generated from the arithmetic of their bounds
     rather than scanned for: the ideal below x is L(|x|) embedded into x.
+    ``ideal``, ``filter`` and ``interval`` raise ValueError for an id outside
+    0..len-1; ``leq_ids``, ``meet_ids`` and ``join_ids`` are unchecked, and
+    read a negative id from the end.
     """
 
     def __init__(self, n: int, fields: tuple[_Fields, ...]):
@@ -195,6 +198,8 @@ class Lattice:
         The embedding keeps the size and is increasing in base and step, so
         the canonical order of L(|x|) maps onto ascending ids.
         """
+        if not 0 <= x < len(self._fields):
+            raise ValueError(f"ideal requires an id below {len(self)}, got {x}")
         host = self._fields[x]
         index = self.id_of
         return tuple(index[_embed_fields(f, host)] for f in _canonical_fields(host[2]))
@@ -211,9 +216,10 @@ class Lattice:
         (any multiple of h when lo is a singleton), a base b - j*t >= c and a
         last element >= lo's last, <= hi's last and congruent to b mod t.
         Those are generated directly, so the cost follows the interval's size.
+        Ids ascend with size, so lo <= hi in the order implies it as ids.
         """
-        if not self.leq_ids(lo, hi):
-            raise ValueError(f"interval requires lo <= hi, got ids {lo}, {hi}")
+        if not (0 <= lo <= hi < len(self._fields) and self.leq_ids(lo, hi)):
+            raise ValueError(f"interval requires ids lo <= hi, got {lo}, {hi}")
         b, s, k = self._fields[lo]
         if k == 0:
             return self.ideal(hi)
@@ -305,6 +311,14 @@ def sizes(n_max: int) -> list[int]:
         out.append(out[-1] + 1 + ends)
         ends += tau(n)
     return out
+
+
+def interval_counts(n_max: int) -> list[int]:
+    """For n = 0..n_max, the intervals [lo, hi] of L(n) with lo < hi, in
+    closed form: the ideal below an element of size k is L(k), so each of
+    the p(n, k) elements of size k tops |L(k)| - 1 of them."""
+    size = sizes(n_max)
+    return [sum(map(mul, row, size)) - size[n] for n, row in enumerate(count_rows(n_max))]
 
 
 def count_progressions_formula(n: int, k: int) -> int:

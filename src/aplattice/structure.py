@@ -40,7 +40,7 @@ from operator import lt
 from weakref import WeakKeyDictionary
 
 from . import cost
-from .lattice import Lattice, _coatom_meet, _valid_id, sizes
+from .lattice import Lattice, _coatom_meet, _valid_id, interval_counts
 from .numtheory import divisors, is_squarefree, prime_divisors
 from .progression import Progression, _leq_fields
 
@@ -180,11 +180,10 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
     A premise fails exactly when [x, R_m] does, and x ascends (x_e by
     descending e): ``counterexample`` names the first failure, by ids.
     ``intervals`` counts the intervals with at least two elements, failing
-    or not: |L(|hi|)| - 1 for each hi.
+    or not, in closed form (``interval_counts``).
     """
     cost.require(f"comodernism of L({lattice.n})", cost.comodernism(lattice.n))
-    size = sizes(lattice.n)
-    intervals = sum(size[k] - 1 for _, _, k in lattice._fields)
+    intervals = interval_counts(lattice.n)[-1]
     for m in range(1, lattice.n + 1):
         r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
         for x, c, members in _premises(lattice, m, r_m):

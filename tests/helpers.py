@@ -1,8 +1,8 @@
 """Set-to-progression, canonical-order key, relabeling, member-set, cover
 test, cover-embedding, subset-meet, coatom-meet-table, cross-cut
 subset-fold, interval-coatom, cover-criterion, size-k scan, count
-generating-function, comodernism-scan, closed-form witness, representative
-witness search, witness-fill, all-pairs left-modularity, complement-scan,
+generating-function, comodernism-scan, per-n comodernism verdict, interval
+count, closed-form witness, representative witness search, witness-fill, all-pairs left-modularity, complement-scan,
 count-row Moebius and chain-row, per-m work estimate, Moebius-support,
 column-sweep unit stage, label-word, chain-listing labeling and
 labeling-file helpers that only the tests use."""
@@ -22,6 +22,7 @@ from aplattice.lattice import (
     build,
     coatom_progressions,
     count_rows,
+    sizes,
 )
 from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors, valid_n
 from aplattice.progression import EMPTY, Progression, _of_fields, leq
@@ -407,6 +408,24 @@ def comodernism_by_scan(lattice: Lattice) -> dict:
                 (m for m in cands if is_left_modular_coatom(lattice, lo, hi, m)), None
             )
     return witnesses
+
+
+def intervals_by_elements(lattice: Lattice) -> int:
+    """The intervals [lo, hi] with lo < hi, |L(|hi|)| - 1 for each element hi
+    walked.  The oracle for lattice.interval_counts."""
+    size = sizes(lattice.n)
+    return sum(size[k] - 1 for _, _, k in lattice._fields)
+
+
+def comodernistic_of_n(n: int) -> tuple[bool, str]:
+    """The verdict and detail of `check comodernistic` for one n, from its own
+    build and premise walk, the intervals counted element by element.  The
+    oracle for the range path of cli, which reads every n off one walk."""
+    lat = build(n)
+    result = structure.is_comodernistic(lat)
+    if result.holds:
+        return True, f"{intervals_by_elements(lat)} intervals witnessed"
+    return False, f"counterexample interval {result.counterexample}"
 
 
 def witness_closed_form(m: int, x: tuple) -> tuple:

@@ -8,6 +8,9 @@ import pytest
 
 from aplattice import cli, cost, moebius, structure
 from aplattice import lattice as lt
+from aplattice.progression import _leq_fields
+
+from helpers import comodernistic_of_n
 
 
 def run(capsys, *argv):
@@ -17,8 +20,9 @@ def run(capsys, *argv):
 
 
 def check_units(name, lo, hi):
-    """The estimate `check NAME lo..hi` is admitted on, summed in full."""
-    return sum(map(cli._CHECKS[name][2], range(lo, hi + 1)))
+    """The estimate `check NAME lo..hi` is admitted on."""
+    _, least, units = cli._CHECKS[name]
+    return units(range(max(lo, least), hi + 1))
 
 
 def _never(*args, **kwargs):
@@ -166,6 +170,23 @@ def test_check_complemented(capsys):
     assert "semicomplement witness" in out
 
 
+def _per_n(name, lo, hi, as_json, verdict):
+    """The exit code and output of `check NAME lo..hi`, each n decided on its
+    own by `verdict`."""
+    report = cli.RunReport("check", {"name": name, "range": [lo, hi]})
+    for n in range(lo, hi + 1):
+        report.record(f"{name} n={n}", *verdict(n))
+    return int(not report.passed), report.to_json() if as_json else report.to_text()
+
+
+def _last_coatom(lattice, lo, hi):
+    """structure._first_coatom keyed by max: a witness that is not
+    left-modular from [{}, {1,2,3,4}] on."""
+    fields = lattice._fields
+    above = [c for c in lattice.covers_down[hi] if _leq_fields(fields[lo], fields[c])]
+    return max(above, key=lambda c: (fields[c][1], fields[c][0]))
+
+
 def test_check_comodernistic(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "comodernistic", "0..5")
     assert code == 0
@@ -178,12 +199,35 @@ def test_check_comodernistic(capsys, monkeypatch):
     assert "counterexample interval (0, 1)" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_check_comodernistic_range_matches_the_per_n_oracle(capsys, flags):
+    # one walk of L(40) against 41 builds and walks, byte for byte
+    expected = _per_n("comodernistic", 0, 40, "--json" in flags, comodernistic_of_n)
+    assert run(capsys, "check", "comodernistic", "0..40", *flags)[:2] == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_check_comodernistic_failure_matches_the_per_n_oracle(capsys, monkeypatch, flags):
+    # the walk first fails at m = 4: n = 0..3 pass, and n = 4..8 each name
+    # [{}, {1,2,3,4}] by the ids of their own lattice
+    monkeypatch.setattr(structure, "_first_coatom", _last_coatom)
+    expected = _per_n("comodernistic", 0, 8, "--json" in flags, comodernistic_of_n)
+    assert run(capsys, "check", "comodernistic", "0..8", *flags)[:2] == expected
+    verdicts = json.loads(_per_n("comodernistic", 0, 8, True, comodernistic_of_n)[1])
+    assert [v["passed"] for v in verdicts["verdicts"]] == [True] * 4 + [False] * 5
+    assert verdicts["verdicts"][4]["detail"] == "counterexample interval (0, 13)"
+    assert verdicts["verdicts"][8]["detail"] == "counterexample interval (0, 49)"
+
+
 def test_check_comodernistic_bound(capsys, monkeypatch):
-    # the builds of 0..55 and the members the premises walk
-    assert check_units("comodernistic", 0, 55) == 3_996_914 <= cost.BUDGET
+    # the build of L(198) and the members its premises walk, the range's
+    # last n alone
+    assert check_units("comodernistic", 0, 198) == 3_986_891 <= cost.BUDGET
+    assert check_units("comodernistic", 150, 198) == 3_986_891
     monkeypatch.setattr(structure, "is_comodernistic", _never)
-    code, _, err = run(capsys, "check", "comodernistic", "0..56")
-    assert code == 2 and "4,237,121" in err
+    code, _, err = run(capsys, "check", "comodernistic", "0..199")
+    assert code == 2 and "4,031,441" in err
 
 
 def test_check_euler_json(capsys):

@@ -32,7 +32,8 @@ from helpers import (
 
 
 def check_units(name, lo, hi):
-    return sum(map(cli._CHECKS[name][2], range(lo, hi + 1)))
+    _, least, units = cli._CHECKS[name]
+    return units(range(max(lo, least), hi + 1))
 
 
 def _never(*args, **kwargs):
@@ -205,10 +206,9 @@ def test_left_modularity_is_priced_per_pair(monkeypatch):
 
 
 def test_range_estimate_stops_once_past_the_budget(capsys, monkeypatch):
-    runner, least, units_of = cli._CHECKS["euler"]
-    seen = []
-    counted = (runner, least, lambda n: seen.append(n) or units_of(n))
-    monkeypatch.setitem(cli._CHECKS, "euler", counted)
+    # each n of the Euler estimate prices its faces once
+    faces, seen = cost.faces, []
+    monkeypatch.setattr(cost, "faces", lambda n: seen.append(n) or faces(n))
     assert cli.main(["check", "euler", "2..100000"]) == 2
     assert seen == list(range(2, 14))  # 2..12 fit, 13 passes the budget
 

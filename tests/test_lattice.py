@@ -18,6 +18,7 @@ from helpers import (
     from_set,
     gf_coefficients,
     ideal_isomorphism,
+    intervals_by_elements,
     project_progression,
     sort_key,
 )
@@ -204,6 +205,32 @@ def test_ideal_filter_interval(lat):
     i2 = l4.id_of[from_set({2})]
     with pytest.raises(ValueError):
         l4.interval(i2, i14)
+
+
+@pytest.mark.parametrize("bad", [-1, "len"])
+def test_ideal_filter_interval_reject_an_id_outside_the_lattice(lat, bad):
+    # -1 would index the top from the end
+    l5 = lat(5)
+    top = l5.top_id
+    bad = len(l5) if bad == "len" else bad
+    calls = [
+        lambda: l5.ideal(bad),
+        lambda: l5.filter(bad),
+        lambda: l5.interval(bad, top),
+        lambda: l5.interval(0, bad),
+        lambda: l5.interval(bad, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert l5.ideal(0) == (0,) and l5.filter(top) == l5.interval(top, top) == (top,)
+
+
+def test_interval_counts_match_the_element_walk(lat):
+    counts = lt.interval_counts(200)
+    assert counts[:41] == [intervals_by_elements(lat(n)) for n in range(41)]
+    assert counts[22] == 33_943 and counts[200] == 348_815_895
+    assert lt.interval_counts(0) == [0]
 
 
 def test_covers_match_two_element_intervals(lat):
