@@ -9,11 +9,11 @@ present.
 Chain counts are rows (b(m, 1), .., b(m, m)), read as polynomials
 B_m(t) = sum of b(m, k) t^k: B_0 = 1 and B_m = t A_m, A_m = sum over i < m
 of p(m, i) B_i.  Differenced like the p(n, k) Moebius engine, with N = m-1,
-B_m = B_N + t (B_1 + B_N + sum over 1 <= j < N of (N//j) B_(j+1)), summed
-in blocks of equal quotient; at one power of two wide enough for every
-count, each row is one integer (Kronecker substitution), made once and held
-once, as a prefix sum.  Less its b(m, 1) = 1, row m counts the faces of the
-order complex of L(m), B_m(1) - 1 in all.  The order complex is
+B_m = B_N + t (B_1 + B_N + sum over 1 <= j < N of (N//j) B_(j+1)), the sum
+carried from N-1 to N by B_N and the B_(j+1) of the divisors j < N of N; at
+one power of two wide enough for every count, each row is one integer
+(Kronecker substitution), made once.  Less its b(m, 1) = 1, row m counts the
+faces of the order complex of L(m), B_m(1) - 1 in all.  The order complex is
 walked level by level as a count per vertex of the faces of one dimension
 that end there, one pass over the comparable pairs a level, so the f-vector
 and the Euler characteristic need no face tuple.  The tuples are decoded
@@ -28,11 +28,10 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, combinations, count
-from math import isqrt
 
 from . import cost
 from .lattice import Lattice, _coatom_meet
-from .numtheory import _quotient_block_sum, valid_n
+from .numtheory import _divisor_recurrence, valid_n
 
 _Faces = tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
 
@@ -142,19 +141,14 @@ def _check_faces(vertex_count: int, faces_by_dim: _Faces) -> None:
 
 
 def _chain_values(n: int, shift: int) -> Iterator[int]:
-    """B_0(t), .., B_n(t) at t = 2**shift, each yielded once; the recurrence
-    keeps only what it reads: B_0 .. B_(isqrt(n)+1), B_N and prefix sums."""
+    """B_0(t), .., B_n(t) at t = 2**shift, each yielded once and made only
+    when asked for: B_(N+1) = B_N + t (t + B_N + Q(N)), Q(N) the sum over
+    1 <= j < N of (N//j) B_(j+1), by ``numtheory._divisor_recurrence``."""
     t = 1 << shift
-    values = [1, t, (1 + 2 * t) << shift]  # B_0, B_1 and B_2 = t (1 + 2t)
-    yield from values[: n + 1]
-    value = values[2]  # B_N
-    prefix = [0, value]  # prefix[x] = B_2 + .. + B_(x+1), for x < N
-    for big in range(2, n):  # big is N = m - 1 for m = 3..n
-        value += (t + value + _quotient_block_sum(values, prefix, big)) << shift
-        yield value
-        prefix.append(prefix[-1] + value)
-        if len(values) < isqrt(n) + 2:
-            values.append(value)
+    yield 1
+    yield from _divisor_recurrence(
+        n, t, lambda value, q: value + ((t + value + q) << shift)
+    )
 
 
 def _slot_bytes(bound: int) -> int:
@@ -171,7 +165,8 @@ def chain_counts(n: int, *, last: bool = False) -> tuple:
 
     The recurrence runs at t = 1, for the largest total, B_n(1), which bounds
     every b(m, k) with m <= n, and at t = 2**(8w), w bytes per coefficient
-    to spare, where each row is one integer, held only while it is unpacked.
+    to spare, where each row is one integer, held while it is unpacked or
+    read again (``_chain_values``).
     """
     valid_n(n, 1)
     cost.require(f"the chain counts of L({n})", cost.engine(n, "chains"))

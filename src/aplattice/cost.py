@@ -29,8 +29,8 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
 * row_terms(n), n^2/2 count-row terms for table p and table size: 2828,
   1.3 s, 17 MB (table p, written one row at a time); 0.1 s, 17 MB (table
   size)
-* engine(n, name), terms: 2 n isqrt(n) for pnk (15875: 0.4-0.5 s, 17 MB),
-  n^3/6 for chains and chain_counts (288: 0.12-0.16 s, 18 MB), the build
+* engine(n, name), terms: 2 n isqrt(n) for pnk (15875: 0.10-0.12 s, 15
+  MB), n^3/6 for chains and chain_counts (288: 0.09-0.14 s, 16 MB), the build
   and the running sum of |L(m)| over m <= n for definition (142: 3.0 s,
   45 MB), isqrt(n) trial divisions for coatom
 
@@ -164,8 +164,8 @@ def row_terms(n: int) -> int:
 
 def engine(n: int, name: str) -> int:
     """Terms of the Moebius engine `name` (a method value) on M(n); pnk sums
-    at most isqrt(N) direct terms and N//(isqrt(N)+1) <= isqrt(N) blocks for
-    each N = m - 1 < n."""
+    tau(N) <= 2 isqrt(N) terms for each N = m - 1 < n, about n ln n in all,
+    so its price is an upper bound."""
     valid_n(n)
     if name == "pnk":
         return 2 * n * isqrt(n)

@@ -8,11 +8,11 @@
   ideal below a size-k element is L(k).  The relation at m minus the one at
   m-1 keeps only the progressions ending at m, (m-1)//(k-1) of size k >= 2
   and one of size 1, so with N = m-1 it reads
-  M(m) = 1 - sum over 1 <= j < N of M(j+1) * (N//j), summed in blocks of
-  equal quotient N//j over a running prefix sum of M: O(sqrt(m)) terms per m.
+  M(m) = 1 - sum over 1 <= j < N of M(j+1) * (N//j); from N-1 to N that sum
+  gains M(N) and the M(j+1) of the divisors j < N of N: tau(m-1) additions.
 * ChainAlternatingSum: M(n) = sum over k of (-1)^k b(n, k), read off row n
-  of the chain counts alone.  Those rows run through the same quotient-block
-  sum, each row packed into one integer (see ``complexes``).
+  of the chain counts alone.  Those rows run through the same divisor walk,
+  each row packed into one integer (see ``complexes``).
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
   exactly k elements covered by y, and 0 when x is no such meet (Rota's
   cross-cut theorem).  The ideal below y is L(|y|) relabeled, so the value
@@ -30,7 +30,7 @@ from enum import Enum
 from . import cost
 from .complexes import chain_counts
 from .lattice import Lattice, _coatom_meet, _project_fields, _valid_id, build
-from .numtheory import _quotient_block_sum
+from .numtheory import _divisor_recurrence
 
 
 class MoebiusMethod(Enum):
@@ -87,12 +87,7 @@ def mobius_interval(
 
 def _pnk_values(n: int) -> list[int]:
     """M(0..n) by the differenced p(n, k) relation of the module docstring."""
-    values = [1, -1, 1]  # M(2) = 1: at m = 2 the sum over j is empty
-    prefix = [0, 1]  # prefix[x] = M(2) + .. + M(x+1), for x < N
-    for big in range(2, n):  # big is N = m - 1 for m = 3..n
-        values.append(1 - _quotient_block_sum(values, prefix, big))
-        prefix.append(prefix[-1] + values[-1])
-    return values[: n + 1]
+    return [1, *_divisor_recurrence(n, -1, lambda value, q: 1 - q)]
 
 
 def _bottom_top_pnk(n: int) -> int:

@@ -8,10 +8,8 @@ works with.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import repeat
-from math import isqrt
-from operator import floordiv, mul
 
 
 def valid_n(n, least: int = 0, name: str = "n") -> int:
@@ -22,22 +20,34 @@ def valid_n(n, least: int = 0, name: str = "n") -> int:
     return n
 
 
-def _quotient_block_sum(values: list[int], prefix: list[int], big: int) -> int:
-    """The sum over 1 <= j < big of (big//j) * values[j+1], for big >= 2, in
-    O(isqrt(big)) terms, where prefix[x] = values[2] + .. + values[x+1] for
-    x < big.  The terms j <= isqrt(big) are summed directly; the rest fall in
-    blocks of equal quotient q = big//j, summed by parts over the prefix."""
-    r = isqrt(big)
-    quotients = map(floordiv, repeat(big), range(1, r + 1))
-    direct = sum(map(mul, values[2 : r + 2], quotients))
-    # Block q holds the j with big//(q+1) < j <= big//q, for q = 1..last,
-    # which covers r < j < big.  By parts, the sum of
-    # q * (prefix[big//q] - prefix[big//(q+1)]) is the sum of prefix[big//q]
-    # less last * prefix[r]; block 1 stops at big-1, short of values[big+1].
-    last = big // (r + 1)
-    ends = map(floordiv, repeat(big), range(2, last + 1))
-    blocks = prefix[big - 1] + sum(map(prefix.__getitem__, ends)) - last * prefix[r]
-    return direct + blocks
+def _divisor_recurrence(n: int, first: int, step: Callable) -> Iterator[int]:
+    """a_1 = first, .., a_n, each yielded once, where a_(N+1) = step(a_N, Q(N))
+    and Q(N) is the sum over 1 <= j < N of (N//j) a_(j+1).  As N//j - (N-1)//j
+    is [j divides N] for j <= N-2, and N//(N-1) = 1 + [N-1 divides N],
+    Q(N) = Q(N-1) + a_N + the a_(j+1) of the divisors j < N of N: tau(N)
+    additions, about n ln n in all.  The divisor sums of lo <= N < 2 lo are
+    sieved when the walk reaches lo, so it runs only as far as it is read;
+    a_(j+1) is read at the multiples of j below n alone, so it is kept only
+    while 2j < n."""
+    value, q = first, -first  # a_N and Q(N-1) from N = 1; Q(0) = -a_1 makes Q(1) = 0
+    kept = [value]  # kept[j] = a_(j+1); kept[0] is never read
+    lo = 1
+    while lo < n:
+        hi = min(2 * lo, n)
+        sums = [0] * (hi - lo)  # sums[N - lo]: a_(j+1) over the j | N, j < N
+        for j in range(1, (hi + 1) // 2):
+            a = kept[j]
+            for i in range(-lo % j, hi - lo, j):
+                sums[i] += a
+        for divided in sums:
+            yield value
+            q += value + divided
+            value = step(value, q)
+            if 2 * len(kept) < n:
+                kept.append(value)
+        lo = hi
+    if n:
+        yield value
 
 
 @lru_cache(maxsize=None)

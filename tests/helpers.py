@@ -3,15 +3,17 @@ test, cover-embedding, subset-meet, coatom-meet-table, cross-cut
 subset-fold, interval-coatom, cover-criterion, size-k scan, count
 generating-function, comodernism-scan, per-n comodernism verdict, interval
 count, closed-form witness, representative witness search, witness-fill, all-pairs left-modularity, complement-scan,
-count-row Moebius and chain-row, per-m work estimate, Moebius-support,
+count-row Moebius and chain-row, quotient-block pnk and chain-value,
+per-m work estimate, Moebius-support,
 column-sweep unit stage, label-word, chain-listing labeling and
 labeling-file helpers that only the tests use."""
 
 from collections import defaultdict
 from collections.abc import Iterable
 from functools import reduce
-from itertools import combinations, islice
-from operator import mul
+from itertools import combinations, islice, repeat
+from math import isqrt
+from operator import floordiv, mul
 
 from aplattice import cost, structure
 from aplattice.complexes import chain_counts
@@ -283,6 +285,51 @@ def chain_counts_by_rows(n: int) -> tuple[tuple[int, ...], ...]:
             cols[k].append(b)
         rows.append(row)
     return tuple(rows)
+
+
+def _quotient_block_sum(values: list[int], prefix: list[int], big: int) -> int:
+    """The sum over 1 <= j < big of (big//j) * values[j+1], for big >= 2, in
+    O(isqrt(big)) terms, where prefix[x] = values[2] + .. + values[x+1] for
+    x < big.  The terms j <= isqrt(big) are summed directly; the rest fall in
+    blocks of equal quotient q = big//j, summed by parts over the prefix."""
+    r = isqrt(big)
+    quotients = map(floordiv, repeat(big), range(1, r + 1))
+    direct = sum(map(mul, values[2 : r + 2], quotients))
+    # Block q holds the j with big//(q+1) < j <= big//q, for q = 1..last,
+    # which covers r < j < big.  By parts, the sum of
+    # q * (prefix[big//q] - prefix[big//(q+1)]) is the sum of prefix[big//q]
+    # less last * prefix[r]; block 1 stops at big-1, short of values[big+1].
+    last = big // (r + 1)
+    ends = map(floordiv, repeat(big), range(2, last + 1))
+    blocks = prefix[big - 1] + sum(map(prefix.__getitem__, ends)) - last * prefix[r]
+    return direct + blocks
+
+
+def pnk_by_quotient_blocks(n: int) -> list[int]:
+    """M(0..n) by M(N+1) = 1 - sum over 1 <= j < N of (N//j) M(j+1), each sum
+    taken afresh in blocks of equal quotient over a running prefix sum: the
+    oracle for the divisor walk of moebius._pnk_values."""
+    values = [1, -1, 1]  # M(2) = 1: at m = 2 the sum over j is empty
+    prefix = [0, 1]  # prefix[x] = M(2) + .. + M(x+1), for x < N
+    for big in range(2, n):  # big is N = m - 1 for m = 3..n
+        values.append(1 - _quotient_block_sum(values, prefix, big))
+        prefix.append(prefix[-1] + values[-1])
+    return values[: n + 1]
+
+
+def chain_values_by_quotient_blocks(n: int, shift: int) -> list[int]:
+    """B_0(t), .., B_n(t) at t = 2**shift by B_(N+1) = B_N + t (t + B_N +
+    sum over 1 <= j < N of (N//j) B_(j+1)), each sum taken afresh in blocks
+    of equal quotient: the oracle for the divisor walk of
+    complexes._chain_values."""
+    t = 1 << shift
+    values = [1, t, (1 + 2 * t) << shift]  # B_0, B_1 and B_2 = t (1 + 2t)
+    prefix = [0, values[2]]  # prefix[x] = B_2 + .. + B_(x+1), for x < N
+    for big in range(2, n):  # big is N = m - 1 for m = 3..n
+        block_sum = _quotient_block_sum(values, prefix, big)
+        values.append(values[-1] + ((t + values[-1] + block_sum) << shift))
+        prefix.append(prefix[-1] + values[-1])
+    return values[: n + 1]
 
 
 def _first_past_budget(counts: Iterable[int]) -> int:

@@ -8,7 +8,11 @@ from aplattice import moebius as mb
 from aplattice import progression as pr
 from aplattice.moebius import MoebiusMethod as MM
 
-from helpers import chain_counts_by_rows, crosscut_by_subsets
+from helpers import (
+    chain_counts_by_rows,
+    chain_values_by_quotient_blocks,
+    crosscut_by_subsets,
+)
 
 # Published count tables, frozen for golden comparison.
 TABLE_P = [
@@ -119,6 +123,17 @@ def test_chain_counts_match_the_row_recurrence(rows_by_recurrence):
         assert cx.chain_counts(n, last=True) == oracle[n], n
 
 
+def test_chain_values_match_the_quotient_blocks():
+    # every n the budget admits, of both parities (the walk keeps B_(j+1)
+    # only while 2j < n), at t = 1 and at the packed shift of chain_counts(288)
+    ones = chain_values_by_quotient_blocks(288, 0)
+    shift = 8 * cx._slot_bytes(ones[-1])
+    packed = chain_values_by_quotient_blocks(288, shift)
+    for n in range(289):
+        assert list(cx._chain_values(n, 0)) == ones[: n + 1], n
+        assert list(cx._chain_values(n, shift)) == packed[: n + 1], n
+
+
 def test_narrow_slots_break_the_chain_rows(rows_by_recurrence, monkeypatch):
     # packing with slots narrower than the largest b(n, k) must be caught
     oracle = rows_by_recurrence
@@ -133,7 +148,7 @@ def test_narrow_slots_break_the_chain_rows(rows_by_recurrence, monkeypatch):
 
 
 def test_pnk_values_are_alternating_chain_sums():
-    # the two callers of numtheory._quotient_block_sum check each other
+    # the two callers of numtheory._divisor_recurrence check each other
     rows = cx.chain_counts(288)
     sums = [sum((-1) ** k * b for k, b in enumerate(row, 1)) for row in rows]
     assert mb._pnk_values(288)[1:] == sums[1:]

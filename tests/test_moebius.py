@@ -1,5 +1,5 @@
 import time
-from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -15,6 +15,7 @@ from helpers import (
     from_set,
     meet_subset,
     mobius_support,
+    pnk_by_quotient_blocks,
     pnk_by_rows,
     project_progression,
 )
@@ -72,20 +73,46 @@ def test_pnk_engine_matches_classical_mobius_to_the_largest_admitted_n():
         assert values[m] == nt.classical_mobius(m - 1), m
 
 
+def test_pnk_engine_matches_the_quotient_blocks():
+    # every value the budget admits, then every n <= 1000 on its own and the
+    # n at the edges of the walk's doubling sieve: a_(j+1) is kept only while
+    # 2j < n, so the parity of n matters
+    top = 15875
+    oracle = pnk_by_quotient_blocks(top)
+    assert mb._pnk_values(top) == oracle
+    edges = (e + d for e in (2**k for k in range(10, 14)) for d in (-1, 0, 1))
+    for n in (*range(1001), *edges, top - 1):
+        assert mb._pnk_values(n) == oracle[: n + 1], n
+
+
 def test_pnk_cost_bounds_the_engine_terms(monkeypatch):
-    # every summed term takes one quotient N // j or N // q, N = m - 1
-    terms = Counter()
+    # every term the divisor walk sums into Q(N) is one addition of a value
+    # M(j+1) or M(N); the values count the additions they take part in
+    terms = 0
 
-    def counted(a, b):
-        terms[a] += 1
-        return a // b
+    class Term(int):
+        def __add__(self, other):
+            nonlocal terms
+            terms += 1
+            return int(self) + other
 
-    monkeypatch.setattr(nt, "floordiv", counted)  # inside _quotient_block_sum
-    mb._pnk_values(2000)
-    total = 0
+        __radd__ = __add__
+
+    run = mb._divisor_recurrence
+    monkeypatch.setattr(
+        mb,
+        "_divisor_recurrence",
+        lambda n, first, step: run(n, Term(first), lambda *a: Term(step(*a))),
+    )
+    # Q(N) takes tau(N) terms, M(N) and the M(j+1) of the divisors j < N,
+    # and M(n) reads Q(1), .., Q(n-1)
+    summed = [0, 0, *accumulate(map(nt.tau, range(1, 2000)))]
+    for n in (*range(130), 2000):
+        terms = 0
+        mb._pnk_values(n)
+        assert terms == summed[n], n
     for n in range(2001):
-        total += terms[n - 1]
-        assert total <= cost.engine(n, "pnk"), n
+        assert summed[n] <= cost.engine(n, "pnk"), n
 
 
 def test_spot_values():
