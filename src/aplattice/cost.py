@@ -16,9 +16,8 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
   of L(11), 1.92M, 1.9-2.4 s, 123 MB
 * pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * comodernism(n), the members its premises walk per m <= n: |L(m)| -
-  |L(m-1)|, tau(m-1) and tau(e) for each e | m-1, e > 1; fewer than the
-  elements built.  check comodernistic a..b builds and walks L(b) alone,
-  so with the build it admits 0..198, 3,986,891 units, 0.8-0.9 s, 39 MB
+  |L(m-1)|, tau(m-1) and tau(e) for each e | m-1, e > 1, with no build:
+  check comodernistic 0..1091, 3,998,120 units, 7.2-7.3 s, 16 MB
 * triples(n), lo <= y <= hi, from count_rows, priced into the labeling scan
 * k(k-1)/2 member pairs of an interval of k elements, priced in
   ``structure``: left-modularity of a run coatom in the whole L(40), 3.71M,

@@ -18,6 +18,7 @@ suite validates the shortcut.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import repeat
 from operator import add, floordiv, mul
 
@@ -45,6 +46,7 @@ def coatom_progressions(n: int) -> tuple[Progression, ...]:
     return tuple(map(_of_fields, _coatom_fields(n)))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a bool n still fails valid_n
 def _coatom_fields(n: int) -> tuple[_Fields, ...]:
     """``coatom_progressions(n)`` as plain (base, step, length) triples."""
     if valid_n(n, 1) <= 2:
@@ -96,6 +98,30 @@ def _canonical_fields(n: int):
         for a in range(1, n):
             for r in range(1, (n - a) // (k - 1) + 1):
                 yield (a, r, k)
+
+
+def _interval_fields(lo: _Fields, hi: _Fields):
+    """The triples between lo <= hi, each once, from the arithmetic of the
+    bounds: below hi, L(|hi|) embedded into hi, in canonical order; above a
+    nonempty lo = (b, s, k) inside hi = (c, h, m), each step t, a multiple
+    of h dividing s (any multiple of h for a singleton lo), each base b - j*t
+    >= c and each last element from lo's to hi's that is b mod t."""
+    b, s, k = lo
+    if k == 0:
+        yield from map(_embed_fields, _canonical_fields(hi[2]), repeat(hi))
+        return
+    if k == 1:
+        yield lo
+    c, h, m = hi
+    if h:  # a singleton hi holds nothing above lo but lo itself
+        top = c + (m - 1) * h
+        last = b + (k - 1) * s
+        for t in range(h, (s or top - c) + 1, h):
+            if s % t:
+                continue
+            for a in range(b, c - 1, -t):
+                for end in range(max(last, a + t), top + 1, t):
+                    yield (a, t, (end - a) // t + 1)
 
 
 def _embed_fields(p: _Fields, host: _Fields) -> _Fields:
@@ -153,11 +179,9 @@ class Lattice:
     plain tuples because CPython unpacks a named tuple more slowly, and map
     the result back through ``id_of``, so a query builds neither a
     Progression nor a member set, and no quadratic tables are kept.  Ideals,
-    filters and intervals are generated from the arithmetic of their bounds
-    rather than scanned for: the ideal below x is L(|x|) embedded into x.
-    ``ideal``, ``filter`` and ``interval`` raise ValueError for an id outside
-    0..len-1; ``leq_ids``, ``meet_ids`` and ``join_ids`` are unchecked, and
-    read a negative id from the end.
+    filters and intervals map ``_interval_fields`` to ids, and raise
+    ValueError for an id outside 0..len-1; ``leq_ids``, ``meet_ids`` and
+    ``join_ids`` are unchecked, and read a negative id from the end.
     """
 
     def __init__(self, n: int, fields: tuple[_Fields, ...]):
@@ -193,50 +217,19 @@ class Lattice:
         return self.id_of[_join_fields(self._fields[i], self._fields[j])]
 
     def ideal(self, x: int) -> tuple[int, ...]:
-        """Ids of all elements <= x, ascending: L(|x|) embedded into x.
-
-        The embedding keeps the size and is increasing in base and step, so
-        the canonical order of L(|x|) maps onto ascending ids.
-        """
-        if not 0 <= x < len(self._fields):
-            raise ValueError(f"ideal requires an id below {len(self)}, got {x}")
-        host = self._fields[x]
-        index = self.id_of
-        return tuple(index[_embed_fields(f, host)] for f in _canonical_fields(host[2]))
+        """Ids of all elements <= x, ascending: L(|x|) embedded into x."""
+        return self.interval(self.bottom_id, x)
 
     def filter(self, x: int) -> tuple[int, ...]:
         """Ids of all elements >= x, ascending."""
         return self.interval(x, self.top_id)
 
     def interval(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Ids of all elements between lo and hi inclusive; requires lo <= hi.
-
-        Above a nonempty lo = (b, s, k) and inside hi = (c, h, m) lie exactly
-        the progressions with a step t that is a multiple of h and divides s
-        (any multiple of h when lo is a singleton), a base b - j*t >= c and a
-        last element >= lo's last, <= hi's last and congruent to b mod t.
-        Those are generated directly, so the cost follows the interval's size.
-        Ids ascend with size, so lo <= hi in the order implies it as ids.
-        """
+        """Ids of the elements between lo <= hi, ascending: ``_interval_fields``."""
         if not (0 <= lo <= hi < len(self._fields) and self.leq_ids(lo, hi)):
             raise ValueError(f"interval requires ids lo <= hi, got {lo}, {hi}")
-        b, s, k = self._fields[lo]
-        if k == 0:
-            return self.ideal(hi)
-        c, h, m = self._fields[hi]
-        top = c + (m - 1) * h
-        last = b + (k - 1) * s
-        index = self.id_of
-        ids = [lo] if k == 1 else []
-        if h:  # a singleton hi holds nothing above lo but lo itself
-            for t in range(h, (s or top - c) + 1, h):
-                if s % t:
-                    continue
-                for a in range(b, c - 1, -t):
-                    for end in range(max(last, a + t), top + 1, t):
-                        ids.append(index[(a, t, (end - a) // t + 1)])
-        ids.sort()
-        return tuple(ids)
+        ids = map(self.id_of.__getitem__, _interval_fields(self._fields[lo], self._fields[hi]))
+        return tuple(ids if lo == self.bottom_id else sorted(ids))
 
     def maximal_chains(self, lo: int, hi: int) -> list[tuple[int, ...]]:
         """All saturated chains lo = x0 < x1 < .. < xs = hi, as id tuples.
@@ -336,6 +329,17 @@ def count_progressions_formula(n: int, k: int) -> int:
         return 0
     rmax = (n - 1) // (k - 1)
     return n * rmax - (k - 1) * (rmax * rmax + rmax) // 2
+
+
+def _canonical_id(n: int, fields: _Fields) -> int:
+    """The id in L(n) of its triple, without a build: EMPTY is 0, {a} is a,
+    and a longer (a, r, k) follows the smaller sizes, the (n - b)//(k - 1)
+    of size k at each base b < a, and r - 1 smaller steps at base a."""
+    base, step, length = fields
+    if length < 2:
+        return base
+    smaller = sum(count_progressions_formula(n, j) for j in range(length))
+    return smaller + sum((n - b) // (length - 1) for b in range(1, base)) + step - 1
 
 
 def count_rows(n_max: int):

@@ -9,7 +9,7 @@ Conventions used throughout:
 * "coatom of [lo, hi]" means an element covered by hi that lies above lo;
 * comodernism is checked over intervals with at least two elements (a
   one-point interval has no coatoms to offer), each a relabeled copy of some
-  [x, R_m], R_m = {1,..,m}: the premises of those alone are checked;
+  [x, R_m], R_m = {1,..,m}: only their premises are checked, on triples;
 * which coatoms meet to an element is decided once, by the closed-form rule
   ``lattice._coatom_meet``; this module maps its triples to ids.
 
@@ -35,14 +35,14 @@ Each exhaustive scan decides a candidate once, by an exact rule:
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import repeat
 from operator import lt
 from weakref import WeakKeyDictionary
 
 from . import cost
-from .lattice import Lattice, _coatom_meet, _valid_id, interval_counts
+from .lattice import Lattice, _coatom_fields, _coatom_meet, _embed_fields, _valid_id
+from .lattice import _interval_fields, _project_fields, interval_counts
 from .numtheory import divisors, is_squarefree, prime_divisors
-from .progression import Progression, _leq_fields
+from .progression import Progression, _Fields, _join_fields, _leq_fields, _meet_fields
 
 
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
@@ -83,16 +83,17 @@ def is_left_modular_in_interval(lattice: Lattice, lo: int, hi: int, m: int) -> b
     on the covers of the members ``_cover_failures`` lists for m.  Past the
     work budget (one unit per pair of members) it raises cost.BudgetError."""
     lo, hi = _valid_id(lattice, lo, "lo"), _valid_id(lattice, hi, "hi")
-    members = lattice.interval(lo, hi)
-    if _valid_id(lattice, m, "m") not in members:
+    fields = lattice._fields
+    low, high, c = fields[lo], fields[hi], fields[_valid_id(lattice, m, "m")]
+    if not (_leq_fields(low, c) and _leq_fields(c, high)):
         raise ValueError("m must belong to the interval")
+    members = tuple(_interval_fields(low, high))
     pairs = len(members) * (len(members) - 1) // 2
     cost.require(f"the left-modularity test on {len(members):,} elements", pairs)
-    meet, join = lattice.meet_ids, lattice.join_ids
     return not any(
-        meet(join(x, m), y) != join(x, meet(m, y))
-        for y in _cover_failures(lattice, m, members)
-        for x in lattice.covers_down[y]
+        _meet_fields(_join_fields(x, c), y) != _join_fields(x, _meet_fields(c, y))
+        for y in _cover_failures(c, members)
+        for x in (_embed_fields(f, y) for f in _coatom_fields(y[2]))
     )
 
 
@@ -101,12 +102,12 @@ def is_left_modular(lattice: Lattice, m: int) -> bool:
     return is_left_modular_in_interval(lattice, lattice.bottom_id, lattice.top_id, m)
 
 
-def _cover_failures(lattice: Lattice, c: int, members) -> tuple[int, ...]:
-    """The members y not below c (c ^ y != y) that do not cover c ^ y: the
-    cover criterion for c fails on an interval exactly when it holds one.
-    Call x <= y in [lo, hi] strict when x v (c ^ y) < (x v c) ^ y; c in
-    [lo, hi] is left-modular there exactly when no listed y has a strict
-    cover x -> y:
+def _cover_failures(c: _Fields, members) -> tuple[_Fields, ...]:
+    """The member triples y not below c (c ^ y != y) that do not cover c ^ y
+    (c ^ y, relabeled into y, is no coatom of L(|y|)): the cover criterion
+    for c fails on an interval exactly when it holds one.  Call x <= y in
+    [lo, hi] strict when x v (c ^ y) < (x v c) ^ y; c in [lo, hi] is
+    left-modular there exactly when no listed y has a strict cover x -> y:
 
     1. x' = x v (c ^ y) has (x' v c) ^ y = (x v c) ^ y = w, so if x <= y is
        strict, any x' -> x1 <= w is a strict cover pair (c ^ x1 <= x');
@@ -115,16 +116,17 @@ def _cover_failures(lattice: Lattice, c: int, members) -> tuple[int, ...]:
     3. for a coatom c every listed y has one: c ^ y < x -> y puts x outside
        c, so (x v c) ^ y = hi ^ y = y != x.  This is the cover criterion.
     """
-    meets = map(lattice.meet_ids, repeat(c), members)
-    below = lattice.covers_down
-    return tuple(y for y, z in zip(members, meets) if z != y and z not in below[y])
+    return tuple(
+        y
+        for y in members
+        if (z := _meet_fields(c, y)) != y
+        and _project_fields(z, y) not in _coatom_fields(y[2])
+    )
 
 
-def _first_coatom(lattice: Lattice, lo: int, hi: int) -> int:
-    """The witness of [lo, hi], lo < hi: its first coatom by step, then base."""
-    fields = lattice._fields
-    above = [c for c in lattice.covers_down[hi] if _leq_fields(fields[lo], fields[c])]
-    return min(above, key=lambda c: (fields[c][1], fields[c][0]))
+def _first_coatom(lo: _Fields, covers) -> _Fields:
+    """The witness of [lo, hi] among the covers of hi: the first by step, then base."""
+    return min((c for c in covers if _leq_fields(lo, c)), key=lambda c: (c[1], c[0]))
 
 
 def comodernism_witness(lattice: Lattice, lo: int, hi: int) -> int:
@@ -134,17 +136,22 @@ def comodernism_witness(lattice: Lattice, lo: int, hi: int) -> int:
     lo, hi = _valid_id(lattice, lo, "lo"), _valid_id(lattice, hi, "hi")
     if lo == hi or not lattice.leq_ids(lo, hi):
         raise ValueError(f"a witness needs lo < hi, got ids {lo}, {hi}")
-    return _first_coatom(lattice, lo, hi)
+    covers = [lattice._fields[c] for c in lattice.covers_down[hi]]
+    return lattice.id_of[_first_coatom(lattice._fields[lo], covers)]
 
 
-def _premises(lattice: Lattice, m: int, r_m: int):
-    """(x, witness, members) of each premise at m by ascending x, as ids."""
-    id_of = lattice.id_of
-    firsts = [((0, 0, 0), (m, 0, 1))] + ([((m, 0, 1), (1, m - 1, 2))] if m > 1 else [])
-    x_es = [(1, e, (m - 1) // e + 1) for e in divisors(m - 1)[:0:-1]] if m > 1 else []
-    for x, least in [*firsts, *zip(x_es, x_es)]:
-        x = id_of[x]
-        yield x, _first_coatom(lattice, x, r_m), lattice.interval(id_of[least], r_m)
+def _comodernism_failure(n: int) -> tuple[_Fields, _Fields] | None:
+    """The first failing premise (``is_comodernistic``) as triples (x, R_m),
+    or None: L(m)'s premises are triples of every L(n), n >= m."""
+    for m in range(1, n + 1):
+        r_m = (1, 1, m) if m > 1 else (1, 0, 1)
+        firsts = [((0, 0, 0), (m, 0, 1))] + ([((m, 0, 1), (1, m - 1, 2))] if m > 1 else [])
+        x_es = [(1, e, (m - 1) // e + 1) for e in divisors(m - 1)[:0:-1]] if m > 1 else []
+        for x, least in [*firsts, *zip(x_es, x_es)]:
+            c = _first_coatom(x, _coatom_fields(m))
+            if _cover_failures(c, _interval_fields(least, r_m)):
+                return x, r_m
+    return None
 
 
 # intervals: how many have at least two elements, each with a witness
@@ -178,18 +185,14 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
       left-modular there; its witness is checked all the same.
 
     A premise fails exactly when [x, R_m] does, and x ascends (x_e by
-    descending e): ``counterexample`` names the first failure, by ids.
-    ``intervals`` counts the intervals with at least two elements, failing
-    or not, in closed form (``interval_counts``).
+    descending e): ``counterexample`` names by ids the first failure of the
+    walk on triples, ``_comodernism_failure``.  ``intervals`` counts the
+    intervals with at least two elements, failing or not, in closed form.
     """
     cost.require(f"comodernism of L({lattice.n})", cost.comodernism(lattice.n))
-    intervals = interval_counts(lattice.n)[-1]
-    for m in range(1, lattice.n + 1):
-        r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
-        for x, c, members in _premises(lattice, m, r_m):
-            if _cover_failures(lattice, c, members):
-                return ComodernismReport(False, intervals, (x, r_m))
-    return ComodernismReport(True, intervals)
+    failure = _comodernism_failure(lattice.n)
+    ids = failure and tuple(lattice.id_of[f] for f in failure)
+    return ComodernismReport(failure is None, interval_counts(lattice.n)[-1], ids)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Set-to-progression, canonical-order key, relabeling, member-set, cover
 test, cover-embedding, subset-meet, coatom-meet-table, cross-cut
 subset-fold, interval-coatom, cover-criterion, size-k scan, count
-generating-function, comodernism-scan, per-n comodernism verdict, interval
-count, closed-form witness, representative witness search, witness-fill, all-pairs left-modularity, complement-scan,
+generating-function, comodernism-scan, id-based premise walk, max-keyed
+witness, per-n comodernism verdict, interval count, closed-form witness, representative witness search, witness-fill, all-pairs left-modularity, complement-scan,
 count-row Moebius and chain-row, quotient-block pnk and chain-value,
 per-m work estimate, Moebius-support,
 column-sweep unit stage, label-word, chain-listing labeling and
@@ -27,7 +27,7 @@ from aplattice.lattice import (
     sizes,
 )
 from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors, valid_n
-from aplattice.progression import EMPTY, Progression, _of_fields, leq
+from aplattice.progression import EMPTY, Progression, _leq_fields, _of_fields, leq
 from aplattice.structure import (
     EdgeLabeling,
     LabelingVerdict,
@@ -464,15 +464,63 @@ def intervals_by_elements(lattice: Lattice) -> int:
     return sum(size[k] - 1 for _, _, k in lattice._fields)
 
 
-def comodernistic_of_n(n: int) -> tuple[bool, str]:
+def cover_failures_by_ids(lattice: Lattice, c: int, members) -> tuple[int, ...]:
+    """The member ids y not below c that do not cover c ^ y, read off the
+    built meets and covers_down.  The oracle for structure._cover_failures,
+    which decides the same on triples."""
+    below = lattice.covers_down
+    meets = (lattice.meet_ids(c, y) for y in members)
+    return tuple(y for y, z in zip(members, meets) if z != y and z not in below[y])
+
+
+def first_coatom_by_ids(lattice: Lattice, lo: int, hi: int, pick=min) -> int:
+    """The coatom of [lo, hi] that `pick` (min, or max for a broken rule)
+    takes by step, then base, read off covers_down."""
+    fields = lattice._fields
+    above = [c for c in lattice.covers_down[hi] if lattice.leq_ids(lo, c)]
+    return pick(above, key=lambda c: (fields[c][1], fields[c][0]))
+
+
+def last_coatom(lo: tuple, covers) -> tuple:
+    """structure._first_coatom keyed by max: a witness that is not
+    left-modular from [{}, {1,2,3,4}] on."""
+    return max((c for c in covers if _leq_fields(lo, c)), key=lambda c: (c[1], c[0]))
+
+
+def premises_by_ids(lattice: Lattice, m: int, r_m: int, pick=min):
+    """(x, witness, members) of each premise at m by ascending x, as ids of
+    the built lattice."""
+    id_of = lattice.id_of
+    firsts = [((0, 0, 0), (m, 0, 1))] + ([((m, 0, 1), (1, m - 1, 2))] if m > 1 else [])
+    x_es = [(1, e, (m - 1) // e + 1) for e in divisors(m - 1)[:0:-1]] if m > 1 else []
+    for x, least in [*firsts, *zip(x_es, x_es)]:
+        x = id_of[x]
+        witness = first_coatom_by_ids(lattice, x, r_m, pick)
+        yield x, witness, lattice.interval(id_of[least], r_m)
+
+
+def comodernism_failure_by_ids(lattice: Lattice, pick=min) -> tuple[int, int] | None:
+    """The ids (x, R_m) of the first failing premise of a built lattice, or
+    None: the premise walk on ids, through interval and covers_down.  The
+    oracle for structure._comodernism_failure, which walks triples alone."""
+    for m in range(1, lattice.n + 1):
+        r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
+        for x, c, members in premises_by_ids(lattice, m, r_m, pick):
+            if cover_failures_by_ids(lattice, c, members):
+                return x, r_m
+    return None
+
+
+def comodernistic_of_n(n: int, pick=min) -> tuple[bool, str]:
     """The verdict and detail of `check comodernistic` for one n, from its own
-    build and premise walk, the intervals counted element by element.  The
-    oracle for the range path of cli, which reads every n off one walk."""
+    build and id-based premise walk (its witness taken by `pick`), the
+    intervals counted element by element.  The oracle for the range path of
+    cli, which reads every n off one walk of triples."""
     lat = build(n)
-    result = structure.is_comodernistic(lat)
-    if result.holds:
+    failure = comodernism_failure_by_ids(lat, pick)
+    if failure is None:
         return True, f"{intervals_by_elements(lat)} intervals witnessed"
-    return False, f"counterexample interval {result.counterexample}"
+    return False, f"counterexample interval {failure}"
 
 
 def witness_closed_form(m: int, x: tuple) -> tuple:
@@ -504,7 +552,11 @@ def witnesses_by_search(lattice: Lattice, m: int) -> tuple[dict, tuple | None]:
     r_m = lattice.id_of[(1, 1, m) if m > 1 else (1, 0, 1)]
     members = lattice.ideal(r_m)
     by_step = sorted(lattice.covers_down[r_m], key=lambda c: (fields[c][1], c))
-    failures = [(c, structure._cover_failures(lattice, c, members)) for c in by_step]
+    triples = [fields[y] for y in members]
+    failures = [
+        (c, [lattice.id_of[y] for y in structure._cover_failures(fields[c], triples)])
+        for c in by_step
+    ]
     witnesses = {}
     for lo in members[:-1]:
         for c, bad in failures:

@@ -2,15 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from aplattice import cli, cost, moebius, structure
 from aplattice import lattice as lt
-from aplattice.progression import _leq_fields
 
-from helpers import comodernistic_of_n
+from helpers import comodernistic_of_n, last_coatom
 
 
 def run(capsys, *argv):
@@ -179,20 +179,12 @@ def _per_n(name, lo, hi, as_json, verdict):
     return int(not report.passed), report.to_json() if as_json else report.to_text()
 
 
-def _last_coatom(lattice, lo, hi):
-    """structure._first_coatom keyed by max: a witness that is not
-    left-modular from [{}, {1,2,3,4}] on."""
-    fields = lattice._fields
-    above = [c for c in lattice.covers_down[hi] if _leq_fields(fields[lo], fields[c])]
-    return max(above, key=lambda c: (fields[c][1], fields[c][0]))
-
-
 def test_check_comodernistic(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "comodernistic", "0..5")
     assert code == 0
     assert out.count("PASS") == 6
     # a representative whose witness fails the check is named
-    monkeypatch.setattr(structure, "_cover_failures", lambda lattice, c, members: members)
+    monkeypatch.setattr(structure, "_cover_failures", lambda c, members: tuple(members))
     code, out, _ = run(capsys, "check", "comodernistic", "0..1")
     assert code == 1
     assert out.count("PASS") == 1
@@ -211,23 +203,39 @@ def test_check_comodernistic_range_matches_the_per_n_oracle(capsys, flags):
 def test_check_comodernistic_failure_matches_the_per_n_oracle(capsys, monkeypatch, flags):
     # the walk first fails at m = 4: n = 0..3 pass, and n = 4..8 each name
     # [{}, {1,2,3,4}] by the ids of their own lattice
-    monkeypatch.setattr(structure, "_first_coatom", _last_coatom)
-    expected = _per_n("comodernistic", 0, 8, "--json" in flags, comodernistic_of_n)
+    monkeypatch.setattr(structure, "_first_coatom", last_coatom)
+    broken = partial(comodernistic_of_n, pick=max)
+    expected = _per_n("comodernistic", 0, 8, "--json" in flags, broken)
     assert run(capsys, "check", "comodernistic", "0..8", *flags)[:2] == expected
-    verdicts = json.loads(_per_n("comodernistic", 0, 8, True, comodernistic_of_n)[1])
+    verdicts = json.loads(_per_n("comodernistic", 0, 8, True, broken)[1])
     assert [v["passed"] for v in verdicts["verdicts"]] == [True] * 4 + [False] * 5
     assert verdicts["verdicts"][4]["detail"] == "counterexample interval (0, 13)"
     assert verdicts["verdicts"][8]["detail"] == "counterexample interval (0, 49)"
 
 
+def test_check_comodernistic_builds_nothing(capsys, monkeypatch):
+    # the range is read off one walk of triples, held or failing: no build,
+    # no Lattice, and the ids of every failing n in closed form
+    holds = _per_n("comodernistic", 0, 40, False, comodernistic_of_n)
+    fails = _per_n("comodernistic", 0, 8, False, partial(comodernistic_of_n, pick=max))
+    for where in (cli, lt):
+        monkeypatch.setattr(where, "build", _never)
+    monkeypatch.setattr(lt.Lattice, "__init__", _never)
+    assert run(capsys, "check", "comodernistic", "0..40")[:2] == holds
+    monkeypatch.setattr(structure, "_first_coatom", last_coatom)
+    assert run(capsys, "check", "comodernistic", "0..8")[:2] == fails
+    assert fails[0] == 1
+    assert "FAIL comodernistic n=4: counterexample interval (0, 13)\n" in fails[1]
+    assert "FAIL comodernistic n=8: counterexample interval (0, 49)\n" in fails[1]
+
+
 def test_check_comodernistic_bound(capsys, monkeypatch):
-    # the build of L(198) and the members its premises walk, the range's
-    # last n alone
-    assert check_units("comodernistic", 0, 198) == 3_986_891 <= cost.BUDGET
-    assert check_units("comodernistic", 150, 198) == 3_986_891
-    monkeypatch.setattr(structure, "is_comodernistic", _never)
-    code, _, err = run(capsys, "check", "comodernistic", "0..199")
-    assert code == 2 and "4,031,441" in err
+    # the members the premises of the range's last n walk, alone
+    assert check_units("comodernistic", 0, 1091) == 3_998_120 <= cost.BUDGET
+    assert check_units("comodernistic", 150, 1091) == 3_998_120
+    monkeypatch.setattr(structure, "_comodernism_failure", _never)
+    code, _, err = run(capsys, "check", "comodernistic", "0..1092")
+    assert code == 2 and "4,005,924" in err
 
 
 def test_check_euler_json(capsys):

@@ -21,6 +21,7 @@ from aplattice import (
     moebius,
     order_complex,
     size_formula,
+    structure,
 )
 from helpers import (
     count_progressions_enumerated,
@@ -198,7 +199,7 @@ def test_left_modularity_is_priced_per_pair(monkeypatch):
     l40, l41 = lattice.build(40), lattice.build(41)
     m40, m41 = coatoms(l40)[0], coatoms(l41)[0]
     assert len(l40) * (len(l40) - 1) // 2 == 3_708_726 <= cost.BUDGET
-    monkeypatch.setattr(lattice.Lattice, "meet_ids", _never)
+    monkeypatch.setattr(structure, "_cover_failures", _never)
     with pytest.raises(cost.BudgetError, match="4,154,403"):
         is_left_modular(l41, m41)
     with pytest.raises(AssertionError, match="work started"):  # admitted

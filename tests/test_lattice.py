@@ -116,6 +116,13 @@ def test_element_order_and_ids(lat):
         assert all(ln.id_of[p] == i for i, p in enumerate(ln.elements))
 
 
+def test_canonical_id_matches_the_build(lat):
+    # the closed-form id of every triple of L(n), n <= 40, against id_of
+    for n in range(41):
+        ln = lat(n)
+        assert {f: lt._canonical_id(n, f) for f in ln._fields} == ln.id_of, n
+
+
 def test_size_formula_matches_enumeration(lat):
     for n in range(13):
         expected = 1 + n + sum(

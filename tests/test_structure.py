@@ -15,6 +15,7 @@ from aplattice import structure as st
 from helpers import (
     coatom_meet_table,
     comodernism_by_scan,
+    comodernism_failure_by_ids,
     complements_by_scan,
     edge_labeling_from_text,
     element_set,
@@ -23,6 +24,7 @@ from helpers import (
     is_left_modular_coatom,
     label_word,
     labeling_by_chains,
+    last_coatom,
     left_modular_by_all_pairs,
     meet_subset,
     witness_closed_form,
@@ -224,31 +226,32 @@ def test_left_modular_coatoms_match_the_cover_criterion_up_to_l40(lat):
 def test_left_modularity_checks_only_the_covers_of_listed_members(lat, monkeypatch):
     # one meet (m, y) per member y, then, for each member y listed by the
     # failure list of m, two meets per cover x -> y, up to the first strict
-    # pair: for every (lo, hi, m) of L(6)
+    # pair: for every (lo, hi, m) of L(6), members and covers as triples
     l6 = lat(6)
-    meet, join, below = l6.meet_ids, l6.join_ids, l6.covers_down
-    counted_meet = lt.Lattice.meet_ids
+    fields, id_of, below = l6._fields, l6.id_of, l6.covers_down
+    meet, join = pr._meet_fields, pr._join_fields
     calls = []
 
-    def counted(self, i, j):
-        calls.append((i, j))
-        return counted_meet(self, i, j)
+    def counted(p, q):
+        calls.append((p, q))
+        return meet(p, q)
 
-    monkeypatch.setattr(lt.Lattice, "meet_ids", counted)
+    monkeypatch.setattr(st, "_meet_fields", counted)
     verdicts = []
     for hi in range(len(l6)):
         for lo in l6.ideal(hi):
-            members = l6.interval(lo, hi)
+            members = list(lt._interval_fields(fields[lo], fields[hi]))
+            assert sorted(map(id_of.__getitem__, members)) == list(l6.interval(lo, hi))
             for m in members:
                 expected = [(m, y) for y in members]
                 listed = [
                     y
                     for y in members
-                    if meet(m, y) != y and meet(m, y) not in below[y]
+                    if meet(m, y) != y and id_of[meet(m, y)] not in below[id_of[y]]
                 ]
                 holds = True
                 for y in listed:
-                    for x in below[y]:
+                    for x in (fields[i] for i in below[id_of[y]]):
                         expected += [(join(x, m), y), (m, y)]
                         if meet(join(x, m), y) != join(x, meet(m, y)):
                             holds = False
@@ -256,7 +259,7 @@ def test_left_modularity_checks_only_the_covers_of_listed_members(lat, monkeypat
                     if not holds:
                         break
                 calls.clear()
-                verdict = st.is_left_modular_in_interval(l6, lo, hi, m)
+                verdict = st.is_left_modular_in_interval(l6, lo, hi, id_of[m])
                 assert calls == expected and verdict == holds, (lo, hi, m)
                 verdicts.append((verdict, bool(listed)))
     assert {(True, True), (True, False), (False, True)} <= set(verdicts)
@@ -404,9 +407,8 @@ def _reject_2_under_1_to_3(monkeypatch):
     failures = st._cover_failures
     runs = ((1, 1, 2), (2, 1, 2))
 
-    def rejecting(lattice, c, members):
-        extra = (lattice.id_of[(2, 0, 1)],) if lattice._fields[c] in runs else ()
-        return failures(lattice, c, members) + extra
+    def rejecting(c, members):
+        return failures(c, members) + (((2, 0, 1),) if c in runs else ())
 
     monkeypatch.setattr(st, "_cover_failures", rejecting)
 
@@ -422,7 +424,8 @@ def test_comodernism_failure_names_the_rejected_representative(lat, monkeypatch)
     assert report.intervals == cost.pairs(8) - len(l8)  # counted, failing or not
     witness = st.comodernism_witness(l8, lo, top)
     assert l8._fields[witness] == (1, 1, 2)
-    assert st._cover_failures(l8, witness, l8.interval(lo, top))
+    fields = l8._fields
+    assert st._cover_failures(fields[witness], [fields[y] for y in l8.interval(lo, top)])
     # the left-modularity test still passes it: the failure is the rejection
     # alone, as {2} adds no strict cover pair to the lists it is injected in
     assert st.is_left_modular_in_interval(l8, lo, top, witness)
@@ -440,9 +443,10 @@ def test_search_oracle_moves_past_the_rejected_runs(lat, monkeypatch):
     # every candidate of [{2}, {1,2,3}] has a (patched) failure inside it
     lo, top = l8.id_of[(2, 0, 1)], l8.id_of[(1, 1, 3)]
     cands = interval_coatoms(l8, lo, top)
-    ideal = l8.ideal(top)
+    fields = l8._fields
+    ideal = [fields[y] for y in l8.ideal(top)]
     assert cands and all(
-        any(l8.leq_ids(lo, y) for y in st._cover_failures(l8, m, ideal))
+        any(pr._leq_fields(fields[lo], y) for y in st._cover_failures(fields[m], ideal))
         for m in cands
     )
 
@@ -484,10 +488,11 @@ def test_premises_hold_and_walk_what_the_estimate_counts(lat, monkeypatch):
     # one; the members walked are cost.comodernism(n) exactly
     failures, walked = st._cover_failures, []
 
-    def counting(lattice, c, members):
+    def counting(c, members):
+        members = tuple(members)
         walked.append(len(members))
-        found = failures(lattice, c, members)
-        assert not found, (lattice.n, c, found)
+        found = failures(c, members)
+        assert not found, (c, found)
         return found
 
     monkeypatch.setattr(st, "_cover_failures", counting)
@@ -497,18 +502,37 @@ def test_premises_hold_and_walk_what_the_estimate_counts(lat, monkeypatch):
         assert sum(walked) == cost.comodernism(n), n
 
 
+def test_triple_walk_matches_the_id_walk(lat, monkeypatch):
+    # verdict and counterexample ids against the premise walk on a built
+    # lattice, for n <= 40, and under the max-keyed witness for n <= 12; the
+    # report reads only n and id_of of the lattice it is given
+    for n in range(41):
+        report = st.is_comodernistic(lat(n))
+        assert report.counterexample == comodernism_failure_by_ids(lat(n)), n
+        assert report.holds == (report.counterexample is None), n
+        bare = SimpleNamespace(n=n, id_of=lat(n).id_of)
+        assert st.is_comodernistic(bare) == report, n
+    monkeypatch.setattr(st, "_first_coatom", last_coatom)
+    for n in range(13):
+        report = st.is_comodernistic(lat(n))
+        assert report.counterexample == comodernism_failure_by_ids(lat(n), max), n
+        assert report.holds == (n < 4), n
+        bare = SimpleNamespace(n=n, id_of=lat(n).id_of)
+        assert st.is_comodernistic(bare) == report, n
+
+
 def _inject(monkeypatch, coatom, member, lowest=None):
     """Patch the failure lists so that the coatom triple fails on the member
     triple, whenever that member is among those checked (and the lowest of
     them is the triple `lowest`, if given)."""
     failures = st._cover_failures
 
-    def injected(lattice, c, members):
-        found = failures(lattice, c, members)
-        y = lattice.id_of[member]
-        if lattice._fields[c] == coatom and y in members:
-            if lowest is None or lattice._fields[members[0]] == lowest:
-                return found + (y,)
+    def injected(c, members):
+        members = tuple(members)
+        found = failures(c, members)
+        if c == coatom and member in members:
+            if lowest is None or min(members, key=lambda f: (f[2], f[0], f[1])) == lowest:
+                return found + (member,)
         return found
 
     monkeypatch.setattr(st, "_cover_failures", injected)
@@ -550,10 +574,9 @@ def test_failure_list_is_empty_iff_the_coatom_is_left_modular(lat):
     verdicts = []
     for m in range(2, 17):
         lm = lat(m)
-        members = lm.ideal(lm.top_id)
         for c in st.coatoms(lm):
             verdict = st.is_left_modular(lm, c)
-            assert (not st._cover_failures(lm, c, members)) == verdict, (m, c)
+            assert (not st._cover_failures(lm._fields[c], lm._fields)) == verdict, (m, c)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -565,7 +588,7 @@ def test_comodernistic_bound(lat, monkeypatch):
         assert cost.comodernism(n) < cost.ELEMENT * cost.elements(n), n
     assert cost.comodernism(200) == 103_852
     assert cost.comodernism(1091) <= cost.BUDGET < cost.comodernism(1092) == 4_005_924
-    monkeypatch.setattr(st, "_premises", _never)
+    monkeypatch.setattr(st, "_comodernism_failure", _never)
     with pytest.raises(cost.BudgetError, match="comodernism of L\\(1092\\)"):
         st.is_comodernistic(SimpleNamespace(n=1092))
 
