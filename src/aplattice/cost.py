@@ -14,11 +14,14 @@ unless a range, 2-vCPU x86-64 VM, Python 3.11, peak RSS of the process):
   tuples (homology, export) 1.1-1.5 s more, 410-416 MB
 * nonzeros(n), d + 1 per d-face, off the rows of one chain_counts: homology
   of L(11), 1.92M, 1.9-2.4 s, 123 MB
-* pairs(n), lo <= hi, from count_rows: check coatoms 67, 1.5 s, 21 MB
 * comodernism(n), the members its premises walk per m <= n: |L(m)| -
   |L(m-1)|, tau(m-1) and tau(e) for each e | m-1, e > 1, with no build:
   check comodernistic 0..1091, 3,998,120 units, 7.2-7.3 s, 16 MB
-* triples(n), lo <= y <= hi, from count_rows, priced into the labeling scan
+* triples(n), lo <= y <= hi, from ``lattice._pair_rows``, for labelings
+* 4 elements(n) per n: check coatoms, each triple and at most 3 members of
+  its interval up to the top (1..113, 3,982,964, 1.9-2.0 s, 16 MB); check
+  complemented, each triple twice and 2 candidates per element, 1.5 at most
+  on average for n <= 200 (2..113, 3,982,956, 1.9-2.1 s, 17 MB)
 * k(k-1)/2 member pairs of an interval of k elements, priced in
   ``structure``: left-modularity of a run coatom in the whole L(40), 3.71M,
   0.008 s, 16 MB; an upper bound, as the test makes one meet per member
@@ -111,24 +114,10 @@ def nonzeros(n: int) -> int:
     return _first_past(sum(map(mul, row, range(len(row)))) for row in rows)
 
 
-def _pairs(n: int):
-    """Count row m and P(0..m) for m = 0..n, where P(m) counts lo <= hi in
-    L(m): the ideal below an element of size k is L(k), so P(m) is the sum
-    of p(m, k) |L(k)|."""
-    sizes, by_m = [], []
-    for row in lattice.count_rows(valid_n(n)):
-        sizes.append(sum(row))
-        by_m.append(sum(map(mul, row, sizes)))
-        yield row, by_m
-
-
-def pairs(n: int) -> int:
-    return _first_past(by_m[-1] for _, by_m in _pairs(n))
-
-
 def triples(n: int) -> int:
     """lo <= y <= hi in L(n): the sum of p(n, m) P(m)."""
-    return _first_past(sum(map(mul, row, by_m)) for row, by_m in _pairs(n))
+    rows = lattice._pair_rows(valid_n(n))
+    return _first_past(sum(map(mul, row, pairs)) for row, pairs in rows)
 
 
 def comodernism(n: int) -> int:

@@ -179,9 +179,10 @@ class Lattice:
     plain tuples because CPython unpacks a named tuple more slowly, and map
     the result back through ``id_of``, so a query builds neither a
     Progression nor a member set, and no quadratic tables are kept.  Ideals,
-    filters and intervals map ``_interval_fields`` to ids, and raise
-    ValueError for an id outside 0..len-1; ``leq_ids``, ``meet_ids`` and
-    ``join_ids`` are unchecked, and read a negative id from the end.
+    filters and intervals map ``_interval_fields`` to ids; they, ``meet_ids``
+    and ``join_ids`` raise ValueError for an id outside 0..len-1.
+    ``leq_ids`` is unchecked, as its callers in the package validate first,
+    and reads a negative id from the end.
     """
 
     def __init__(self, n: int, fields: tuple[_Fields, ...]):
@@ -211,9 +212,11 @@ class Lattice:
         return _leq_fields(self._fields[i], self._fields[j])
 
     def meet_ids(self, i: int, j: int) -> int:
+        i, j = _valid_id(self, i, "i"), _valid_id(self, j, "j")
         return self.id_of[_meet_fields(self._fields[i], self._fields[j])]
 
     def join_ids(self, i: int, j: int) -> int:
+        i, j = _valid_id(self, i, "i"), _valid_id(self, j, "j")
         return self.id_of[_join_fields(self._fields[i], self._fields[j])]
 
     def ideal(self, x: int) -> tuple[int, ...]:
@@ -307,11 +310,19 @@ def sizes(n_max: int) -> list[int]:
 
 
 def interval_counts(n_max: int) -> list[int]:
-    """For n = 0..n_max, the intervals [lo, hi] of L(n) with lo < hi, in
-    closed form: the ideal below an element of size k is L(k), so each of
-    the p(n, k) elements of size k tops |L(k)| - 1 of them."""
-    size = sizes(n_max)
-    return [sum(map(mul, row, size)) - size[n] for n, row in enumerate(count_rows(n_max))]
+    """For n = 0..n_max, the intervals lo < hi of L(n): its pairs lo <= hi less |L(n)|."""
+    return [pairs[-1] - sum(row) for row, pairs in _pair_rows(n_max)]
+
+
+def _pair_rows(n_max: int):
+    """Count row m and the list P(0..m), lazily for m = 0..n_max, where P(m)
+    counts the pairs lo <= hi of L(m) in closed form: the ideal below an
+    element of size k is L(k), so P(m) is the sum of p(m, k) |L(k)|."""
+    size, pairs = [], []
+    for row in count_rows(n_max):
+        size.append(sum(row))
+        pairs.append(sum(map(mul, row, size)))
+        yield row, pairs
 
 
 def count_progressions_formula(n: int, k: int) -> int:

@@ -23,10 +23,12 @@ Each exhaustive scan decides a candidate once, by an exact rule:
   x -> y into a y on its failure list fails: a failing pair moves up to a
   failing cover pair, only a listed y tops one (its x lies above lo), and
   for a coatom every listed y does (proofs at ``_cover_failures``);
-* endpoint classes: in L(n), n >= 1, a join spans from the smaller first to
+* endpoint keys: in L(n), n >= 1, a join spans from the smaller first to
   the larger last member and a meet is the intersection, so a complement of
-  x holds 1, and n, exactly when x does not.  L(0) keeps the plain scan: its
-  one element is its own complement;
+  x holds 1, and n, exactly when x does not.  The complement scan groups
+  the triples of L(n) by that key, with no build, and tests each x on the
+  opposite key alone, up to its first complement.  L(0) keeps the plain
+  scan: its one element is its own complement;
 * word sweeps: every maximal chain of [lo, y] ends in a cover c -> y with c
   in [lo, y], and ids ascend with size, so one ascending walk of the filter
   of lo builds the label words of every [lo, y].
@@ -36,13 +38,12 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from operator import lt
-from weakref import WeakKeyDictionary
 
 from . import cost
 from .lattice import Lattice, _coatom_fields, _coatom_meet, _embed_fields, _valid_id
-from .lattice import _interval_fields, _project_fields, interval_counts
+from .lattice import _canonical_fields, _interval_fields, _project_fields, interval_counts
 from .numtheory import divisors, is_squarefree, prime_divisors
-from .progression import Progression, _Fields, _join_fields, _leq_fields, _meet_fields
+from .progression import EMPTY, Progression, _Fields, _join_fields, _leq_fields, _meet_fields
 
 
 def coatoms(lattice: Lattice) -> tuple[int, ...]:
@@ -198,50 +199,44 @@ def is_comodernistic(lattice: Lattice) -> ComodernismReport:
 # ---------------------------------------------------------------------------
 # complements
 
-_CLASSES: WeakKeyDictionary = WeakKeyDictionary()  # lattice -> its _opposite_classes
+def _ends(n: int, fields: _Fields) -> int:
+    """The endpoint key of a triple of L(n), n >= 1: 1 if it holds 1, plus 2
+    if it holds n.  A complement of x has the opposite key, 3 less x's."""
+    base, step, length = fields
+    return (base == 1) + 2 * (base + (length - 1) * step == n)
 
 
-def _opposite_classes(lattice: Lattice) -> list:
-    """For each id x, ascending, the ids y that hold 1 exactly when x does
-    not, and n exactly when x does not: the only complements x can have.
-    Every id in L(0), whose one element is its own complement."""
-    n = lattice.n
-    if not n:
-        return [range(len(lattice))]
-    ends = [(b == 1, b + (k - 1) * s == n) for b, s, k in lattice._fields]
-    classes = {}
-    for y, key in enumerate(ends):
-        classes.setdefault(key, []).append(y)
-    return [classes.get((not first, not last), ()) for first, last in ends]
+def _complements(x: _Fields, top: _Fields, candidates):
+    """The candidate triples y with x v y = top and x ^ y = EMPTY, lazily."""
+    return (y for y in candidates if _join_fields(x, y) == top and _meet_fields(x, y) == EMPTY)
 
 
-def _complement_ids(lattice: Lattice, x: int, candidates):
-    """The candidate ids y with x v y = top and x ^ y = bottom, lazily."""
-    top, bottom = lattice.top_id, lattice.bottom_id
-    return (
-        y
-        for y in candidates
-        if lattice.join_ids(x, y) == top and lattice.meet_ids(x, y) == bottom
-    )
+def _uncomplemented(n: int) -> _Fields | None:
+    """The first triple of L(n), n >= 2, with no complement, or None, testing
+    each x in canonical order on the opposite endpoint key up to its first."""
+    classes, top = {}, (1, 1, n)
+    for y in _canonical_fields(n):
+        classes.setdefault(_ends(n, y), []).append(y)
+    for x in _canonical_fields(n):
+        if next(_complements(x, top, classes.get(3 - _ends(n, x), ())), None) is None:
+            return x
+    return None
 
 
 def complements_of(lattice: Lattice, x: int) -> tuple[int, ...]:
     """All y with x v y = top and x ^ y = bottom, ascending."""
-    _valid_id(lattice, x, "x")
-    if lattice not in _CLASSES:
-        _CLASSES[lattice] = _opposite_classes(lattice)
-    return tuple(_complement_ids(lattice, x, _CLASSES[lattice][x]))
+    n, fields = lattice.n, lattice._fields
+    x = fields[_valid_id(lattice, x, "x")]
+    key = 3 - _ends(n, x)  # L(0): its one element is its own complement
+    candidates = (y for y in fields if _ends(n, y) == key) if n else fields
+    return tuple(map(lattice.id_of.__getitem__, _complements(x, fields[-1], candidates)))
 
 
 def is_complemented(lattice: Lattice) -> bool:
-    """Exhaustive: every element has at least one complement.  The scan of
-    each element stops at its first complement."""
+    """Exhaustive: every element has a complement, decided on triples."""
     if lattice.n < 2:
         raise ValueError("complementation is considered for n >= 2")
-    return all(
-        next(_complement_ids(lattice, x, candidates), None) is not None
-        for x, candidates in enumerate(_opposite_classes(lattice))
-    )
+    return _uncomplemented(lattice.n) is None
 
 
 def semicomplement_witness(lattice: Lattice):
@@ -251,18 +246,20 @@ def semicomplement_witness(lattice: Lattice):
 
     The claimed property is verified exhaustively before returning.
     """
-    n = lattice.n
+    return _semicomplement(lattice.n)
+
+
+def _semicomplement(n: int) -> Progression | None:
+    """``semicomplement_witness`` of L(n), checked on triples."""
     if n < 2 or is_squarefree(n - 1):
         return None
     p = next(q for q in prime_divisors(n - 1) if (n - 1) % (q * q) == 0)
     step = (n - 1) // p
     witness = Progression(1 + step, step if p > 2 else 0, p - 1)
-    wid = lattice.id_of[witness]
     # the witness holds neither 1 nor n, so an upper semicomplement holds
-    # both: it is {1, 1+d, .., n} for a divisor d of n-1
-    for d in divisors(n - 1):
-        y = lattice.id_of[(1, d, (n - 1) // d + 1)]
-        if lattice.join_ids(wid, y) == lattice.top_id and y != lattice.top_id:
+    # both: it is {1, 1+d, .., n} for a divisor d of n-1, the top at d = 1
+    for d in divisors(n - 1)[1:]:
+        if _join_fields(witness, (1, d, (n - 1) // d + 1)) == (1, 1, n):
             raise AssertionError(
                 f"{witness} has an upper semicomplement other than the top in L({n})"
             )

@@ -2,11 +2,12 @@
 test, cover-embedding, subset-meet, coatom-meet-table, cross-cut
 subset-fold, interval-coatom, cover-criterion, size-k scan, count
 generating-function, comodernism-scan, id-based premise walk, max-keyed
-witness, per-n comodernism verdict, interval count, closed-form witness, representative witness search, witness-fill, all-pairs left-modularity, complement-scan,
-count-row Moebius and chain-row, quotient-block pnk and chain-value,
-per-m work estimate, Moebius-support,
-column-sweep unit stage, label-word, chain-listing labeling and
-labeling-file helpers that only the tests use."""
+witness, per-n comodernism verdict, interval count, closed-form witness,
+representative witness search, witness-fill, all-pairs left-modularity,
+complement-scan, per-n complement and coatom verdict, count-row Moebius
+and chain-row, quotient-block pnk and chain-value, per-m work estimate,
+Moebius-support, column-sweep unit stage, label-word, chain-listing
+labeling and labeling-file helpers that only the tests use."""
 
 from collections import defaultdict
 from collections.abc import Iterable
@@ -27,7 +28,8 @@ from aplattice.lattice import (
     sizes,
 )
 from aplattice.numtheory import divisors, is_squarefree, omega, prime_divisors, valid_n
-from aplattice.progression import EMPTY, Progression, _leq_fields, _of_fields, leq
+from aplattice.progression import EMPTY, Progression, _join_fields, _leq_fields, _meet_fields
+from aplattice.progression import _of_fields, leq
 from aplattice.structure import (
     EdgeLabeling,
     LabelingVerdict,
@@ -584,31 +586,112 @@ def witnesses_by_fill(lattice: Lattice) -> dict:
 
 
 def left_modular_by_all_pairs(lattice: Lattice, lo: int, hi: int, m: int) -> bool:
-    """(x v m) ^ y == x v (m ^ y) on every pair x < y of members of [lo, hi]:
-    every member pair is tested for comparability and no pair is skipped.
-    The oracle for structure.is_left_modular_in_interval."""
-    members = lattice.interval(lo, hi)
-    meets = [lattice.meet_ids(m, y) for y in members]
+    """(x v m) ^ y == x v (m ^ y) on every pair x < y of members of [lo, hi],
+    by meets and joins of their triples: every member pair is tested for
+    comparability and no pair is skipped.  The oracle for
+    structure.is_left_modular_in_interval."""
+    c, members = lattice._fields[m], [lattice._fields[i] for i in lattice.interval(lo, hi)]
+    meets = [_meet_fields(c, y) for y in members]
     for i, x in enumerate(members):
-        x_join_m = lattice.join_ids(x, m)
+        x_join_m = _join_fields(x, c)
         for y, m_meet_y in zip(members[i + 1 :], meets[i + 1 :]):
-            if not lattice.leq_ids(x, y):  # ids ascend, so y is never below x
+            if not _leq_fields(x, y):  # ids ascend, so y is never below x
                 continue
-            if lattice.meet_ids(x_join_m, y) != lattice.join_ids(x, m_meet_y):
+            if _meet_fields(x_join_m, y) != _join_fields(x, m_meet_y):
                 return False
     return True
 
 
 def complements_by_scan(lattice: Lattice, x: int):
     """Every y with x v y = top and x ^ y = bottom, ascending, lazily: a join
-    and a meet with every element of the lattice.  The oracle for
-    structure.complements_of and structure.is_complemented."""
-    top, bottom = lattice.top_id, lattice.bottom_id
+    and a meet of triples with every element of the lattice.  The oracle for
+    structure.complements_of and structure._uncomplemented."""
+    fields = lattice._fields
+    p, top = fields[x], fields[-1]
     return (
         y
-        for y in range(len(lattice))
-        if lattice.join_ids(x, y) == top and lattice.meet_ids(x, y) == bottom
+        for y, q in enumerate(fields)
+        if _join_fields(p, q) == top and _meet_fields(p, q) == (0, 0, 0)
     )
+
+
+def first_uncomplemented_by_scan(lattice: Lattice) -> int | None:
+    """The first id, ascending, for which the full scan finds no complement,
+    or None."""
+    return next(
+        (x for x in range(len(lattice)) if next(complements_by_scan(lattice, x), None) is None),
+        None,
+    )
+
+
+def first_uncomplemented_by_ids(lattice: Lattice) -> int | None:
+    """The first id, ascending, with no complement among the ids that hold
+    1, and n, exactly when it does not, by a join and a meet of ids with
+    each, or None.  The per-n oracle for the triple scan of cli."""
+    n, top = lattice.n, lattice.top_id
+    ends = [(b == 1, b + (k - 1) * s == n) for b, s, k in lattice._fields]
+    classes = defaultdict(list)
+    for y, key in enumerate(ends):
+        classes[key].append(y)
+    for x, (first, last) in enumerate(ends):
+        if not any(
+            lattice.join_ids(x, y) == top and lattice.meet_ids(x, y) == 0
+            for y in classes[(not first, not last)]
+        ):
+            return x
+    return None
+
+
+def semicomplement_by_ids(lattice: Lattice) -> Progression | None:
+    """The closed-form witness {1 + (n-1)/p, .., n - (n-1)/p}, p the least
+    prime whose square divides n-1, asserted by a join with every id to have
+    the top as its only upper semicomplement; None when n-1 is squarefree.
+    The oracle for structure.semicomplement_witness."""
+    n = lattice.n
+    if is_squarefree(n - 1):
+        return None
+    p = next(q for q in prime_divisors(n - 1) if (n - 1) % (q * q) == 0)
+    step = (n - 1) // p
+    witness = from_set(range(1 + step, n, step))
+    w = lattice.id_of[witness]
+    joins = [y for y in range(len(lattice)) if lattice.join_ids(w, y) == lattice.top_id]
+    assert joins == [lattice.top_id], n
+    return witness
+
+
+def complemented_of_n(n: int) -> tuple[bool, str]:
+    """The verdict and detail of `check complemented` for one n, from its own
+    build, with the complements and the witness checked on ids.  The oracle
+    for the triple scan of cli."""
+    lat = build(n)
+    have = first_uncomplemented_by_ids(lat) is None
+    want = is_squarefree(n - 1)
+    ok = have == want
+    detail = f"complemented={have}, squarefree(n-1)={want}"
+    if not want:
+        witness = semicomplement_by_ids(lat)
+        ok = ok and witness is not None
+        detail += f", semicomplement witness {witness}"
+    return ok, detail
+
+
+def coatoms_of_n(n: int) -> tuple[bool, str]:
+    """The verdict and detail of `check coatoms` for one n: the built covers
+    of the top against the ids below the top with no id between them and
+    the top above them (ids ascend with size, so only larger ids can be).
+    The oracle for the triple scan of cli."""
+    lat = build(n)
+    built = coatoms(lat)
+    top = lat.top_id
+    brute = tuple(
+        i for i in range(top) if not any(lat.leq_ids(i, y) for y in range(top - 1, i, -1))
+    )
+    ok = built == brute
+    detail = f"{len(built)} coatoms"
+    if n >= 4:
+        ok = ok and len(built) == omega(n - 1) + 2
+        detail += f", omega(n-1)+2 = {omega(n - 1) + 2}"
+    return ok, detail
 
 
 def label_word(labeling: EdgeLabeling, chain: tuple[int, ...]) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ import pytest
 from aplattice import cli, cost, moebius, structure
 from aplattice import lattice as lt
 
-from helpers import comodernistic_of_n, last_coatom
+from helpers import coatoms_of_n, comodernistic_of_n, complemented_of_n, last_coatom
 
 
 def run(capsys, *argv):
@@ -168,6 +168,39 @@ def test_check_complemented(capsys):
     code, out, _ = run(capsys, "check", "complemented", "2..10")
     assert code == 0
     assert "semicomplement witness" in out
+
+
+def test_check_complemented_and_coatoms_build_nothing(capsys, monkeypatch):
+    # both scans run on triples: no build, no Lattice, and verdict for
+    # verdict the same bytes as the per-n oracles, which build and decide on
+    # ids (complements by a join and a meet of ids within the endpoint
+    # classes, the witness by a join with every id, the coatoms by the
+    # interval of each id up to the top)
+    complemented = _per_n("complemented", 2, 40, False, complemented_of_n)
+    coatoms = _per_n("coatoms", 1, 40, False, coatoms_of_n)
+    for where in (cli, lt):
+        monkeypatch.setattr(where, "build", _never)
+    monkeypatch.setattr(lt.Lattice, "__init__", _never)
+    assert run(capsys, "check", "complemented", "2..40")[:2] == complemented
+    assert run(capsys, "check", "coatoms", "1..40")[:2] == coatoms
+    assert complemented[0] == coatoms[0] == 0
+    witness = "complemented=False, squarefree(n-1)=False, semicomplement witness {10,19}"
+    assert f"PASS complemented n=28: {witness}\n" in complemented[1]
+    assert "PASS coatoms n=31: 5 coatoms, omega(n-1)+2 = 5\n" in coatoms[1]
+
+
+@pytest.mark.parametrize(
+    "name, lo, admitted, refused",
+    [("complemented", 2, 3_982_956, "4,097,652"), ("coatoms", 1, 3_982_964, "4,097,660")],
+)
+def test_check_complemented_and_coatoms_bound(capsys, monkeypatch, name, lo, admitted, refused):
+    # four units per element of each n: the triples generated, and the
+    # candidates tested or the members read
+    assert check_units(name, lo, 113) == admitted <= cost.BUDGET
+    monkeypatch.setattr(structure, "_uncomplemented", _never)
+    monkeypatch.setattr(cli, "_canonical_fields", _never)
+    code, _, err = run(capsys, "check", name, f"{lo}..114")
+    assert code == 2 and refused in err
 
 
 def _per_n(name, lo, hi, as_json, verdict):

@@ -23,6 +23,7 @@ from aplattice import (
     size_formula,
     structure,
 )
+from aplattice.numtheory import tau
 from helpers import (
     count_progressions_enumerated,
     definition_price_by_elements,
@@ -96,11 +97,44 @@ def test_pairs_and_triples_match_interval_scans(lat):
     for n in range(9):
         ln = lat(n)
         ideals = [ln.ideal(hi) for hi in range(len(ln))]
-        assert cost.pairs(n) == sum(map(len, ideals)), n
+        assert lattice.interval_counts(n)[-1] + len(ln) == sum(map(len, ideals)), n
         triples = sum(
             len(ln.interval(lo, hi)) for hi, lows in enumerate(ideals) for lo in lows
         )
         assert cost.triples(n) == triples, n
+
+
+def _counted(work, items):
+    for item in items:
+        work[0] += 1
+        yield item
+
+
+def test_complement_and_coatom_prices_bound_the_counted_work(monkeypatch):
+    # the triples each scan generates, plus the candidates the complement
+    # scan tests (and the tau(n-1) divisors its witness is checked on) or
+    # the members the coatom scan reads, for every n <= 60 and at the edge
+    work = [0]
+    fields, complements, interval = (
+        lattice._canonical_fields,
+        structure._complements,
+        lattice._interval_fields,
+    )
+    for where in (structure, cli):
+        monkeypatch.setattr(where, "_canonical_fields", lambda n: _counted(work, fields(n)))
+    monkeypatch.setattr(
+        structure, "_complements", lambda x, top, ys: complements(x, top, _counted(work, ys))
+    )
+    monkeypatch.setattr(cli, "_interval_fields", lambda lo, hi: _counted(work, interval(lo, hi)))
+    for n in [*range(1, 61), 113]:
+        size, work[0] = size_formula(n), 0
+        assert cli._coatoms(n)[0]
+        # the top reads itself alone, any other x at least x and the top
+        assert 3 * size - 1 <= work[0] <= check_units("coatoms", n, n), n
+        if n >= 2:
+            work[0] = tau(n - 1)
+            assert cli._complemented(n)[0]
+            assert size < work[0] <= check_units("complemented", n, n), n
 
 
 def test_chain_steps_match_listed_chains(lat):
@@ -261,7 +295,7 @@ SIZED = [
     cost.elements,
     cost.faces,
     cost.nonzeros,
-    cost.pairs,
+    lattice.interval_counts,
     cost.triples,
     cost.chain_steps,
     cost.row_terms,

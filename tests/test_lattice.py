@@ -233,6 +233,18 @@ def test_ideal_filter_interval_reject_an_id_outside_the_lattice(lat, bad):
     assert l5.ideal(0) == (0,) and l5.filter(top) == l5.interval(top, top) == (top,)
 
 
+@pytest.mark.parametrize("name", ["meet_ids", "join_ids"])
+@pytest.mark.parametrize("bad", [-1, "len", True, 1.0])
+def test_meet_and_join_ids_reject_an_id_outside_the_lattice(lat, bad, name):
+    # -1 would read the top from the end, len(L) would raise IndexError
+    l5 = lat(5)
+    bad = len(l5) if bad == "len" else bad
+    for i, j in ((bad, 3), (3, bad), (bad, bad)):
+        with pytest.raises(ValueError):
+            getattr(l5, name)(i, j)
+    assert l5.meet_ids(3, l5.top_id) == l5.join_ids(3, 0) == 3
+
+
 def test_interval_counts_match_the_element_walk(lat):
     counts = lt.interval_counts(200)
     assert counts[:41] == [intervals_by_elements(lat(n)) for n in range(41)]

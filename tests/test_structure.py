@@ -1,6 +1,4 @@
-import gc
 import random
-import weakref
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -19,8 +17,10 @@ from helpers import (
     complements_by_scan,
     edge_labeling_from_text,
     element_set,
+    first_uncomplemented_by_scan,
     from_set,
     interval_coatoms,
+    intervals_by_elements,
     is_left_modular_coatom,
     label_word,
     labeling_by_chains,
@@ -338,7 +338,7 @@ def test_witness_map_counts_the_strict_pairs(lat):
     # the count is summed per hi, never by listing the pairs
     for n in (*range(23), 40):
         report = st.is_comodernistic(lat(n))
-        assert report.intervals == cost.pairs(n) - len(lat(n)), n
+        assert report.intervals == intervals_by_elements(lat(n)), n
         if n == 22:
             assert report.intervals == 33_943
     assert report.intervals == 403_498
@@ -421,7 +421,7 @@ def test_comodernism_failure_names_the_rejected_representative(lat, monkeypatch)
     _reject_2_under_1_to_3(monkeypatch)
     report = st.is_comodernistic(l8)
     assert not report.holds and report.counterexample == (lo, top)
-    assert report.intervals == cost.pairs(8) - len(l8)  # counted, failing or not
+    assert report.intervals == intervals_by_elements(l8)  # counted, failing or not
     witness = st.comodernism_witness(l8, lo, top)
     assert l8._fields[witness] == (1, 1, 2)
     fields = l8._fields
@@ -646,33 +646,13 @@ def test_complements_match_the_full_scan(lat):
             assert st.complements_of(ln, x) == tuple(complements_by_scan(ln, x)), (n, x)
 
 
-def test_complements_build_the_endpoint_classes_once_per_lattice(monkeypatch):
-    calls, original = [], st._opposite_classes
-
-    def counted(lattice):
-        calls.append(lattice.n)
-        return original(lattice)
-
-    monkeypatch.setattr(st, "_opposite_classes", counted)
-    l9 = lt.build(9)
-    listed = [st.complements_of(l9, x) for x in range(len(l9))]
-    assert calls == [9] and listed[0] == (l9.top_id,)
-    assert st.complements_of(lt.build(9), 0) == (l9.top_id,) and calls == [9, 9]
-    # the classes go with their lattice: the cache keeps none alive
-    held, freed = len(st._CLASSES), weakref.ref(l9)
-    assert l9 in st._CLASSES
-    del l9, listed
-    gc.collect()
-    assert freed() is None and len(st._CLASSES) == held - 1
-
-
 def test_is_complemented_matches_the_full_scan(lat):
+    # the triple scan names the first uncomplemented element in id order
     for n in range(2, 31):
         ln = lat(n)
-        scanned = all(
-            next(complements_by_scan(ln, x), None) is not None for x in range(len(ln))
-        )
-        assert st.is_complemented(ln) == scanned, n
+        first = first_uncomplemented_by_scan(ln)
+        assert st._uncomplemented(n) == (None if first is None else ln._fields[first]), n
+        assert st.is_complemented(ln) == (first is None), n
 
 
 def test_complements_examples(lat):
@@ -697,6 +677,9 @@ def test_semicomplement_witnesses(lat):
     assert st.semicomplement_witness(lat(9)) == from_set({5})
     assert st.semicomplement_witness(lat(10)) == from_set({4, 7})
     assert st.semicomplement_witness(lat(7)) is None
+    # both read n alone: a stand-in with no elements answers the same
+    bare = SimpleNamespace(n=10)
+    assert not st.is_complemented(bare) and st.semicomplement_witness(bare) == from_set({4, 7})
 
 
 def test_semicomplement_witness_checked_exhaustively(lat):
