@@ -25,7 +25,6 @@ from .homology import (
 from .lattice import (
     Lattice,
     build,
-    coatom_progressions,
     count_progressions_formula,
     count_rows,
     size_formula,

@@ -18,7 +18,7 @@ import json
 import sys
 from collections.abc import Iterable
 from functools import cache, partial
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import complexes, cost, homology, moebius, structure
 from .lattice import _canonical_fields, _canonical_id, _coatom_fields, _interval_fields, build
@@ -97,13 +97,9 @@ def _admit(what: str, units: int) -> None:
         )
 
 
-def _lattice_units(n: int) -> int:
-    return cost.ELEMENT * cost.elements(n)
-
-
 def _complex_units(n: int) -> int:
     """Build L(n), list its order complex and reduce (or write) every face."""
-    return _lattice_units(n) + cost.faces(n) + cost.nonzeros(n)
+    return cost.build(n) + cost.faces(n) + cost.nonzeros(n)
 
 
 def _engines(n: int, names) -> int:
@@ -136,6 +132,12 @@ def _expected_mobius(n: int) -> int:
     return (1, -1)[n] if n < 2 else classical_mobius(n - 1)
 
 
+def _engine_values(n: int, methods) -> tuple[dict, str]:
+    """M(n) by each engine, as {method value: M(n)} and its k=v listing."""
+    values = {m.value: moebius.mobius_bottom_top(n, m) for m in methods}
+    return values, ", ".join(f"{k}={v}" for k, v in sorted(values.items()))
+
+
 def cmd_mobius(n: int, method_name: str, as_json: bool) -> int:
     if method_name == "all":
         methods = list(MoebiusMethod)
@@ -143,16 +145,12 @@ def cmd_mobius(n: int, method_name: str, as_json: bool) -> int:
         methods = [_METHOD_NAMES[method_name]]
     _admit(f"mobius {n} --method {method_name}", _engines(n, [m.value for m in methods]))
     report = RunReport("mobius", {"n": n, "method": method_name})
-    values = {m.value: moebius.mobius_bottom_top(n, m) for m in methods}
+    values, listing = _engine_values(n, methods)
     expected = _expected_mobius(n)
     agreed = len(set(values.values())) == 1
     value = next(iter(values.values()))
     if len(methods) > 1:
-        report.record(
-            "method agreement",
-            agreed,
-            ", ".join(f"{k}={v}" for k, v in sorted(values.items())),
-        )
+        report.record("method agreement", agreed, listing)
     report.record(
         f"M({n}) matches the classical mu({max(n - 1, 0)})" if n >= 2 else f"M({n})",
         agreed and value == expected,
@@ -164,10 +162,9 @@ def cmd_mobius(n: int, method_name: str, as_json: bool) -> int:
 
 def _theorem1(n: int) -> tuple[bool, str]:
     expected = _expected_mobius(n)
-    values = {m.value: moebius.mobius_bottom_top(n, m) for m in MoebiusMethod}
+    values, listing = _engine_values(n, MoebiusMethod)
     ok = len(set(values.values())) == 1 and values["pnk"] == expected
-    detail = ", ".join(f"{k}={v}" for k, v in sorted(values.items()))
-    return ok, f"{detail}; expected {expected}"
+    return ok, f"{listing}; expected {expected}"
 
 
 def _coatoms(n: int) -> tuple[bool, str]:
@@ -233,16 +230,7 @@ def _each_n(verdict, least: int, units_of):
     """The table entry of a check decided one n at a time: its verdicts over a
     range, lazily, and its estimate summed over the range up to the first n
     past the budget (refusing needs no more)."""
-
-    def units(ns: range) -> int:
-        total = 0
-        for n in ns:
-            total += units_of(n)
-            if total > cost.BUDGET:
-                break
-        return total
-
-    return partial(map, verdict), least, units
+    return partial(map, verdict), least, lambda ns: cost._first_past(accumulate(map(units_of, ns)))
 
 
 # name -> (verdicts of a range, least n, work units of a range).  The coatom
@@ -260,7 +248,7 @@ _CHECKS = {
     "euler": _each_n(
         _euler,
         2,
-        lambda n: _lattice_units(n) + cost.faces(n) + _engines(n, ("pnk", "chains")),
+        lambda n: cost.build(n) + cost.faces(n) + _engines(n, ("pnk", "chains")),
     ),
 }
 
@@ -280,7 +268,7 @@ def cmd_check(name: str, range_text: str, as_json: bool) -> int:
 
 
 def cmd_export(kind: str, n: int, out: str | None) -> int:
-    units = _lattice_units if kind in ("hasse-dot", "lattice-json") else _complex_units
+    units = cost.build if kind in ("hasse-dot", "lattice-json") else _complex_units
     _admit(f"export {kind} --n {n}", units(n))
     lat = build(n)
     if kind == "hasse-dot":

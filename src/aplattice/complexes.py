@@ -30,7 +30,7 @@ from functools import partial
 from itertools import chain, combinations, count
 
 from . import cost
-from .lattice import Lattice, _coatom_meet
+from .lattice import Lattice, _coatoms_meet_empty
 from .numtheory import _divisor_recurrence, valid_n
 
 _Faces = tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
@@ -241,14 +241,14 @@ def crosscut_complex(lattice: Lattice) -> SimplicialComplex:
     the top).  A subset of two or more spans iff its meet is EMPTY, and as a
     meet of coatoms has one representing set (``lattice._coatom_meet``),
     only the whole set can: the faces are every nonempty subset, less the
-    whole set when the rule represents EMPTY.
+    whole set when its meets fold to EMPTY.
     """
     n = lattice.n
     if n < 4:
         raise ValueError("the cross-cut complex is built for n >= 4")
     cs = lattice.covers_down[lattice.top_id]
     k = len(cs)
-    sizes = range(1, k if _coatom_meet(n, (0, 0, 0)) else k + 1)
+    sizes = range(1, k if _coatoms_meet_empty(n) else k + 1)
     return SimplicialComplex(
         k, tuple(tuple(combinations(range(k), size)) for size in sizes), cs
     )

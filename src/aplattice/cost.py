@@ -94,6 +94,11 @@ def elements(n: int) -> int:
     return runs if runs > BUDGET else lattice.size_formula(n)
 
 
+def build(n: int) -> int:
+    """Units of ``lattice.build(n)``: ELEMENT per element."""
+    return ELEMENT * elements(n)
+
+
 def _faces(n: int):
     """Faces of the order complex of L(m), m = 0..n: every chain from the
     bottom to the top but the cover pair, B_m(1) - 1."""
@@ -163,5 +168,5 @@ def engine(n: int, name: str) -> int:
         return isqrt(n)
     if name != "definition":
         raise ValueError(f"unknown engine {name!r}")
-    built = ELEMENT * elements(n)
+    built = build(n)
     return built if built > BUDGET else built + sum(lattice.sizes(n))

@@ -18,14 +18,13 @@ suite validates the shortcut.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, floordiv, mul
 
 from . import cost
 from .numtheory import is_squarefree, prime_divisors, tau, valid_n
 from .progression import (
-    Progression,
     _Fields,
     _join_fields,
     _leq_fields,
@@ -35,20 +34,16 @@ from .progression import (
     render,
 )
 
-def coatom_progressions(n: int) -> tuple[Progression, ...]:
-    """The elements covered by the top of L(n), in canonical order.
+@lru_cache(maxsize=None, typed=True)  # typed: a bool n still fails valid_n
+def _coatom_fields(n: int) -> tuple[_Fields, ...]:
+    """The elements covered by the top of L(n), as (base, step, length)
+    triples in canonical order.
 
     For n >= 3 these are the two runs {1,..,n-1} and {2,..,n} together with
     the progressions {1, 1+p, .., n} for primes p dividing n-1 (when n-1 is
     itself prime that single progression is {1, n}).  At n <= 2 the runs
     are singletons, so those cases are listed explicitly.
     """
-    return tuple(map(_of_fields, _coatom_fields(n)))
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: a bool n still fails valid_n
-def _coatom_fields(n: int) -> tuple[_Fields, ...]:
-    """``coatom_progressions(n)`` as plain (base, step, length) triples."""
     if valid_n(n, 1) <= 2:
         return ((0, 0, 0),) if n == 1 else ((1, 0, 1), (2, 0, 1))
     out = [(1, 1, n - 1), (2, 1, n - 1)]
@@ -78,6 +73,12 @@ def _coatom_meet(m: int, fields: _Fields) -> tuple[_Fields, ...] | None:
         if (m - 1) % e or not (ends and is_squarefree(e)):
             return None
     return tuple(c for c in _coatom_fields(m) if _leq_fields(fields, c)) or None
+
+
+def _coatoms_meet_empty(n: int) -> bool:
+    """Whether the coatoms of L(n), n >= 1, meet to EMPTY, folded from their
+    triples with no number theory of n - 1."""
+    return reduce(_meet_fields, _coatom_fields(n)) == (0, 0, 0)
 
 
 def _valid_id(lattice: Lattice, i, name: str = "id") -> int:
@@ -179,10 +180,11 @@ class Lattice:
     plain tuples because CPython unpacks a named tuple more slowly, and map
     the result back through ``id_of``, so a query builds neither a
     Progression nor a member set, and no quadratic tables are kept.  Ideals,
-    filters and intervals map ``_interval_fields`` to ids; they, ``meet_ids``
-    and ``join_ids`` raise ValueError for an id outside 0..len-1.
-    ``leq_ids`` is unchecked, as its callers in the package validate first,
-    and reads a negative id from the end.
+    filters and intervals map ``_interval_fields`` to ids.  ``interval``,
+    ``ideal``, ``filter``, ``meet_ids`` and ``join_ids`` validate their ids
+    through ``_valid_id``: ValueError for anything but a plain int in
+    0..len-1.  ``leq_ids`` stays unchecked, as its callers in the package
+    validate first, and reads a negative id from the end.
     """
 
     def __init__(self, n: int, fields: tuple[_Fields, ...]):
@@ -229,7 +231,7 @@ class Lattice:
 
     def interval(self, lo: int, hi: int) -> tuple[int, ...]:
         """Ids of the elements between lo <= hi, ascending: ``_interval_fields``."""
-        if not (0 <= lo <= hi < len(self._fields) and self.leq_ids(lo, hi)):
+        if not self.leq_ids(_valid_id(self, lo, "lo"), _valid_id(self, hi, "hi")):
             raise ValueError(f"interval requires ids lo <= hi, got {lo}, {hi}")
         ids = map(self.id_of.__getitem__, _interval_fields(self._fields[lo], self._fields[hi]))
         return tuple(ids if lo == self.bottom_id else sorted(ids))
@@ -283,17 +285,14 @@ def build(n: int) -> Lattice:
     in the canonical (size, base, step) order.  Past the work budget it
     raises cost.BudgetError before building anything.
     """
-    cost.require(f"building L({n})", cost.ELEMENT * cost.elements(n))
+    cost.require(f"building L({n})", cost.build(n))
     return Lattice(n, tuple(_canonical_fields(n)))
 
 
 def size_formula(n: int) -> int:
     """Element count of L(n) from the divisor-sum identity, no construction:
-    1 + n + the sum over a < n of tau(1) + .. + tau(a), in which tau(r)
-    occurs n - r times."""
-    if valid_n(n) == 0:
-        return 1
-    return 1 + n + sum((n - r) * tau(r) for r in range(1, n))
+    the last running sum of ``sizes``."""
+    return sizes(valid_n(n))[-1]
 
 
 def sizes(n_max: int) -> list[int]:

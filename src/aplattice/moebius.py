@@ -16,8 +16,10 @@
 * CoatomMeet: the value of an interval [x, y] is (-1)^k when x is the meet of
   exactly k elements covered by y, and 0 when x is no such meet (Rota's
   cross-cut theorem).  The ideal below y is L(|y|) relabeled, so the value
-  is the rule ``lattice._coatom_meet`` of L(|y|) at x in y's coordinates;
-  M(n) is the rule of L(n) at the empty progression.
+  is the rule ``lattice._coatom_meet`` of L(|y|) at x in y's coordinates.
+  M(n) folds the meets of the coatoms of L(n) instead, with no number
+  theory of n - 1: (-1)^k when all k of them meet to the empty progression,
+  which only the whole set can, and 0 otherwise.
 
 All four agree, and agree with the classical mu(n-1) for n >= 2; the test
 suite enforces this.
@@ -29,7 +31,8 @@ from enum import Enum
 
 from . import cost
 from .complexes import chain_counts
-from .lattice import Lattice, _coatom_meet, _project_fields, _valid_id, build
+from .lattice import Lattice, _coatom_fields, _coatom_meet, _coatoms_meet_empty, _valid_id
+from .lattice import _project_fields, build
 from .numtheory import _divisor_recurrence
 
 
@@ -90,10 +93,6 @@ def _pnk_values(n: int) -> list[int]:
     return [1, *_divisor_recurrence(n, -1, lambda value, q: 1 - q)]
 
 
-def _bottom_top_pnk(n: int) -> int:
-    return _pnk_values(n)[n]
-
-
 def _bottom_top_chains(n: int) -> int:
     if n == 0:
         return 1
@@ -101,8 +100,9 @@ def _bottom_top_chains(n: int) -> int:
 
 
 def _bottom_top_coatoms(n: int) -> int:
-    rep = _coatom_meet(n, (0, 0, 0)) if n else ()  # L(0): bottom = top
-    return 0 if rep is None else (-1) ** len(rep)
+    if n == 0:  # L(0): bottom = top
+        return 1
+    return (-1) ** len(_coatom_fields(n)) if _coatoms_meet_empty(n) else 0
 
 
 def mobius_bottom_top(n: int, method: MoebiusMethod) -> int:
@@ -119,7 +119,7 @@ def mobius_bottom_top(n: int, method: MoebiusMethod) -> int:
         lattice = build(n)
         return _mobius_definition(lattice, lattice.bottom_id, lattice.top_id, {})
     if method is MoebiusMethod.PNK_RECURRENCE:
-        return _bottom_top_pnk(n)
+        return _pnk_values(n)[n]
     if method is MoebiusMethod.CHAIN_ALTERNATING_SUM:
         return _bottom_top_chains(n)
     return _bottom_top_coatoms(n)

@@ -1,13 +1,14 @@
-"""Set-to-progression, canonical-order key, relabeling, member-set, cover
-test, cover-embedding, subset-meet, coatom-meet-table, cross-cut
-subset-fold, interval-coatom, cover-criterion, size-k scan, count
-generating-function, comodernism-scan, id-based premise walk, max-keyed
-witness, per-n comodernism verdict, interval count, closed-form witness,
-representative witness search, witness-fill, all-pairs left-modularity,
-complement-scan, per-n complement and coatom verdict, count-row Moebius
-and chain-row, quotient-block pnk and chain-value, per-m work estimate,
-Moebius-support, column-sweep unit stage, label-word, chain-listing
-labeling and labeling-file helpers that only the tests use."""
+"""Set-to-progression, canonical-order key, relabeling, member-set,
+coatom-progression, cover test, cover-embedding, subset-meet,
+coatom-meet-table, cross-cut subset-fold, interval-coatom,
+cover-criterion, size-k scan, count generating-function, comodernism-scan,
+id-based premise walk, max-keyed witness, per-n comodernism verdict,
+interval count, closed-form witness, representative witness search,
+witness-fill, all-pairs left-modularity, complement-scan, per-n
+complement and coatom verdict, count-row Moebius and chain-row,
+quotient-block pnk and chain-value, per-m work estimate, Moebius-support,
+column-sweep unit stage, label-word, chain-listing labeling and
+labeling-file helpers that only the tests use."""
 
 from collections import defaultdict
 from collections.abc import Iterable
@@ -20,10 +21,10 @@ from aplattice import cost, structure
 from aplattice.complexes import chain_counts
 from aplattice.lattice import (
     Lattice,
+    _coatom_fields,
     _embed_fields,
     _project_fields,
     build,
-    coatom_progressions,
     count_rows,
     sizes,
 )
@@ -82,6 +83,12 @@ def project_progression(p: Progression, host: Progression) -> Progression:
     if not leq(p, host):
         raise ValueError(f"{p} is not contained in {host}")
     return _of_fields(_project_fields(p, host))
+
+
+def coatom_progressions(n: int) -> tuple[Progression, ...]:
+    """The elements covered by the top of L(n), in canonical order: the
+    triples of lattice._coatom_fields as Progressions."""
+    return tuple(map(_of_fields, _coatom_fields(n)))
 
 
 def covers(lattice: Lattice, upper: int, lower: int) -> bool:
@@ -513,12 +520,11 @@ def comodernism_failure_by_ids(lattice: Lattice, pick=min) -> tuple[int, int] | 
     return None
 
 
-def comodernistic_of_n(n: int, pick=min) -> tuple[bool, str]:
-    """The verdict and detail of `check comodernistic` for one n, from its own
-    build and id-based premise walk (its witness taken by `pick`), the
+def comodernistic_of_n(lat: Lattice, pick=min) -> tuple[bool, str]:
+    """The verdict and detail of `check comodernistic` for n, from the built
+    L(n) and an id-based premise walk (its witness taken by `pick`), the
     intervals counted element by element.  The oracle for the range path of
     cli, which reads every n off one walk of triples."""
-    lat = build(n)
     failure = comodernism_failure_by_ids(lat, pick)
     if failure is None:
         return True, f"{intervals_by_elements(lat)} intervals witnessed"
@@ -659,11 +665,11 @@ def semicomplement_by_ids(lattice: Lattice) -> Progression | None:
     return witness
 
 
-def complemented_of_n(n: int) -> tuple[bool, str]:
-    """The verdict and detail of `check complemented` for one n, from its own
-    build, with the complements and the witness checked on ids.  The oracle
+def complemented_of_n(lat: Lattice) -> tuple[bool, str]:
+    """The verdict and detail of `check complemented` for n, from the built
+    L(n), with the complements and the witness checked on ids.  The oracle
     for the triple scan of cli."""
-    lat = build(n)
+    n = lat.n
     have = first_uncomplemented_by_ids(lat) is None
     want = is_squarefree(n - 1)
     ok = have == want
@@ -675,12 +681,12 @@ def complemented_of_n(n: int) -> tuple[bool, str]:
     return ok, detail
 
 
-def coatoms_of_n(n: int) -> tuple[bool, str]:
-    """The verdict and detail of `check coatoms` for one n: the built covers
-    of the top against the ids below the top with no id between them and
-    the top above them (ids ascend with size, so only larger ids can be).
-    The oracle for the triple scan of cli."""
-    lat = build(n)
+def coatoms_of_n(lat: Lattice) -> tuple[bool, str]:
+    """The verdict and detail of `check coatoms` for n, from the built L(n):
+    its covers of the top against the ids below the top with no id between
+    them and the top above them (ids ascend with size, so only larger ids
+    can be).  The oracle for the triple scan of cli."""
+    n = lat.n
     built = coatoms(lat)
     top = lat.top_id
     brute = tuple(

@@ -111,7 +111,7 @@ def test_mobius_pnk_bound_is_exit_2(capsys, monkeypatch):
     assert cost.engine(15875, "pnk") <= cost.BUDGET < cost.engine(15876, "pnk")
     code, out, _ = run(capsys, "mobius", "15875", "--method", "pnk")
     assert code == 0 and "PASS" in out
-    monkeypatch.setattr(moebius, "_bottom_top_pnk", _never)
+    monkeypatch.setattr(moebius, "_pnk_values", _never)
     code, _, err = run(capsys, "mobius", "15876", "--method", "pnk")
     assert code == 2 and "budget" in err
 
@@ -170,14 +170,14 @@ def test_check_complemented(capsys):
     assert "semicomplement witness" in out
 
 
-def test_check_complemented_and_coatoms_build_nothing(capsys, monkeypatch):
+def test_check_complemented_and_coatoms_build_nothing(capsys, monkeypatch, lat):
     # both scans run on triples: no build, no Lattice, and verdict for
-    # verdict the same bytes as the per-n oracles, which build and decide on
-    # ids (complements by a join and a meet of ids within the endpoint
-    # classes, the witness by a join with every id, the coatoms by the
-    # interval of each id up to the top)
-    complemented = _per_n("complemented", 2, 40, False, complemented_of_n)
-    coatoms = _per_n("coatoms", 1, 40, False, coatoms_of_n)
+    # verdict the same bytes as the per-n oracles, which decide on the ids of
+    # the built lattices (complements by a join and a meet of ids within the
+    # endpoint classes, the witness by a join with every id, the coatoms by
+    # the ids below the top with none between them and the top)
+    complemented = _per_n(lat, "complemented", 2, 40, False, complemented_of_n)
+    coatoms = _per_n(lat, "coatoms", 1, 40, False, coatoms_of_n)
     for where in (cli, lt):
         monkeypatch.setattr(where, "build", _never)
     monkeypatch.setattr(lt.Lattice, "__init__", _never)
@@ -203,12 +203,12 @@ def test_check_complemented_and_coatoms_bound(capsys, monkeypatch, name, lo, adm
     assert code == 2 and refused in err
 
 
-def _per_n(name, lo, hi, as_json, verdict):
+def _per_n(lat, name, lo, hi, as_json, verdict):
     """The exit code and output of `check NAME lo..hi`, each n decided on its
-    own by `verdict`."""
+    own by `verdict` of the built L(n), taken from the `lat` fixture."""
     report = cli.RunReport("check", {"name": name, "range": [lo, hi]})
     for n in range(lo, hi + 1):
-        report.record(f"{name} n={n}", *verdict(n))
+        report.record(f"{name} n={n}", *verdict(lat(n)))
     return int(not report.passed), report.to_json() if as_json else report.to_text()
 
 
@@ -225,32 +225,32 @@ def test_check_comodernistic(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])
-def test_check_comodernistic_range_matches_the_per_n_oracle(capsys, flags):
-    # one walk of L(40) against 41 builds and walks, byte for byte
-    expected = _per_n("comodernistic", 0, 40, "--json" in flags, comodernistic_of_n)
+def test_check_comodernistic_range_matches_the_per_n_oracle(capsys, lat, flags):
+    # one walk of L(40) against 41 built lattices and walks, byte for byte
+    expected = _per_n(lat, "comodernistic", 0, 40, "--json" in flags, comodernistic_of_n)
     assert run(capsys, "check", "comodernistic", "0..40", *flags)[:2] == expected
     assert expected[0] == 0
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])
-def test_check_comodernistic_failure_matches_the_per_n_oracle(capsys, monkeypatch, flags):
+def test_check_comodernistic_failure_matches_the_per_n_oracle(capsys, monkeypatch, lat, flags):
     # the walk first fails at m = 4: n = 0..3 pass, and n = 4..8 each name
     # [{}, {1,2,3,4}] by the ids of their own lattice
     monkeypatch.setattr(structure, "_first_coatom", last_coatom)
     broken = partial(comodernistic_of_n, pick=max)
-    expected = _per_n("comodernistic", 0, 8, "--json" in flags, broken)
+    expected = _per_n(lat, "comodernistic", 0, 8, "--json" in flags, broken)
     assert run(capsys, "check", "comodernistic", "0..8", *flags)[:2] == expected
-    verdicts = json.loads(_per_n("comodernistic", 0, 8, True, broken)[1])
+    verdicts = json.loads(_per_n(lat, "comodernistic", 0, 8, True, broken)[1])
     assert [v["passed"] for v in verdicts["verdicts"]] == [True] * 4 + [False] * 5
     assert verdicts["verdicts"][4]["detail"] == "counterexample interval (0, 13)"
     assert verdicts["verdicts"][8]["detail"] == "counterexample interval (0, 49)"
 
 
-def test_check_comodernistic_builds_nothing(capsys, monkeypatch):
+def test_check_comodernistic_builds_nothing(capsys, monkeypatch, lat):
     # the range is read off one walk of triples, held or failing: no build,
     # no Lattice, and the ids of every failing n in closed form
-    holds = _per_n("comodernistic", 0, 40, False, comodernistic_of_n)
-    fails = _per_n("comodernistic", 0, 8, False, partial(comodernistic_of_n, pick=max))
+    holds = _per_n(lat, "comodernistic", 0, 40, False, comodernistic_of_n)
+    fails = _per_n(lat, "comodernistic", 0, 8, False, partial(comodernistic_of_n, pick=max))
     for where in (cli, lt):
         monkeypatch.setattr(where, "build", _never)
     monkeypatch.setattr(lt.Lattice, "__init__", _never)

@@ -8,7 +8,6 @@ from aplattice import (
     boundary_matrix,
     chain_counts,
     cli,
-    coatom_progressions,
     coatoms,
     complexes,
     cost,
@@ -195,7 +194,7 @@ def test_library_requests_admitted():
         ("check euler 2..20", (complexes, "order_complex")),
         ("check euler 2..100000", (complexes, "order_complex")),
         ("mobius 800 --method chains", (moebius, "_bottom_top_chains")),
-        ("mobius 20000 --method pnk", (moebius, "_bottom_top_pnk")),
+        ("mobius 20000 --method pnk", (moebius, "_pnk_values")),
         ("mobius 1000 --method definition", (moebius, "build")),
     ],
 )
@@ -219,7 +218,7 @@ def test_library_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(complexes, "_chain_values", _never)
     with pytest.raises(cost.BudgetError, match="chain counts of L\\(289\\)"):
         chain_counts(289)
-    monkeypatch.setattr(moebius, "_bottom_top_pnk", _never)
+    monkeypatch.setattr(moebius, "_pnk_values", _never)
     with pytest.raises(cost.BudgetError, match="M\\(20000\\) by the pnk engine"):
         mobius_bottom_top(20000, MoebiusMethod.PNK_RECURRENCE)
     monkeypatch.setattr(cost, "BUDGET", 95)
@@ -284,7 +283,7 @@ SIZED = [
     size_formula,
     lattice.sizes,
     lambda n: count_progressions_formula(n, 2),
-    coatom_progressions,
+    lattice._coatom_fields,  # cached by type, so True still fails
     lambda n: gf_coefficients(n, 2),
     lambda n: gf_coefficients(2, n),
     chain_counts,

@@ -214,9 +214,9 @@ def test_ideal_filter_interval(lat):
         l4.interval(i2, i14)
 
 
-@pytest.mark.parametrize("bad", [-1, "len"])
+@pytest.mark.parametrize("bad", [-1, "len", True, 1.0])
 def test_ideal_filter_interval_reject_an_id_outside_the_lattice(lat, bad):
-    # -1 would index the top from the end
+    # -1 would index the top from the end, True would read as id 1
     l5 = lat(5)
     top = l5.top_id
     bad = len(l5) if bad == "len" else bad

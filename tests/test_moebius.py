@@ -3,6 +3,7 @@ from itertools import accumulate
 
 import pytest
 
+from aplattice import complexes as cx
 from aplattice import cost
 from aplattice import lattice as lt
 from aplattice import moebius as mb
@@ -42,6 +43,20 @@ def test_lattice_free_methods_to_30():
     for n in range(31):
         for m in (MM.PNK_RECURRENCE, MM.CHAIN_ALTERNATING_SUM, MM.COATOM_MEET):
             assert mb.mobius_bottom_top(n, m) == expected_m(n), (n, m)
+
+
+def test_coatom_engine_and_crosscut_read_no_squarefree_test(lat, monkeypatch):
+    # both fold the meets of the coatoms of L(n), so the engine's agreement
+    # with mu(n-1) is a check of the coatoms, not a copy of the number theory
+    expected = [expected_m(n) for n in range(301)]
+    f_vectors = [cx.crosscut_complex(lat(n)).f_vector() for n in range(4, 41)]
+
+    def _never(n):
+        raise AssertionError("the squarefree test was read")
+
+    monkeypatch.setattr(lt, "is_squarefree", _never)
+    assert [mb.mobius_bottom_top(n, MM.COATOM_MEET) for n in range(301)] == expected
+    assert [cx.crosscut_complex(lat(n)).f_vector() for n in range(4, 41)] == f_vectors
 
 
 def pnk_by_formula(n):
