@@ -6,24 +6,30 @@ Conventions:
 * The chain complex is augmented: dimension -1 is the single empty face, and
   the 0th boundary matrix is the 1 x f0 all-ones map onto it, so every rank
   reported here is a *reduced* homology rank.
-* A matrix is a plain tuple of sparse columns, each a dict from row to
-  nonzero exact integer; a boundary column of a d-face holds d+1 entries of
-  +-1.  smith_normal_form copies the columns, checks every entry of the
-  copies (plain ints only) and eliminates them in place.
+* A boundary column is the tuple of its facets' rows, in the order
+  itertools.combinations yields the facets, and its entries are implied:
+  the facet at position j of a d-face omits its vertex d - j, so the entry
+  there is (-1)**(d - j).  A general integer matrix, the form
+  smith_normal_form takes, is a plain tuple of sparse columns, each a dict
+  from row to nonzero exact integer; reduced_homology makes that form only
+  for the boundary columns the counter collapses leave.  smith_normal_form
+  copies the columns, checks every entry of the copies (plain ints only)
+  and eliminates them in place.
 * Homology reduces one boundary map per dimension, from the top down, in
   four exact stages.  Clearing (Chen and Kerber, "Persistent homology
   computation with a twist", 2011; over Z the elementary reductions of
   Kaczynski, Mrozek and Slusarek, 1998): the d-faces that were unit pivot
   rows of the (d+1)-st map get no column in the d-th.  Counter collapses,
-  run by reduced_homology in place on the columns boundary_matrix built:
-  every row whose one live entry is +-1 is a pivot, a free-face collapse.
-  Row r holds nothing else, so clearing it needs no column operation and
-  the pivot is fill-free: the row and its column c drop out with one unit
-  divisor and no other column changes.  So two flat counters per row
-  suffice, the number of live columns with an entry there and the sum of
-  their indices; when the count is 1 the sum is the live column.  A pivot
-  subtracts 1 and c from the counters of the rows of column c.  The
-  columns left go to smith_normal_form, which runs the last two stages.
+  run by reduced_homology on the facet rows boundary_matrix built: every
+  row with one live entry is a pivot, a free-face collapse, since every
+  entry of a boundary column is +-1.  Row r holds nothing else, so
+  clearing it needs no column operation and the pivot is fill-free: the
+  row and its column c drop out with one unit divisor and no other column
+  changes.  So two flat counters per row suffice, the number of live
+  columns with an entry there and the sum of their indices; when the count
+  is 1 the sum is the live column.  A pivot subtracts 1 and c from the
+  counters of the rows of column c.  The columns left are signed and go to
+  smith_normal_form, which runs the last two stages.
   Markowitz units: a +-1 entry clears its row by column operations, after
   which the row and the column drop out with one unit divisor; the pivots
   are picked globally to keep fill low (Markowitz, "The elimination form
@@ -55,7 +61,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 
 from . import cost
@@ -64,11 +70,12 @@ from .complexes import SimplicialComplex, reduced_euler_characteristic
 
 def boundary_matrix(
     complex: SimplicialComplex, d: int, cleared: frozenset[int] = frozenset()
-) -> tuple[dict[int, int], ...]:
-    """The d-th boundary map as columns: one row -> value dict per d-face,
-    whose rows index the (d-1)-faces, and removing the j-th vertex of a face
-    contributes sign (-1)**j.  The d-faces whose indices are in `cleared`
-    have no column.
+) -> tuple[tuple[int, ...], ...]:
+    """The d-th boundary map as columns, one per d-face: the rows of its
+    facets, which index the (d-1)-faces, in the order combinations yields
+    them.  The facet at position j omits vertex d - j, so its entry is
+    (-1)**(d - j).  The d-faces whose indices are in `cleared` have no
+    column.
 
     d = 0 maps every vertex to the empty face (the augmentation row 0).
     """
@@ -77,24 +84,24 @@ def boundary_matrix(
     cols = [f for i, f in enumerate(complex.faces(d)) if i not in cleared]
     rows = complex.faces(d - 1) if d else ((),)
     row_of = {f: i for i, f in enumerate(rows)}.__getitem__
-    # combinations yields the facets omitting vertex d, d-1, .., 0 in turn
-    signs = [(-1) ** j for j in reversed(range(d + 1))]
-    return tuple(dict(zip(map(row_of, combinations(face, d)), signs)) for face in cols)
+    return tuple(tuple(map(row_of, combinations(face, d))) for face in cols)
 
 
-def _peel_units(cols: Sequence[dict[int, int]], nrows: int) -> list[int]:
-    """The counter collapses: pivot on every row whose one live entry is
-    +-1, the free-face collapses, until none is left.  Rows are
-    0..nrows-1.  Returns the pivot rows in elimination order; pivot columns
-    are left empty in `cols`, the others untouched.
+def _peel_units(
+    cols: Sequence[tuple[int, ...]], nrows: int
+) -> tuple[list[int], list[bool]]:
+    """The counter collapses on boundary columns of facet rows, every entry
+    +-1: pivot on every row with one live entry, the free-face collapses,
+    until none is left.  Rows are 0..nrows-1.  Returns the pivot rows in
+    elimination order and, per column, whether it is still live.
 
     Two counters per row: the number of live columns with an entry in the
     row, and the sum of their indices.  When the count is 1, the sum is the
     one live column.  Row r holds nothing but the unit in column c, so the
     column operations that would clear it are empty and no other column
-    changes: the pivot only takes c out of the counters of its rows.  A row
-    joins a first-in first-out worklist when its count drops to 1; non-unit
-    singletons stay for smith_normal_form.
+    changes: the pivot only takes c out of the counters of its rows.  The
+    rows of count 1, ascending, start a first-in first-out worklist, and a
+    row joins it when its count drops to 1.
     """
     count = [0] * nrows
     tot = [0] * nrows
@@ -102,23 +109,21 @@ def _peel_units(cols: Sequence[dict[int, int]], nrows: int) -> list[int]:
         for r in col:
             count[r] += 1
             tot[r] += c
-    todo = [r for col in cols for r in col if count[r] == 1]
+    todo = [r for r, k in enumerate(count) if k == 1]
+    live = [True] * len(cols)
     pivots = []
     for r in todo:  # rows appended below are visited too
         if count[r] != 1:
             continue
         c = tot[r]
-        col = cols[c]
-        if col[r] not in (1, -1):
-            continue
-        for i in col:
+        for i in cols[c]:
             count[i] -= 1
             tot[i] -= c
             if count[i] == 1:
                 todo.append(i)
-        col.clear()
+        live[c] = False
         pivots.append(r)
-    return pivots
+    return pivots, live
 
 
 def _eliminate_units(cols: list[dict[int, int]]) -> list[int]:
@@ -361,12 +366,11 @@ def reduced_homology(complex: SimplicialComplex) -> HomologyResult:
     divisors = [()] * (complex.dim + 1)
     paired: list[int] = []  # the unit pivot rows of the map above
     for d in reversed(range(complex.dim + 1)):
-        cleared = frozenset(paired)
-        cols = boundary_matrix(complex, d, cleared)
-        paired = _peel_units(cols, fvec[d - 1] if d else 1)
-        units = (1,) * len(paired)
-        live = [col for col in cols if col]
-        divisors[d] = units + smith_normal_form(live, paired)
+        cols = boundary_matrix(complex, d, frozenset(paired))
+        paired, live = _peel_units(cols, fvec[d - 1] if d else 1)
+        signs = [(-1) ** (d - j) for j in range(d + 1)]
+        left = [dict(zip(col, signs)) for col in compress(cols, live)]
+        divisors[d] = (1,) * len(paired) + smith_normal_form(left, paired)
     ranks = [len(ds) for ds in divisors] + [0]
     free = tuple(
         fvec[d] - ranks[d] - ranks[d + 1] for d in range(complex.dim + 1)

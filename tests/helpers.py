@@ -7,18 +7,19 @@ interval count, closed-form witness, representative witness search,
 witness-fill, all-pairs left-modularity, complement-scan, per-n
 complement and coatom verdict, count-row Moebius and chain-row,
 quotient-block pnk and chain-value, per-m work estimate, Moebius-support,
-column-sweep unit stage, label-word, chain-listing labeling and
-labeling-file helpers that only the tests use."""
+column-sweep unit stage, signed-dict homology route, label-word,
+chain-listing labeling and labeling-file helpers that only the tests use."""
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import combinations, islice, repeat
 from math import isqrt
 from operator import floordiv, mul
 
 from aplattice import cost, structure
-from aplattice.complexes import chain_counts
+from aplattice.complexes import SimplicialComplex, chain_counts
+from aplattice.homology import HomologyResult, smith_normal_form
 from aplattice.lattice import (
     Lattice,
     _coatom_fields,
@@ -442,6 +443,85 @@ def eliminate_units_by_sweep(cols: list[dict[int, int]]) -> list[int]:
             pivots.append(r)
             progress = True
     return pivots
+
+
+def signed_boundary_matrix(
+    complex: SimplicialComplex, d: int, cleared: frozenset[int] = frozenset()
+) -> tuple[dict[int, int], ...]:
+    """The d-th boundary map as row -> value dict columns, one per d-face
+    whose index is not in `cleared`: removing the vertex at position i
+    gives (-1)**i at the row of the (d-1)-face left.  The oracle for
+    homology.boundary_matrix and the signs it implies."""
+    rows = complex.faces(d - 1) if d else ((),)
+    row_of = {f: i for i, f in enumerate(rows)}
+    return tuple(
+        {row_of[face[:i] + face[i + 1 :]]: (-1) ** i for i in range(d + 1)}
+        for k, face in enumerate(complex.faces(d))
+        if k not in cleared
+    )
+
+
+def peel_signed_units(cols: Sequence[dict[int, int]], nrows: int) -> list[int]:
+    """The counter collapses on row -> value dict columns: pivot on every
+    row whose one live entry is +-1 until none is left; a singleton that is
+    not a unit stays.  Returns the pivot rows in elimination order; pivot
+    columns are left empty in `cols`.  The same two counters per row as
+    homology._peel_units, which reads boundary columns with no values."""
+    count = [0] * nrows
+    tot = [0] * nrows
+    for c, col in enumerate(cols):
+        for r in col:
+            count[r] += 1
+            tot[r] += c
+    todo = [r for col in cols for r in col if count[r] == 1]
+    pivots = []
+    for r in todo:  # rows appended below are visited too
+        if count[r] != 1:
+            continue
+        c = tot[r]
+        col = cols[c]
+        if col[r] not in (1, -1):
+            continue
+        for i in col:
+            count[i] -= 1
+            tot[i] -= c
+            if count[i] == 1:
+                todo.append(i)
+        col.clear()
+        pivots.append(r)
+    return pivots
+
+
+def homology_of_divisors(
+    fvec: tuple[int, ...], divisors: Sequence[tuple[int, ...]]
+) -> HomologyResult:
+    """The reduced homology of a complex with f-vector `fvec` whose d-th
+    boundary map has the elementary divisors divisors[d]."""
+    ranks = [len(ds) for ds in divisors] + [0]
+    return HomologyResult(
+        tuple(fvec[d] - ranks[d] - ranks[d + 1] for d in range(len(fvec))),
+        tuple(tuple(v for v in ds if v > 1) for ds in divisors[1:]) + ((),),
+        rank_minus1=1 - ranks[0],
+    )
+
+
+def signed_homology(complex: SimplicialComplex) -> HomologyResult:
+    """reduced_homology by the signed-dict route: each map, cleared by the
+    unit pivot rows of the map above, assembled as dict columns
+    (signed_boundary_matrix), collapsed in place (peel_signed_units), and
+    the columns left put through smith_normal_form.  The oracle for the
+    collapses of homology.reduced_homology on unsigned facet rows."""
+    if complex.dim < 0:
+        return HomologyResult((), (), rank_minus1=1)
+    fvec = complex.f_vector()
+    divisors = [()] * (complex.dim + 1)
+    paired: list[int] = []
+    for d in reversed(range(complex.dim + 1)):
+        cols = signed_boundary_matrix(complex, d, frozenset(paired))
+        paired = peel_signed_units(cols, fvec[d - 1] if d else 1)
+        live = [col for col in cols if col]
+        divisors[d] = (1,) * len(paired) + smith_normal_form(live, paired)
+    return homology_of_divisors(fvec, divisors)
 
 
 def comodernism_by_scan(lattice: Lattice) -> dict:

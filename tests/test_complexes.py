@@ -291,15 +291,28 @@ def test_counts_build_no_face(lat, monkeypatch):
 
 def test_chain_table_assertion_guards_the_walk(lat, monkeypatch):
     # dropping one comparable pair from the walk must trip the assertion
-    filter_ = lt.Lattice.filter
+    L, interval = lat(6), cx._interval_fields
 
-    def lossy(self, x):
-        ids = filter_(self, x)
-        return ids[:1] + ids[2:] if x == 1 else ids  # ids[1] is below the top
+    def lossy(lo, hi):
+        ups = sorted(interval(lo, hi), key=L.id_of.__getitem__)
+        # ups[1] is below the top
+        return ups[:1] + ups[2:] if lo == L._fields[1] else ups
 
-    monkeypatch.setattr(lt.Lattice, "filter", lossy)
+    monkeypatch.setattr(cx, "_interval_fields", lossy)
     with pytest.raises(AssertionError, match="chain recurrence"):
-        cx.order_complex(lat(6))
+        cx.order_complex(L)
+
+
+def test_order_complex_checks_no_id(lat, monkeypatch):
+    # the walk reads the ids it listed itself, so it validates none
+    before = {n: cx.order_complex(lat(n)).faces_by_dim for n in range(2, 10)}
+
+    def no_check(*args):
+        raise AssertionError("an id was validated")
+
+    monkeypatch.setattr(lt, "_valid_id", no_check)
+    for n in range(2, 10):
+        assert cx.order_complex(lat(n)).faces_by_dim == before[n], n
 
 
 def test_crosscut_shapes(lat):

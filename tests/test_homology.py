@@ -10,7 +10,13 @@ from aplattice import complexes as cx
 from aplattice import homology as hm
 from aplattice import numtheory as nt
 
-from helpers import eliminate_units_by_sweep
+from helpers import (
+    eliminate_units_by_sweep,
+    homology_of_divisors,
+    peel_signed_units,
+    signed_boundary_matrix,
+    signed_homology,
+)
 
 
 def rational_rank(entries):
@@ -59,6 +65,20 @@ def sparse(entries):
     cols = len(entries[0]) if entries else 0
     return tuple(
         {i: row[j] for i, row in enumerate(entries) if row[j]} for j in range(cols)
+    )
+
+
+def signed(cols, d):
+    """The row -> value dict view of the boundary columns `cols` of the
+    d-th map: the facet at position j holds (-1)**(d - j)."""
+    signs = [(-1) ** (d - j) for j in range(d + 1)]
+    return tuple(dict(zip(col, signs)) for col in cols)
+
+
+def unit_shadow(entries):
+    """The +-1 columns with the signs of the nonzero entries of a grid."""
+    return tuple(
+        {r: 1 if v > 0 else -1 for r, v in col.items()} for col in sparse(entries)
     )
 
 
@@ -188,7 +208,7 @@ def test_snf_exact_beyond_64_bits():
 def test_snf_without_unit_entries_skips_unit_stage():
     for entries in unitless_grids():
         columns = [dict(col) for col in sparse(entries)]
-        assert hm._peel_units(columns, len(entries)) == []  # no pivot row
+        assert peel_signed_units(columns, len(entries)) == []  # no pivot row
         assert hm._eliminate_units(columns) == []
         assert columns == list(sparse(entries))
         assert_snf_matches_oracles(entries)
@@ -229,24 +249,36 @@ def test_smith_normal_form_rejects_malformed_columns():
     assert sparse(((1, 2), (0, 3))) == ({0: 1}, {0: 2, 1: 3})
 
 
-def test_boundary_matrix_examples():
+def test_boundary_matrix_examples(lat):
     triangle = cx.SimplicialComplex(3, (((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2))))
-    assert hm.boundary_matrix(triangle, 0) == ({0: 1},) * 3
+    assert hm.boundary_matrix(triangle, 0) == ((0,),) * 3
     b1 = hm.boundary_matrix(triangle, 1)
-    assert b1 == ({0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1})
-    assert len(hm.smith_normal_form(b1)) == 2
+    assert b1 == ((0, 1), (0, 2), (1, 2))
+    assert signed(b1, 1) == ({0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1})
+    assert len(hm.smith_normal_form(signed(b1, 1))) == 2
+    assert hm.boundary_matrix(triangle, 1, frozenset({0, 2})) == ((0, 2),)
     with pytest.raises(ValueError):
         hm.boundary_matrix(triangle, 2)
 
     points = cx.SimplicialComplex(3, (((0,), (1,), (2,)),))
-    assert hm.boundary_matrix(points, 0) == ({0: 1},) * 3
+    assert hm.boundary_matrix(points, 0) == ((0,),) * 3
+
+    # the signs the facet order implies are those of the dict oracle, with
+    # and without cleared faces
+    for c in (RP2, cx.order_complex(lat(7)), cx.crosscut_complex(lat(8))):
+        for d in range(c.dim + 1):
+            for cleared in (frozenset(), frozenset(range(0, len(c.faces(d)), 3))):
+                assert signed(hm.boundary_matrix(c, d, cleared), d) == (
+                    signed_boundary_matrix(c, d, cleared)
+                ), (c.f_vector(), d)
 
 
 def assert_boundary_squares_to_zero(complex, label):
-    """Compose each pair of consecutive boundary maps column by column."""
+    """Compose each pair of consecutive boundary maps, in their signed view,
+    column by column."""
     for d in range(1, complex.dim + 1):
-        lower = hm.boundary_matrix(complex, d - 1)
-        upper = hm.boundary_matrix(complex, d)
+        lower = signed(hm.boundary_matrix(complex, d - 1), d - 1)
+        upper = signed(hm.boundary_matrix(complex, d), d)
         assert len(lower) == complex.f_vector()[d - 1]
         for col in upper:
             assert all(0 <= r < len(lower) for r in col), (label, d, col)
@@ -262,23 +294,23 @@ def order_complexes(lat):
     """n -> (the order complex of L(n), its reduced_homology, and the
     (d, cleared map, divisors) of each map reduced_homology reduced, from
     the top down) for n = 2..11, built once for the module; the faces stay
-    decoded.  A cleared map is a copy of the columns boundary_matrix built,
-    taken before the counter collapses empty some of them in place.  A map's
-    divisors are the units of its counter collapses, then the divisors
-    smith_normal_form found for the columns left."""
+    decoded.  A cleared map is the tuple of facet-row columns boundary_matrix
+    built; signed(map, d) is its signed view.  A map's divisors are the units
+    of its counter collapses, then the divisors smith_normal_form found for
+    the columns left."""
     boundary, peel = hm.boundary_matrix, hm._peel_units
     snf = hm.smith_normal_form
     maps = []
 
     def recorded_boundary(complex, d, cleared=frozenset()):
         cols = boundary(complex, d, cleared)
-        maps.append((d, tuple(map(dict, cols))))
+        maps.append((d, cols))
         return cols
 
     def recorded_peel(cols, nrows):
-        pivots = peel(cols, nrows)
+        pivots, live = peel(cols, nrows)
         maps[-1] += ((1,) * len(pivots),)
-        return pivots
+        return pivots, live
 
     def recorded_snf(columns, unit_rows=None):
         divisors = snf(columns, unit_rows)
@@ -374,23 +406,16 @@ def test_projective_plane_detects_torsion():
 
 
 def uncleared_homology(complex):
-    """Oracle: every boundary map reduced on its own, with all of its
-    columns; no face is cleared."""
+    """Oracle: every boundary map, assembled as dict columns by the oracle
+    signed_boundary_matrix, reduced on its own with all of its columns; no
+    face is cleared and nothing collapsed first."""
     if complex.dim < 0:
         return hm.HomologyResult((), (), rank_minus1=1)
     divisors = [
-        hm.smith_normal_form(hm.boundary_matrix(complex, d))
+        hm.smith_normal_form(signed_boundary_matrix(complex, d))
         for d in range(complex.dim + 1)
     ]
-    ranks = [len(ds) for ds in divisors] + [0]
-    fvec = complex.f_vector()
-    return hm.HomologyResult(
-        tuple(fvec[d] - ranks[d] - ranks[d + 1] for d in range(complex.dim + 1)),
-        tuple(
-            tuple(v for v in ds if v > 1) for ds in divisors[1:]
-        ) + ((),),
-        rank_minus1=1 - ranks[0],
-    )
+    return homology_of_divisors(complex.f_vector(), divisors)
 
 
 def pseudo_projective_plane(k, ring, first):
@@ -451,6 +476,19 @@ def test_clearing_matches_the_uncleared_route(lat, order_complexes):
         assert res == uncleared_homology(c), c.faces_by_dim
         with_torsion += any(res.torsion)
     assert with_torsion >= 50
+
+
+def test_reduced_homology_matches_the_signed_dict_route(order_complexes):
+    # the collapses on unsigned facet rows against the signed-dict route
+    # they replace, on the complexes whose maps they reduce
+    for n in range(2, 12):
+        c, res, _ = order_complexes[n]
+        assert res == signed_homology(c), ("order", n)
+    assert hm.reduced_homology(RP2) == signed_homology(RP2) == uncleared_homology(RP2)
+    rng = random.Random(909)
+    for _ in range(60):
+        c = random_torsion_complex(rng)
+        assert hm.reduced_homology(c) == signed_homology(c), c.faces_by_dim
 
 
 def test_order_complex_homology_small(order_complexes):
@@ -539,15 +577,15 @@ def snf_by_sweep(mat):
 
 
 def peel_then_snf(mat, nrows, unit_rows=None):
-    """The divisors of `mat` as reduced_homology finds them for one map: the
-    counter collapses on a copy, then smith_normal_form on what is left.
-    The pivot rows of both are appended to `unit_rows` if given."""
-    cols = [dict(col) for col in mat]
-    pivots = hm._peel_units(cols, nrows)
+    """The divisors of the +-1 columns `mat` as reduced_homology finds them
+    for one map: the counter collapses on their rows, then smith_normal_form
+    on the columns left.  The pivot rows of both are appended to `unit_rows`
+    if given."""
+    pivots, live = hm._peel_units(tuple(map(tuple, mat)), nrows)
     if unit_rows is not None:
         unit_rows.extend(pivots)
-    live = [col for col in cols if col]
-    return (1,) * len(pivots) + hm.smith_normal_form(live, unit_rows)
+    left = [col for col, alive in zip(mat, live) if alive]
+    return (1,) * len(pivots) + hm.smith_normal_form(left, unit_rows)
 
 
 def test_unit_stages_agree_on_random_snf_families():
@@ -560,45 +598,50 @@ def test_unit_stages_agree_on_random_snf_families():
     for entries in grids:
         mat = sparse(entries)
         assert hm.smith_normal_form(mat) == snf_by_sweep(mat), entries
-        assert peel_then_snf(mat, len(entries)) == snf_by_sweep(mat), entries
-        assert_unit_postcondition(mat, len(entries), entries)
+        assert_markowitz_postcondition([dict(col) for col in mat], [], entries)
+        # the counter collapses read only where the entries are, so they
+        # run on the +-1 grid of the same shape
+        units = unit_shadow(entries)
+        assert peel_then_snf(units, len(entries)) == snf_by_sweep(units), entries
+        assert_unit_postcondition(units, len(entries), entries)
 
 
 def peel_checked(mat, nrows, label):
-    """Run the counter stage on a copy of `mat` and replay its pivots with a
-    recount of each row's live columns: each pivot row holds exactly one
-    live entry, of +-1, when it is taken, and the replay leaves the copy the
-    stage left, in which no live row holds exactly one live entry of +-1.
-    Returns the copy and the pivot rows."""
-    cols = [dict(col) for col in mat]
-    pivots = hm._peel_units(cols, nrows)
+    """Run the counter stage on the rows of the +-1 columns `mat` and replay
+    its pivots with a recount of each row's live columns: each pivot row
+    holds exactly one live entry when it is taken, the replay leaves the
+    columns the stage reports live, and no row is left with exactly one
+    live entry.  Returns copies of the live columns and the pivot rows."""
+    pivots, live = hm._peel_units(tuple(map(tuple, mat)), nrows)
     where = [set() for _ in range(nrows)]
     for c, col in enumerate(mat):
         for r in col:
             where[r].add(c)
-    left = [dict(col) for col in mat]
+    alive = [True] * len(mat)
     for r in pivots:
         assert len(where[r]) == 1, (label, r)
         (c,) = where[r]
-        assert left[c][r] in (1, -1), (label, r)
-        for i in left[c]:
+        for i in mat[c]:
             where[i].discard(c)
-        left[c] = {}
-    assert left == cols, label
-    for r, ks in enumerate(where):
-        assert not (len(ks) == 1 and cols[min(ks)][r] in (1, -1)), (label, r)
-    return cols, pivots
+        alive[c] = False
+    assert alive == live, label
+    assert not any(len(ks) == 1 for ks in where), label
+    return [dict(col) for col, a in zip(mat, live) if a], pivots
 
 
-def assert_unit_postcondition(mat, nrows, label):
-    """After the counter stage, its postcondition (peel_checked); after the
-    Markowitz stage on what is left, no live column holds +-1 or a pivot row
-    of either stage."""
-    cols, pivots = peel_checked(mat, nrows, label)
+def assert_markowitz_postcondition(cols, pivots, label):
+    """After the Markowitz stage on `cols`, no live column holds +-1 or a
+    pivot row of that stage or of `pivots`."""
     pivots = set(pivots).union(hm._eliminate_units(cols))
     for col in cols:
         assert not any(v in (1, -1) for v in col.values()), label
         assert pivots.isdisjoint(col), label
+
+
+def assert_unit_postcondition(mat, nrows, label):
+    """The +-1 columns `mat` after the counter stage, its postcondition
+    (peel_checked); after the Markowitz stage on what is left, its own."""
+    assert_markowitz_postcondition(*peel_checked(mat, nrows, label), label)
 
 
 def test_unit_stage_returns_to_a_row_an_update_gave_a_unit():
@@ -607,7 +650,7 @@ def test_unit_stage_returns_to_a_row_an_update_gave_a_unit():
     mat = ({0: 2, 1: 1}, {0: 3, 1: 1}, {0: 2, 1: 2})
     cols = [dict(col) for col in mat]
     assert sorted(hm._eliminate_units(cols)) == [0, 1]
-    assert_unit_postcondition(mat, 2, "revisit")
+    assert_markowitz_postcondition([dict(col) for col in mat], [], "revisit")
     assert hm.smith_normal_form(mat) == snf_by_sweep(mat) == (1, 1)
 
 
@@ -619,18 +662,26 @@ def test_unit_stage_rekeys_a_row_whose_count_fell():
     cols = [dict(col) for col in mat]
     assert hm._eliminate_units(cols) == [2, 0]
     assert cols == [{}, {}, {1: 2}]
-    assert_unit_postcondition(mat, 3, "re-key")
+    assert_markowitz_postcondition([dict(col) for col in mat], [], "re-key")
     assert hm.smith_normal_form(mat) == snf_by_sweep(mat) == (1, 1, 2)
 
 
-def test_counter_stage_collapses_a_cascade_and_leaves_non_units():
-    # row 3 frees column 2, which frees row 1 in column 0; rows 2 and 0 are
-    # left as singletons of 2 in column 1, so both stay
-    mat = ({0: 1, 1: -1}, {0: 2, 2: 2}, {1: 1, 3: -1})
-    cols, pivots = peel_checked(mat, 4, "cascade")
-    assert pivots == [3, 1]
-    assert cols == [{}, {0: 2, 2: 2}, {}]
-    assert peel_then_snf(mat, 4) == snf_by_sweep(mat) == (1, 1, 2)
+def test_counter_stage_collapses_a_cascade_and_leaves_a_cycle():
+    # a hollow triangle on 0, 1, 2 with the tail 2-3-4: row 4 frees edge
+    # (3, 4), which frees row 3 in edge (2, 3); rows 0, 1 and 2 are left
+    # with two live entries each, so the triangle's edges stay
+    graph = cx.SimplicialComplex(
+        5, (tuple((v,) for v in range(5)), ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)))
+    )
+    cols = hm.boundary_matrix(graph, 1)
+    assert cols == ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))
+    assert hm._peel_units(cols, 5) == ([4, 3], [True, True, True, False, False])
+    mat = signed(cols, 1)
+    left, pivots = peel_checked(mat, 5, "cascade")
+    assert pivots == [4, 3]
+    assert left == list(mat[:3])
+    assert peel_then_snf(mat, 5) == snf_by_sweep(mat) == (1, 1, 1, 1)
+    assert hm.reduced_homology(graph).nonzero() == {1: (1, ())}
 
 
 def test_smith_normal_form_keeps_the_callers_row_ids():
@@ -666,7 +717,7 @@ def assert_unit_stages_agree(complex, label):
     paired = []
     fvec = complex.f_vector()
     for d in reversed(range(complex.dim + 1)):
-        mat = hm.boundary_matrix(complex, d, frozenset(paired))
+        mat = signed(hm.boundary_matrix(complex, d, frozenset(paired)), d)
         nrows = fvec[d - 1] if d else 1
         paired = []
         assert peel_then_snf(mat, nrows, paired) == snf_by_sweep(mat), (label, d)
@@ -680,7 +731,8 @@ def test_unit_stages_agree_on_cleared_order_complex_maps(order_complexes):
         c, _, maps = order_complexes[n]
         fvec = c.f_vector()
         assert [d for d, _, _ in maps] == list(reversed(range(c.dim + 1))), n
-        for d, mat, divisors in maps:
+        for d, cols, divisors in maps:
+            mat = signed(cols, d)
             assert snf_by_sweep(mat) == divisors, (n, d)
             assert_unit_postcondition(mat, fvec[d - 1] if d else 1, ("order", n, d))
 
