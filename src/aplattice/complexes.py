@@ -30,7 +30,7 @@ from functools import partial
 from itertools import chain, combinations, count
 
 from . import cost
-from .lattice import Lattice, _coatoms_meet_empty, _interval_fields
+from .lattice import Lattice, _coatoms_meet_empty
 from .numtheory import _divisor_recurrence, valid_n
 
 _Faces = tuple[tuple[tuple[int, ...], ...], ...]  # index = dimension
@@ -197,17 +197,9 @@ def order_complex(lattice: Lattice) -> SimplicialComplex:
     cost.require(f"the order complex of L({n})", cost.faces(n))
     top = lattice.top_id
     vertices = range(1, top)  # lattice ids, bottom and top dropped
-    fields, id_of = lattice._fields, lattice.id_of.__getitem__
-    # vertex i is lattice id i + 1; the ids above v, ascending, as filter(v)
-    # lists them, read from the fields with no id check
-    ups = tuple(
-        tuple(
-            w - 1
-            for w in sorted(map(id_of, _interval_fields(fields[v], fields[top])))
-            if v < w < top
-        )
-        for v in vertices
-    )
+    # vertex i is lattice id i + 1; the ids strictly between v and the top,
+    # ascending, by the lattice's unchecked walk
+    ups = tuple(tuple(w - 1 for w in lattice._ids(v, top)[1:-1]) for v in vertices)
     counts = []
     mult = [1] * len(ups)  # mult[v] = number of d-faces that end at v
     while any(mult):

@@ -81,7 +81,7 @@ def _coatoms_meet_empty(n: int) -> bool:
     return reduce(_meet_fields, _coatom_fields(n)) == (0, 0, 0)
 
 
-def _valid_id(lattice: Lattice, i, name: str = "id") -> int:
+def _valid_id(lattice: Lattice, i, name: str) -> int:
     """i itself if it is an id of the lattice, a plain int below its size;
     ValueError otherwise."""
     if valid_n(i, name=name) >= len(lattice._fields):
@@ -179,12 +179,11 @@ class Lattice:
     The id queries run the closed forms of ``progression`` on ``_fields``,
     plain tuples because CPython unpacks a named tuple more slowly, and map
     the result back through ``id_of``, so a query builds neither a
-    Progression nor a member set, and no quadratic tables are kept.  Ideals,
-    filters and intervals map ``_interval_fields`` to ids.  ``interval``,
-    ``ideal``, ``filter``, ``meet_ids`` and ``join_ids`` validate their ids
-    through ``_valid_id``: ValueError for anything but a plain int in
-    0..len-1.  ``leq_ids`` stays unchecked, as its callers in the package
-    validate first, and reads a negative id from the end.
+    Progression nor a member set, and no quadratic tables are kept.  Every
+    public id method validates its ids through ``_valid_id``: ValueError for
+    anything but a plain int in 0..len-1.  ``_ids`` is the one internal walk
+    from interval triples to ids, unchecked, for callers in the package that
+    pass ids they listed themselves.
     """
 
     def __init__(self, n: int, fields: tuple[_Fields, ...]):
@@ -208,10 +207,12 @@ class Lattice:
         return f"Lattice(n={self.n}, size={len(self)})"
 
     def size_of(self, i: int) -> int:
-        return self._fields[i][2]
+        return self._fields[_valid_id(self, i, "i")][2]
 
-    def leq_ids(self, i: int, j: int) -> bool:
-        return _leq_fields(self._fields[i], self._fields[j])
+    def leq_ids(self, lo: int, hi: int) -> bool:
+        """Whether lo <= hi."""
+        lo, hi = _valid_id(self, lo, "lo"), _valid_id(self, hi, "hi")
+        return _leq_fields(self._fields[lo], self._fields[hi])
 
     def meet_ids(self, i: int, j: int) -> int:
         i, j = _valid_id(self, i, "i"), _valid_id(self, j, "j")
@@ -223,16 +224,21 @@ class Lattice:
 
     def ideal(self, x: int) -> tuple[int, ...]:
         """Ids of all elements <= x, ascending: L(|x|) embedded into x."""
-        return self.interval(self.bottom_id, x)
+        return self._ids(self.bottom_id, _valid_id(self, x, "x"))
 
     def filter(self, x: int) -> tuple[int, ...]:
         """Ids of all elements >= x, ascending."""
-        return self.interval(x, self.top_id)
+        return self._ids(_valid_id(self, x, "x"), self.top_id)
 
     def interval(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Ids of the elements between lo <= hi, ascending: ``_interval_fields``."""
-        if not self.leq_ids(_valid_id(self, lo, "lo"), _valid_id(self, hi, "hi")):
+        """Ids of the elements between lo <= hi, ascending."""
+        if not self.leq_ids(lo, hi):
             raise ValueError(f"interval requires ids lo <= hi, got {lo}, {hi}")
+        return self._ids(lo, hi)
+
+    def _ids(self, lo: int, hi: int) -> tuple[int, ...]:
+        """``interval`` with no id check: ``_interval_fields`` mapped through
+        ``id_of``, ascending as listed when lo is the bottom."""
         ids = map(self.id_of.__getitem__, _interval_fields(self._fields[lo], self._fields[hi]))
         return tuple(ids if lo == self.bottom_id else sorted(ids))
 

@@ -31,7 +31,7 @@ from enum import Enum
 
 from . import cost
 from .complexes import chain_counts
-from .lattice import Lattice, _coatom_fields, _coatom_meet, _coatoms_meet_empty, _valid_id
+from .lattice import Lattice, _coatom_fields, _coatom_meet, _coatoms_meet_empty
 from .lattice import _project_fields, build
 from .numtheory import _divisor_recurrence
 
@@ -46,14 +46,13 @@ class MoebiusMethod(Enum):
 def _mobius_definition(lattice: Lattice, lo: int, hi: int, memo: dict) -> int:
     if lo == hi:
         return 1
-    key = ("size", lattice.size_of(hi)) if lo == lattice.bottom_id else (lo, hi)
+    key = ("size", lattice._fields[hi][2]) if lo == lattice.bottom_id else (lo, hi)
     cached = memo.get(key)
     if cached is not None:
         return cached
     total = 0
-    for z in lattice.interval(lo, hi):
-        if z != hi:
-            total += _mobius_definition(lattice, lo, z, memo)
+    for z in lattice._ids(lo, hi)[:-1]:  # hi, the largest, comes last
+        total += _mobius_definition(lattice, lo, z, memo)
     memo[key] = -total
     return -total
 
@@ -79,7 +78,7 @@ def mobius_interval(
     relabeling of the ideal below hi onto L(|hi|).  The other two methods
     only make sense for the whole lattice, use mobius_bottom_top for those.
     """
-    if not lattice.leq_ids(_valid_id(lattice, lo, "lo"), _valid_id(lattice, hi, "hi")):
+    if not lattice.leq_ids(lo, hi):
         raise ValueError(f"mobius_interval requires lo <= hi, got ids {lo}, {hi}")
     if method is MoebiusMethod.DEFINITION:
         return _mobius_definition(lattice, lo, hi, {})

@@ -9,7 +9,6 @@ works with.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from functools import lru_cache
 
 
 def valid_n(n, least: int = 0, name: str = "n") -> int:
@@ -50,7 +49,6 @@ def _divisor_recurrence(n: int, first: int, step: Callable) -> Iterator[int]:
         yield value
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of n >= 1 by trial division, primes
     strictly increasing; factorize(1) is ()."""

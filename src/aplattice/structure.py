@@ -134,8 +134,7 @@ def comodernism_witness(lattice: Lattice, lo: int, hi: int) -> int:
     """The left-modular coatom that ``is_comodernistic`` checks for [lo, hi]:
     its first coatom by step, then base.  ValueError unless lo and hi are
     ids of the lattice with lo < hi."""
-    lo, hi = _valid_id(lattice, lo, "lo"), _valid_id(lattice, hi, "hi")
-    if lo == hi or not lattice.leq_ids(lo, hi):
+    if not lattice.leq_ids(lo, hi) or lo == hi:
         raise ValueError(f"a witness needs lo < hi, got ids {lo}, {hi}")
     covers = [lattice._fields[c] for c in lattice.covers_down[hi]]
     return lattice.id_of[_first_coatom(lattice._fields[lo], covers)]
@@ -308,11 +307,11 @@ def _scan_labeling(labeling: EdgeLabeling, check_lex: bool):
     lattice = labeling.lattice
     n = lattice.n
     cost.require(f"the labeling scan of L({n})", cost.chain_steps(n) + cost.triples(n))
-    labels, covers_down = labeling.labels, lattice.covers_down
+    labels, covers_down, top = labeling.labels, lattice.covers_down, lattice.top_id
     rising_failures, lex_failures, ties = [], [], []
     for lo in range(len(lattice)):
         words = {lo: [()]}  # words[y]: the label words of [lo, y]
-        for hi in lattice.filter(lo)[1:]:
+        for hi in lattice._ids(lo, top)[1:]:
             words[hi] = hi_words = [
                 w + (labels[(c, hi)],)
                 for c in covers_down[hi]

@@ -6,6 +6,7 @@ from aplattice import complexes as cx
 from aplattice import lattice as lt
 from aplattice import moebius as mb
 from aplattice import progression as pr
+from aplattice import structure as st
 from aplattice.moebius import MoebiusMethod as MM
 
 from helpers import (
@@ -291,28 +292,51 @@ def test_counts_build_no_face(lat, monkeypatch):
 
 def test_chain_table_assertion_guards_the_walk(lat, monkeypatch):
     # dropping one comparable pair from the walk must trip the assertion
-    L, interval = lat(6), cx._interval_fields
+    L, interval = lat(6), lt._interval_fields
 
     def lossy(lo, hi):
         ups = sorted(interval(lo, hi), key=L.id_of.__getitem__)
         # ups[1] is below the top
         return ups[:1] + ups[2:] if lo == L._fields[1] else ups
 
-    monkeypatch.setattr(cx, "_interval_fields", lossy)
+    monkeypatch.setattr(lt, "_interval_fields", lossy)
     with pytest.raises(AssertionError, match="chain recurrence"):
         cx.order_complex(L)
 
 
-def test_order_complex_checks_no_id(lat, monkeypatch):
-    # the walk reads the ids it listed itself, so it validates none
-    before = {n: cx.order_complex(lat(n)).faces_by_dim for n in range(2, 10)}
+def test_internal_walks_check_no_id(lat, monkeypatch):
+    # the package reads the ids it listed itself unchecked: the recursion,
+    # the order complex and the labeling sweeps validate none, and
+    # mobius_interval validates its own two ids alone
+    def run(n):
+        L = lat(n)
+        labeling = st.EdgeLabeling(
+            L, {(lo, hi): hi % 3 for hi, down in enumerate(L.covers_down) for lo in down}
+        )
+        return (
+            mb.mobius_bottom_top(n, MM.DEFINITION),
+            cx.order_complex(L).faces_by_dim,
+            st.verify_er_labeling(labeling),
+            st.verify_el_labeling(labeling),
+        )
 
-    def no_check(*args):
-        raise AssertionError("an id was validated")
+    before = {n: run(n) for n in range(2, 10)}
+    checked, valid_id = [], lt._valid_id
 
-    monkeypatch.setattr(lt, "_valid_id", no_check)
+    def counted(lattice, i, name):
+        checked.append(i)
+        return valid_id(lattice, i, name)
+
+    monkeypatch.setattr(lt, "_valid_id", counted)
     for n in range(2, 10):
-        assert cx.order_complex(lat(n)).faces_by_dim == before[n], n
+        assert run(n) == before[n], n
+    assert checked == []
+    L = lat(8)
+    for method in (MM.DEFINITION, MM.COATOM_MEET):
+        for lo, hi in ((0, L.top_id), (1, L.top_id), (0, 9), (L.top_id, L.top_id)):
+            checked.clear()
+            mb.mobius_interval(L, lo, hi, method)
+            assert checked == [lo, hi], (method, lo, hi)
 
 
 def test_crosscut_shapes(lat):

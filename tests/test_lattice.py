@@ -216,11 +216,18 @@ def test_ideal_filter_interval(lat):
 
 @pytest.mark.parametrize("bad", [-1, "len", True, 1.0])
 def test_ideal_filter_interval_reject_an_id_outside_the_lattice(lat, bad):
-    # -1 would index the top from the end, True would read as id 1
+    # -1 would index the top from the end, True would read as id 1, 1.0
+    # would fail on indexing with a TypeError
     l5 = lat(5)
     top = l5.top_id
     bad = len(l5) if bad == "len" else bad
     calls = [
+        lambda: l5.leq_ids(bad, top),
+        lambda: l5.leq_ids(0, bad),
+        lambda: l5.leq_ids(bad, bad),
+        lambda: l5.size_of(bad),
+        lambda: l5.maximal_chains(bad, top),
+        lambda: l5.maximal_chains(0, bad),
         lambda: l5.ideal(bad),
         lambda: l5.filter(bad),
         lambda: l5.interval(bad, top),
@@ -231,6 +238,7 @@ def test_ideal_filter_interval_reject_an_id_outside_the_lattice(lat, bad):
         with pytest.raises(ValueError):
             call()
     assert l5.ideal(0) == (0,) and l5.filter(top) == l5.interval(top, top) == (top,)
+    assert l5.leq_ids(0, top) and not l5.leq_ids(top, 0) and l5.size_of(top) == 5
 
 
 @pytest.mark.parametrize("name", ["meet_ids", "join_ids"])
