@@ -7,8 +7,9 @@ only parses, prices and prints: each request is estimated once, through
 warning.  A check gives the verdict of every n of the requested range,
 clamped up to the check's least n: most decide one n at a time, while
 comodernism reads every n off one triple walk of its last n.  Coatoms,
-complements and comodernism run on plain (base, step, length) triples and
-build no lattice.  All output is deterministic for fixed arguments.
+complements, comodernism and the definition engine run on plain (base,
+step, length) triples and build no lattice.  All output is deterministic
+for fixed arguments.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Four independent engines for the Moebius function of L(n).
 
-* Definition: the recursion mu(x,y) = -sum of mu(x,z) over x <= z < y,
-  memoised per call.  Intervals starting at the bottom are keyed by the size
-  of the upper element, because the ideal below an element of size m is
-  isomorphic to L(m); that one reduction makes the whole-lattice value cheap.
+* Definition: the recursion mu(x,y) = -sum of mu(x,z) over x <= z < y.
+  From the bottom it depends on the size of y alone, because the ideal
+  below an element of size m is isomorphic to L(m), so M(0..n) come from
+  one walk: M(m) is minus the sum of M(|z|) over the triples z of L(m) in
+  canonical order, up to the top, the last and the only one of size m.
+  It builds no lattice and visits every element; other intervals run the
+  recursion on ids, memoised per call.
 * PnkRecurrence: sum over k of M(k) * p(m, k) = 0 for m >= 1, because the
   ideal below a size-k element is L(k).  The relation at m minus the one at
   m-1 keeps only the progressions ending at m, (m-1)//(k-1) of size k >= 2
@@ -31,8 +34,8 @@ from enum import Enum
 
 from . import cost
 from .complexes import chain_counts
-from .lattice import Lattice, _coatom_fields, _coatom_meet, _coatoms_meet_empty
-from .lattice import _project_fields, build
+from .lattice import Lattice, _canonical_fields, _coatom_fields, _coatom_meet
+from .lattice import _coatoms_meet_empty, _project_fields
 from .numtheory import _divisor_recurrence
 
 
@@ -43,17 +46,30 @@ class MoebiusMethod(Enum):
     COATOM_MEET = "coatom"
 
 
+def _definition_values(n: int) -> list[int]:
+    """M(0..n) by the defining recursion, one walk of L(m) per m <= n."""
+    values = [1]
+    for m in range(1, n + 1):
+        total = 0
+        for _, _, k in _canonical_fields(m):
+            if k == m:  # the top
+                break
+            total += values[k]
+        values.append(-total)
+    return values
+
+
 def _mobius_definition(lattice: Lattice, lo: int, hi: int, memo: dict) -> int:
+    """mu(lo, hi) by the recursion on ids, for lo other than the bottom."""
     if lo == hi:
         return 1
-    key = ("size", lattice._fields[hi][2]) if lo == lattice.bottom_id else (lo, hi)
-    cached = memo.get(key)
+    cached = memo.get((lo, hi))
     if cached is not None:
         return cached
     total = 0
     for z in lattice._ids(lo, hi)[:-1]:  # hi, the largest, comes last
         total += _mobius_definition(lattice, lo, z, memo)
-    memo[key] = -total
+    memo[lo, hi] = -total
     return -total
 
 
@@ -73,7 +89,8 @@ def mobius_interval(
 ) -> int:
     """Moebius value of the interval [lo, hi]; requires element ids lo <= hi.
 
-    DEFINITION runs the memoised recursion; COATOM_MEET applies the
+    DEFINITION reads the walk of L(|hi|) from the bottom and runs the
+    memoised recursion otherwise; COATOM_MEET applies the
     covered-elements rule ``lattice._coatom_meet`` of L(|hi|), through the
     relabeling of the ideal below hi onto L(|hi|).  The other two methods
     only make sense for the whole lattice, use mobius_bottom_top for those.
@@ -81,6 +98,8 @@ def mobius_interval(
     if not lattice.leq_ids(lo, hi):
         raise ValueError(f"mobius_interval requires lo <= hi, got ids {lo}, {hi}")
     if method is MoebiusMethod.DEFINITION:
+        if lo == lattice.bottom_id:
+            return _definition_values(lattice._fields[hi][2])[-1]
         return _mobius_definition(lattice, lo, hi, {})
     if method is MoebiusMethod.COATOM_MEET:
         return _mobius_coatom_interval(lattice, lo, hi)
@@ -107,16 +126,15 @@ def _bottom_top_coatoms(n: int) -> int:
 def mobius_bottom_top(n: int, method: MoebiusMethod) -> int:
     """M(n), the Moebius value of the whole of L(n), by the chosen engine.
 
-    Only DEFINITION needs a built lattice; the other three run on counts or
-    coatom arithmetic alone.  Past the work budget (``cost.engine``) it
-    raises cost.BudgetError first.
+    None of the four builds a lattice: DEFINITION walks the triples of each
+    L(m), the other three run on counts or coatom arithmetic alone.  Past
+    the work budget (``cost.engine``) it raises cost.BudgetError first.
     """
     if not isinstance(method, MoebiusMethod):
         raise ValueError(f"unknown method {method!r}")
     cost.require(f"M({n}) by the {method.value} engine", cost.engine(n, method.value))
     if method is MoebiusMethod.DEFINITION:
-        lattice = build(n)
-        return _mobius_definition(lattice, lattice.bottom_id, lattice.top_id, {})
+        return _definition_values(n)[n]
     if method is MoebiusMethod.PNK_RECURRENCE:
         return _pnk_values(n)[n]
     if method is MoebiusMethod.CHAIN_ALTERNATING_SUM:

@@ -379,6 +379,24 @@ def definition_price_by_elements(n: int) -> int:
     return built + sum(cost.elements(m) for m in range(n + 1))
 
 
+def definition_by_ids(lattice: Lattice, lo: int, hi: int, memo: dict) -> int:
+    """mu(lo, hi) by the defining recursion over the ids of a built lattice,
+    memoised in `memo`.  Intervals from the bottom are keyed by the size of
+    hi, as the ideal below an element of size m is L(m).  The oracle for
+    the triple walk of moebius._definition_values."""
+    if lo == hi:
+        return 1
+    key = ("size", lattice._fields[hi][2]) if lo == lattice.bottom_id else (lo, hi)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    total = 0
+    for z in lattice._ids(lo, hi)[:-1]:  # hi, the largest, comes last
+        total += definition_by_ids(lattice, lo, z, memo)
+    memo[key] = -total
+    return -total
+
+
 def mobius_support(lattice: Lattice) -> tuple[tuple[int, int], ...]:
     """All (id, mu(id, top)) pairs with nonzero value, ascending by id.
 

@@ -406,7 +406,9 @@ def test_force_prints_warning(capsys, monkeypatch):
 
 
 def test_mobius_force_warns_only_when_the_lattice_is_built(capsys, monkeypatch):
-    # pnk on 40 costs 2 * 40 * 6 = 480 units; building L(31) alone costs 40 * 1524
+    # pnk on 40 costs 2 * 40 * 6 = 480 units.  The definition engine walks
+    # triples and builds no lattice, but its price still counts the build of
+    # L(31), 40 * 1524 units, so that no admission edge moves
     monkeypatch.setattr(cost, "BUDGET", 1000)
     code, out, err = run(capsys, "mobius", "40", "--method", "pnk", "--force")
     assert code == 0 and "PASS" in out

@@ -195,7 +195,7 @@ def test_library_requests_admitted():
         ("check euler 2..100000", (complexes, "order_complex")),
         ("mobius 800 --method chains", (moebius, "_bottom_top_chains")),
         ("mobius 20000 --method pnk", (moebius, "_pnk_values")),
-        ("mobius 1000 --method definition", (moebius, "build")),
+        ("mobius 1000 --method definition", (moebius, "_definition_values")),
     ],
 )
 def test_cli_refuses_before_any_work(capsys, monkeypatch, argv, heavy):

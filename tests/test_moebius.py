@@ -3,8 +3,8 @@ from itertools import accumulate
 
 import pytest
 
+from aplattice import cli, cost
 from aplattice import complexes as cx
-from aplattice import cost
 from aplattice import lattice as lt
 from aplattice import moebius as mb
 from aplattice import numtheory as nt
@@ -12,6 +12,7 @@ from aplattice.moebius import MoebiusMethod as MM
 
 from helpers import (
     coatom_meet_table,
+    definition_by_ids,
     embed_progression,
     from_set,
     meet_subset,
@@ -128,6 +129,53 @@ def test_pnk_cost_bounds_the_engine_terms(monkeypatch):
         assert terms == summed[n], n
     for n in range(2001):
         assert summed[n] <= cost.engine(n, "pnk"), n
+
+
+def test_definition_walk_matches_the_id_recursion(lat):
+    # up to the largest n that mobius --method definition admits
+    assert cost.engine(142, "definition") <= cost.BUDGET < cost.engine(143, "definition")
+    values = mb._definition_values(142)
+    assert values == [expected_m(n) for n in range(143)]
+    for n in range(31):
+        ln = lat(n)
+        assert mb._definition_values(n) == values[: n + 1], n
+        assert values[n] == definition_by_ids(ln, ln.bottom_id, ln.top_id, {}), n
+
+
+MOBIUS_30_DEFINITION_JSON = """\
+{
+  "command": "mobius",
+  "parameters": {
+    "method": "definition",
+    "n": 30
+  },
+  "verdicts": [
+    {
+      "detail": "value -1, expected -1",
+      "name": "M(30) matches the classical mu(29)",
+      "passed": true
+    }
+  ]
+}
+"""
+
+
+def test_definition_engine_builds_nothing_and_reads_no_other_engine(
+    lat, monkeypatch, capsys
+):
+    expected = [definition_by_ids(lat(n), 0, lat(n).top_id, {}) for n in range(31)]
+
+    def _never(*args, **kwargs):
+        raise AssertionError("a lattice was built or another engine was read")
+
+    for module in (lt, mb, cli):
+        monkeypatch.setattr(module, "build", _never, raising=False)
+    monkeypatch.setattr(lt.Lattice, "__init__", _never)
+    for name in ("_pnk_values", "_divisor_recurrence", "chain_counts"):
+        monkeypatch.setattr(mb, name, _never)
+    assert [mb.mobius_bottom_top(n, MM.DEFINITION) for n in range(31)] == expected
+    assert cli.main(["mobius", "30", "--method", "definition", "--json"]) == 0
+    assert capsys.readouterr().out == MOBIUS_30_DEFINITION_JSON
 
 
 def test_spot_values():
